@@ -30,7 +30,7 @@ from .errors import (
     UnsolvableSubsetError,
 )
 from .odes import flow_field, projectile_system, rk4_integrate
-from .pbe import Grid, LatexCoefficients, default_step_count, simulate
+from .pbe import simulate
 from .scaling import (
     AnnealConfig,
     ScalingProblem,
@@ -275,16 +275,7 @@ def pbe(obj, theta_sel, lambda_file, desk, nodes, steps, v_window, t_horizon,
     try:
         if lambda_file is not None:
             theta_sel = "explicit"
-            data = runio.load_lambda_config(lambda_file)
-            coeffs = LatexCoefficients(
-                **{f"lam_{k}": float(v) for k, v in data["lambdas"].items()},
-                **{k: float(v) for k, v in data["constants"].items()},
-                sigma_c=float(data.get("sigma_c", 0.0)),
-            )
-            grid = Grid(N=int(data["grid"]["N"]),
-                        h=float(data["grid"]["v_max"]) / int(data["grid"]["N"]))
-            t_max = float(data["t_max"])
-            run_steps = int(data.get("steps", 0)) or default_step_count(coeffs, grid, t_max)
+            coeffs, grid, t_max, run_steps = runio.load_lambda_config(lambda_file)
             theta_tag = "explicit"
         elif theta_sel == "explicit":
             raise ConfigError("--theta explicit needs --lambda-file or --config")
@@ -312,9 +303,7 @@ def pbe(obj, theta_sel, lambda_file, desk, nodes, steps, v_window, t_horizon,
         if sample_every is None:
             sample_every = max(run_steps // 100, 1)
         report = simulate(coeffs, grid, t_max, run_steps, sample_every)
-    except (ConfigError, TypeError, KeyError, ValueError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     except NonFiniteEvaluationError as exc:
         _fail(EXIT_SOLVER, str(exc))

@@ -12,7 +12,7 @@ class DomainError(NondimError):
 class DegenerateExponentsError(NondimError):
     """The exponent table does not determine the scaling factors.
 
-    Carries the numerical rank detected before the solve gave up.
+    Carries the numerical rank of the exponent matrix and its column count.
     """
 
     def __init__(self, rank: int, size: int):

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import DomainError, NonFiniteEvaluationError
 from .models import LatexConstants
+from .odes import rk4_step
 from .scaling import ScalingSolution, ScalingProblem
 
 TRUNCATION_TOLERANCE = 1e-6
@@ -172,43 +172,6 @@ def phi_and_vp(coeffs: LatexCoefficients, state: PbeState) -> tuple[float, float
     return phi, v_p
 
 
-class Rates(NamedTuple):
-    a_m: float
-    a_w: float
-    g: float
-    dg_dv: float
-    n: float
-    mu_m: float
-    mu_w: float
-
-
-def rate_functions(coeffs: LatexCoefficients, state: PbeState, v: float, u: float) -> Rates:
-    """Point values of every rate at volumes (v, u) for the given state.
-
-    The aggregation kernel and the growth derivative carry a v**(-1/3)
-    singularity, so v must be strictly positive.
-    """
-    if v <= 0 or u <= 0:
-        raise DomainError("rate functions need strictly positive volumes")
-    phi, v_p = phi_and_vp(coeffs, state)
-    if v_p <= 0:
-        raise DomainError("state corruption: V_p <= 0")
-    psi1 = state.Psi + 1.0
-    kernel = v ** (-1.0 / 3.0) + u ** (-1.0 / 3.0)
-    agg = psi1 ** (14.0 / 3.0) * kernel
-    growth_coef = coeffs.lam_d * phi * psi1 ** (2.0 / 3.0)
-    dilation = coeffs.lam_p * state.Psi / v_p
-    return Rates(
-        a_m=coeffs.lam_a_m * agg,
-        a_w=coeffs.lam_a_w * agg,
-        g=growth_coef * v ** (2.0 / 3.0) + dilation * v,
-        dg_dv=(2.0 / 3.0) * growth_coef * v ** (-1.0 / 3.0) + dilation,
-        n=coeffs.lam_n * phi * float(gaussian_delta(v, coeffs.lam_c, coeffs.sigma_c)),
-        mu_m=coeffs.lam_mu_m,
-        mu_w=coeffs.lam_mu_w,
-    )
-
-
 def fd4_derivative(values, h: float) -> np.ndarray:
     """Fourth-order first derivative at nodes 1..N of a uniform grid.
 
@@ -321,26 +284,16 @@ class GmocWorkspace:
         return gain[1:], loss[1:]
 
 
-def aggregation_terms(
-    coeffs: LatexCoefficients, dist, which: str, state: PbeState, grid: Grid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregation gain and loss vectors at nodes 1..N for one distribution."""
-    if which not in ("m", "w"):
-        raise DomainError("which must be 'm' or 'w'")
-    lam_a = coeffs.lam_a_m if which == "m" else coeffs.lam_a_w
-    prefactor = lam_a * (state.Psi + 1.0) ** (14.0 / 3.0)
-    ws = GmocWorkspace(coeffs, grid)
-    return ws.aggregation(np.asarray(dist, dtype=float), prefactor)
-
-
-def _pack(state: PbeState) -> np.ndarray:
+def pack_state(state: PbeState) -> np.ndarray:
+    """The state as one vector: m, w, then the five auxiliary scalars."""
     return np.concatenate(
         [state.m, state.w,
          [state.V_mat, state.V_cm, state.V_cw, state.Psi, state.V_pol2]]
     )
 
 
-def _unpack(y: np.ndarray, n: int) -> PbeState:
+def unpack_state(y: np.ndarray, n: int) -> PbeState:
+    """Inverse of :func:`pack_state` on an N = n grid (m and w are views of y)."""
     return PbeState(
         m=y[: n + 1], w=y[n + 1 : 2 * n + 2],
         V_mat=float(y[-5]), V_cm=float(y[-4]), V_cw=float(y[-3]),
@@ -348,10 +301,16 @@ def _unpack(y: np.ndarray, n: int) -> PbeState:
     )
 
 
-def _rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
+def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
+    """Time derivative of the packed state ``y``; the rate laws live here.
+
+    Node 0 of both distributions is a boundary condition and gets zero
+    derivative.  A non-finite result or V_p <= 0 raises
+    :class:`NonFiniteEvaluationError`.
+    """
     c = ws.coeffs
     n = ws.grid.N
-    state = _unpack(y, n)
+    state = unpack_state(y, n)
     m, w = state.m, state.w
     phi, v_p = phi_and_vp(c, state)
     if v_p <= 0:
@@ -413,12 +372,6 @@ def _diagnose_nonfinite(dm, dw, aux) -> str:
     names = ("dV_mat", "dV_cm", "dV_cw", "dPsi", "dV_pol2")
     bad.extend(name for name, v in zip(names, aux) if not np.isfinite(v))
     return "non-finite right-hand side: " + "; ".join(bad)
-
-
-def assemble_rhs(coeffs: LatexCoefficients, grid: Grid, state: PbeState, t: float = 0.0) -> PbeState:
-    """Time derivative of the full state (boundary nodes pinned to zero)."""
-    ws = GmocWorkspace(coeffs, grid)
-    return _unpack(_rhs_vector(ws, _pack(state)), grid.N)
 
 
 @dataclass
@@ -485,9 +438,13 @@ def simulate(
     if steps < 1 or sample_every < 1:
         raise DomainError("steps and sample_every must be >= 1")
     ws = GmocWorkspace(coeffs, grid)
+
+    def rhs(t, y):
+        return rhs_vector(ws, y)
+
     n = grid.N
     tau = t_max / steps
-    y = _pack(PbeState.initial(grid, coeffs.Psi_bar))
+    y = pack_state(PbeState.initial(grid, coeffs.Psi_bar))
 
     sample_times = [0.0]
     samples = [_sample(ws, y)]
@@ -495,11 +452,7 @@ def simulate(
     min_w = 0.0
     aborted = None
     for k in range(steps):
-        k1 = _rhs_vector(ws, y)
-        k2 = _rhs_vector(ws, y + 0.5 * tau * k1)
-        k3 = _rhs_vector(ws, y + 0.5 * tau * k2)
-        k4 = _rhs_vector(ws, y + tau * k3)
-        y = y + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(rhs, k * tau, y, tau)
         if not np.all(np.isfinite(y)):
             raise NonFiniteEvaluationError(
                 f"state overflow after step {k + 1}", step=k + 1, state=y
@@ -521,7 +474,7 @@ def simulate(
             break
 
     series = np.array(samples)  # (S, 7)
-    state = _unpack(y, n)
+    state = unpack_state(y, n)
     report = SimulationReport(
         times=np.array(sample_times),
         V_mat=series[:, 0], V_cm=series[:, 1], V_cw=series[:, 2],
@@ -542,7 +495,7 @@ def simulate(
 
 def _sample(ws: GmocWorkspace, y: np.ndarray) -> list[float]:
     n = ws.grid.N
-    state = _unpack(y, n)
+    state = unpack_state(y, n)
     f_m = float(ws.moment0_weights @ (ws.nodes * state.m))
     f_w = float(ws.moment0_weights @ (ws.nodes * state.w))
     return [state.V_mat, state.V_cm, state.V_cw, state.Psi, state.V_pol2, f_m, f_w]

@@ -21,7 +21,8 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .pbe import SimulationReport
+from .models import LATEX_LABELS
+from .pbe import Grid, LatexCoefficients, SimulationReport, default_step_count
 from .scaling import EnumerationResult, Monomial, ScalingProblem, ScalingSolution
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -107,7 +108,27 @@ def load_problem(path) -> ScalingProblem:
         raise ConfigError(f"{path}: malformed problem: {exc}") from exc
 
 
-def load_lambda_config(path) -> dict:
+def _number(path, key: str, value, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {key} must be a number, got {value!r}") from exc
+
+
+def _section(path, data: dict, key: str, names) -> dict:
+    """The numbers under ``data[key]``, which must hold exactly ``names``."""
+    section = data[key]
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: {key!r} must be a mapping")
+    missing = [name for name in names if name not in section]
+    unknown = [name for name in section if name not in names]
+    if missing or unknown:
+        bad = [f"missing {key}.{n}" for n in missing] + [f"unknown {key}.{n}" for n in unknown]
+        raise ConfigError(f"{path}: " + ", ".join(bad))
+    return {name: _number(path, f"{key}.{name}", section[name]) for name in names}
+
+
+def load_lambda_config(path) -> tuple[LatexCoefficients, Grid, float, int]:
     """Read an explicit coefficient scenario from YAML.
 
     Expected shape::
@@ -118,7 +139,10 @@ def load_lambda_config(path) -> dict:
         grid: {N: int, v_max: float}
         t_max: float
         steps: int            # optional, stability heuristic otherwise
-        sample_every: int     # optional, defaults to steps // 100
+
+    Returns ``(coeffs, grid, t_max, steps)``.  A missing, unknown or
+    non-numeric key raises :class:`ConfigError` naming it; values outside
+    the model's domain raise :class:`DomainError`.
     """
     try:
         with open(path) as fh:
@@ -130,105 +154,99 @@ def load_lambda_config(path) -> dict:
     for key in ("lambdas", "constants", "grid", "t_max"):
         if key not in data:
             raise ConfigError(f"{path}: missing required key {key!r}")
-    return data
+    lambdas = _section(path, data, "lambdas", LATEX_LABELS)
+    constants = _section(path, data, "constants", ("Phi_s", "Psi_bar", "Psi_r"))
+    grid_spec = _section(path, data, "grid", ("N", "v_max"))
+    n = _number(path, "grid.N", grid_spec["N"], int)
+    if n < 1:
+        raise ConfigError(f"{path}: grid.N must be >= 1, got {n}")
+    coeffs = LatexCoefficients(
+        **{f"lam_{k}": v for k, v in lambdas.items()}, **constants,
+        sigma_c=_number(path, "sigma_c", data.get("sigma_c", 0.0)),
+    )
+    grid = Grid(N=n, h=grid_spec["v_max"] / n)
+    t_max = _number(path, "t_max", data["t_max"])
+    steps = _number(path, "steps", data.get("steps", 0), int)
+    return coeffs, grid, t_max, steps or default_step_count(coeffs, grid, t_max)
 
 
 # ---------------------------------------------------------------------------
 # artifact writers
 
 
+def _write_csv(path, manifest: RunManifest, header, rows) -> None:
+    """Manifest line, header, then the rows; numbers formatted by _fmt."""
+    with open(path, "w", newline="") as fh:
+        fh.write(manifest.header_line() + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+
+
 def write_solution_csv(
     path, problem: ScalingProblem, solutions: list[ScalingSolution], manifest: RunManifest
 ) -> None:
     """One row per solution: method, cost, ratio, factors, coefficients."""
-    with open(path, "w", newline="") as fh:
-        fh.write(manifest.header_line() + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "cost", "ratio"]
-            + [f"theta_{_slug(name)}" for name in problem.factor_names]
-            + [f"lambda_{label}" for label in problem.labels]
-        )
-        for sol in solutions:
-            writer.writerow(
-                [sol.method_tag, _fmt(sol.cost), _fmt(sol.ratio)]
-                + [_fmt(v) for v in sol.theta]
-                + [_fmt(v) for v in sol.lambdas]
-            )
+    _write_csv(
+        path, manifest,
+        ["method", "cost", "ratio"]
+        + [f"theta_{_slug(name)}" for name in problem.factor_names]
+        + [f"lambda_{label}" for label in problem.labels],
+        ([sol.method_tag, sol.cost, sol.ratio, *sol.theta, *sol.lambdas]
+         for sol in solutions),
+    )
 
 
 def write_enumeration_csv(
     path, problem: ScalingProblem, result: EnumerationResult, manifest: RunManifest
 ) -> None:
     """All solvable subsets sorted by ratio, then factor values per row."""
-    with open(path, "w", newline="") as fh:
-        fh.write(manifest.header_line() + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["subset", "ratio", "cost"]
-            + [f"theta_{_slug(name)}" for name in problem.factor_names]
-        )
-        for subset, sol in result.entries:
-            writer.writerow(
-                [";".join(problem.labels[c] for c in subset),
-                 _fmt(sol.ratio), _fmt(sol.cost)]
-                + [_fmt(v) for v in sol.theta]
-            )
+    _write_csv(
+        path, manifest,
+        ["subset", "ratio", "cost"]
+        + [f"theta_{_slug(name)}" for name in problem.factor_names],
+        ([";".join(problem.labels[c] for c in subset), ratio, cost, *10.0**rho]
+         for subset, ratio, cost, rho in zip(
+             result.subsets, result.ratio, result.cost, result.rho)),
+    )
 
 
 def write_trajectory_csv(path, times, states, columns, manifest: RunManifest) -> None:
     """Time series of an ODE solve, one state component per column."""
-    states = np.asarray(states)
-    with open(path, "w", newline="") as fh:
-        fh.write(manifest.header_line() + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + list(columns))
-        for t, row in zip(times, states):
-            writer.writerow([_fmt(t)] + [_fmt(v) for v in np.atleast_1d(row)])
+    _write_csv(
+        path, manifest, ["t"] + list(columns),
+        ([t, *np.atleast_1d(row)] for t, row in zip(times, np.asarray(states))),
+    )
 
 
 def write_flow_csv(path, flow, manifest: RunManifest) -> None:
     """Lattice samples of the phase-plane tangent field (NaN at poles)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(manifest.header_line() + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["w1", "w2", "dw1", "dw2"])
-        for i, b in enumerate(flow.w2):
-            for j, a in enumerate(flow.w1):
-                writer.writerow(
-                    [_fmt(a), _fmt(b), _fmt(flow.dw1[i, j]), _fmt(flow.dw2[i, j])]
-                )
+    _write_csv(
+        path, manifest, ["w1", "w2", "dw1", "dw2"],
+        ([a, b, flow.dw1[i, j], flow.dw2[i, j]]
+         for i, b in enumerate(flow.w2) for j, a in enumerate(flow.w1)),
+    )
 
 
 def write_distributions_csv(path, grid, report: SimulationReport, manifest: RunManifest) -> None:
     """Final distributions m and w over the volume grid."""
-    with open(path, "w", newline="") as fh:
-        fh.write(manifest.header_line() + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["v", "m", "w"])
-        for v, m, w in zip(grid.nodes(), report.final_m, report.final_w):
-            writer.writerow([_fmt(v), _fmt(m), _fmt(w)])
+    _write_csv(path, manifest, ["v", "m", "w"],
+               zip(grid.nodes(), report.final_m, report.final_w))
 
 
 def write_diagnostics_csv(path, report: SimulationReport, manifest: RunManifest) -> None:
     """Sampled auxiliary scalars, first moments, and error series."""
-    with open(path, "w", newline="") as fh:
-        fh.write(manifest.header_line() + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "V_mat", "V_cm", "V_cw", "Psi", "V_pol2",
-             "F_m", "F_w", "eps_m", "eps_w"]
-        )
-        n = len(report.times)
-        eps_m = report.eps_m if report.eps_m is not None else [float("nan")] * n
-        eps_w = report.eps_w if report.eps_w is not None else [float("nan")] * n
-        for k in range(n):
-            writer.writerow(
-                [_fmt(series[k]) for series in
-                 (report.times, report.V_mat, report.V_cm, report.V_cw,
-                  report.Psi, report.V_pol2, report.F_m, report.F_w,
-                  eps_m, eps_w)]
-            )
+    nan = [float("nan")] * len(report.times)
+    _write_csv(
+        path, manifest,
+        ["t", "V_mat", "V_cm", "V_cw", "Psi", "V_pol2",
+         "F_m", "F_w", "eps_m", "eps_w"],
+        zip(report.times, report.V_mat, report.V_cm, report.V_cw,
+            report.Psi, report.V_pol2, report.F_m, report.F_w,
+            nan if report.eps_m is None else report.eps_m,
+            nan if report.eps_w is None else report.eps_w),
+    )
 
 
 def write_summary_json(path, payload: dict, manifest: RunManifest) -> None:

@@ -4,12 +4,12 @@ A scaling problem collects the dimensionless coefficients of an equation as
 monomials ``lambda_i = kappa_i * prod_j theta_j**alpha_ij`` over strictly
 positive factors ``theta``.  Everything here works on ``rho = log10(theta)``,
 where each ``log10(lambda_i)`` is affine and the Euclidean cost is a linear
-least-squares problem with an explicit normal-equations solution.
+least-squares problem.
 
 Solvers provided:
 
-* :func:`solve_euclidean` -- analytic minimizer of the squared log-distance
-  from the per-coefficient targets;
+* :func:`solve_euclidean` -- least-squares minimizer of the squared
+  log-distance from the per-coefficient targets;
 * :func:`anneal_minimize` -- simulated annealing on either cost, for the
   max-norm cost in particular;
 * :func:`solve_subset` / :func:`enumerate_traditional` -- force a chosen set
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,48 +190,22 @@ def _solution(problem: ScalingProblem, theta: np.ndarray, kind: str, tag: str) -
     )
 
 
-def gaussian_elimination_solve(A, b):
-    """Solve A x = b by Gaussian elimination with partial pivoting.
-
-    Returns ``(x, det)``.  Raises :class:`DegenerateExponentsError` as soon
-    as a pivot magnitude drops to ``SINGULARITY_EPS`` or below, reporting the
-    rank reached up to that point.
-    """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    n = A.shape[0]
-    det = 1.0
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(A[col:, col])))
-        pivot = A[pivot_row, col]
-        if abs(pivot) <= SINGULARITY_EPS:
-            raise DegenerateExponentsError(rank=col, size=n)
-        if pivot_row != col:
-            A[[col, pivot_row]] = A[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-            det = -det
-        det *= pivot
-        factors = A[col + 1 :, col] / pivot
-        A[col + 1 :, col:] -= factors[:, None] * A[col, col:]
-        b[col + 1 :] -= factors * b[col]
-    x = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - A[row, row + 1 :] @ x[row + 1 :]) / A[row, row]
-    return x, det
-
-
 def solve_euclidean(problem: ScalingProblem) -> ScalingSolution:
-    """Analytic minimizer of the Euclidean log-distance cost.
+    """Minimizer of the Euclidean log-distance cost.
 
-    Solves the normal equations ``(A^T A) rho = A^T (targets - log10 kappa)``
-    and returns ``theta = 10**rho``.  The cost is convex in rho (a sum of
-    squares of affine functions), so the stationary point is the global
-    minimum.
+    Solves the linear least-squares problem
+    ``min ||A rho - (targets - log10 kappa)||`` on the exponent matrix ``A``
+    itself (no normal equations, so the condition number is not squared) and
+    returns ``theta = 10**rho``.  The cost is convex in rho, so this is the
+    global minimum; it is unique unless ``A`` loses column rank, which raises
+    :class:`DegenerateExponentsError`.
     """
-    A = problem.exponent_matrix()
-    gram = A.T @ A
-    rhs = A.T @ (problem.targets() - problem.log_kappas())
-    rho, _ = gaussian_elimination_solve(gram, rhs)
+    rho, _, rank, _ = np.linalg.lstsq(
+        problem.exponent_matrix(), problem.targets() - problem.log_kappas(),
+        rcond=None,
+    )
+    if rank < problem.n_factors:
+        raise DegenerateExponentsError(rank=int(rank), size=problem.n_factors)
     return _solution(problem, 10.0**rho, "euclid", "euclid")
 
 
@@ -304,27 +278,47 @@ def anneal_minimize(
 
 @dataclass
 class EnumerationResult:
-    """All solvable traditional-scaling subsets, sorted ascending by ratio."""
+    """All solvable traditional-scaling subsets, sorted ascending by ratio.
 
-    entries: list[tuple[tuple[int, ...], ScalingSolution]]
+    Row ``i`` of ``subsets`` (0-based coefficient indices), ``rho``
+    (log10 of the factors), ``cost`` and ``ratio`` describes one subset;
+    equal ratios keep the subsets in lexicographic order.
+    """
+
+    problem: ScalingProblem
+    subsets: np.ndarray
+    rho: np.ndarray
+    cost: np.ndarray
+    ratio: np.ndarray
     total_subsets: int
 
     @property
     def solvable_count(self) -> int:
-        return len(self.entries)
+        return len(self.ratio)
+
+    def _row(self, i: int) -> tuple[tuple[int, ...], ScalingSolution]:
+        subset = tuple(int(c) for c in self.subsets[i])
+        rho = self.rho[i]
+        log_lam = self.problem.log_kappas() + self.problem.exponent_matrix() @ rho
+        return subset, ScalingSolution(
+            theta=10.0**rho,
+            lambdas=10.0**log_lam,
+            cost=float(self.cost[i]),
+            ratio=float(self.ratio[i]),
+            method_tag="subset:" + ",".join(str(c) for c in subset),
+        )
 
     @property
     def best(self) -> tuple[tuple[int, ...], ScalingSolution]:
         """The subset whose coefficient ratio is smallest."""
-        return self.entries[0]
+        return self._row(0)
 
     @property
     def worst(self) -> tuple[tuple[int, ...], ScalingSolution]:
-        return self.entries[-1]
+        return self._row(-1)
 
     def fraction_with_ratio_above(self, threshold: float) -> float:
-        ratios = np.array([sol.ratio for _, sol in self.entries])
-        return float(np.mean(ratios > threshold))
+        return float(np.mean(self.ratio > threshold))
 
 
 def enumerate_traditional(
@@ -335,7 +329,7 @@ def enumerate_traditional(
     Iterates all C(N_d, N_x) subsets, discards the ones whose exponent
     submatrix has |det| <= 1e-12, and sorts the solvable ones by the ratio
     of their realized coefficients.  Subsets are solved in vectorized
-    batches; the output order does not depend on batching.
+    batches of ``chunk``; the results do not depend on batching.
     """
     n_x, n_d = problem.n_factors, problem.n_coefficients
     if n_d <= n_x:
@@ -347,44 +341,28 @@ def enumerate_traditional(
     A = problem.exponent_matrix()
     log_kappas = problem.log_kappas()
     targets = problem.targets()
-    entries: list[tuple[tuple[int, ...], ScalingSolution]] = []
+    parts = [(np.empty((0, n_x), dtype=int), np.empty((0, n_x)), np.empty(0), np.empty(0))]
 
     combos = itertools.combinations(range(n_d), n_x)
     while True:
-        batch = list(itertools.islice(combos, chunk))
-        if not batch:
+        idx = np.array(list(itertools.islice(combos, chunk)), dtype=int)  # (B, N_x)
+        if idx.size == 0:
             break
-        idx = np.array(batch)  # (B, N_x)
         mats = A[idx]  # (B, N_x, N_x)
-        dets = np.linalg.det(mats)
-        solvable = np.abs(dets) > SINGULARITY_EPS
-        if not np.any(solvable):
-            continue
+        solvable = np.abs(np.linalg.det(mats)) > SINGULARITY_EPS
         rhs = (targets - log_kappas)[idx[solvable]]
         rhos = np.linalg.solve(mats[solvable], rhs[..., None])[..., 0]
         log_lams = log_kappas[None, :] + rhos @ A.T
         res = log_lams - targets[None, :]
         costs = np.sum(res**2, axis=1)
         ratios = 10.0 ** (np.max(log_lams, axis=1) - np.min(log_lams, axis=1))
-        for subset, rho, log_lam, cost, rat in zip(
-            (batch[i] for i in np.flatnonzero(solvable)),
-            rhos,
-            log_lams,
-            costs,
-            ratios,
-        ):
-            tag = "subset:" + ",".join(str(c) for c in subset)
-            entries.append(
-                (
-                    subset,
-                    ScalingSolution(
-                        theta=10.0**rho,
-                        lambdas=10.0**log_lam,
-                        cost=float(cost),
-                        ratio=float(rat),
-                        method_tag=tag,
-                    ),
-                )
-            )
-    entries.sort(key=lambda item: (item[1].ratio, item[0]))
-    return EnumerationResult(entries=entries, total_subsets=count)
+        parts.append((idx[solvable], rhos, costs, ratios))
+
+    subsets, rhos, costs, ratios = (np.concatenate(p) for p in zip(*parts))
+    # Combinations arrive in lexicographic order, so a stable sort by ratio
+    # breaks ties by subset.
+    order = np.argsort(ratios, kind="stable")
+    return EnumerationResult(
+        problem=problem, subsets=subsets[order], rho=rhos[order],
+        cost=costs[order], ratio=ratios[order], total_subsets=count,
+    )

@@ -5,9 +5,11 @@ of process time on an N = 1000 grid.  The desk-scale scenario is a
 scaled-down equivalent sized so the regularized nucleation source stays
 resolved on an N = 200 grid and the distribution support stays inside the
 grid: the physical window shrinks to 0.5e-16 L over 250 s and the Gaussian
-width widens from lambda_c/50 to lambda_c/10 (which keeps the same
-width-to-spacing ratio the full-scale grid has).  On coarser grids the
-lambda_c/50 source falls below grid resolution and the non-monotone
+width widens from lambda_c/50 to lambda_c/10.  The width-to-spacing ratios
+differ: sigma_c/h is 3.54 on the desk defaults but 1.77 on the full-scale
+defaults, so ``--full`` at the paper's lambda_c/50 is under-resolved;
+``--sigma-rule 25`` gives the full grid the desk ratio.  On coarser grids
+the lambda_c/50 source falls below grid resolution and the non-monotone
 fourth-order transport scheme answers with order-one oscillations, so a
 literal parameter-for-parameter shrink has no non-negative regime.
 """

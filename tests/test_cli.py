@@ -129,26 +129,30 @@ class TestProjectile:
         assert summary["singular_flow_points"] == []
 
 
+def no_nucleation_scenario():
+    lambdas = {name: 1.0 for name in
+               ("a_m", "a_w", "d", "p", "c", "mu_m", "mu_w",
+                "dm_mat", "dw_mat", "s_mat", "pol1_pol2", "pol1_mat",
+                "p_m", "p_w", "p_pol2", "p_pol1", "p_mat")}
+    lambdas["n"] = 0.0
+    lambdas["s_m"] = 0.0
+    return (
+        "lambdas:\n"
+        + "".join(f"  {k}: {v}\n" for k, v in lambdas.items())
+        + "constants: {Phi_s: 1.0e-3, Psi_bar: 1.0, Psi_r: 1.05}\n"
+        + "sigma_c: 0.02\n"
+        + "grid: {N: 16, v_max: 4.0}\n"
+        + "t_max: 0.2\n"
+        + "steps: 100\n"
+    )
+
+
 class TestPbe:
     def test_lambda_file_without_nucleation_gives_zero_distributions(
         self, runner, tmp_path
     ):
         config = tmp_path / "custom.yaml"
-        lambdas = {name: 1.0 for name in
-                   ("a_m", "a_w", "d", "p", "c", "mu_m", "mu_w",
-                    "dm_mat", "dw_mat", "s_mat", "pol1_pol2", "pol1_mat",
-                    "p_m", "p_w", "p_pol2", "p_pol1", "p_mat")}
-        lambdas["n"] = 0.0
-        lambdas["s_m"] = 0.0
-        config.write_text(
-            "lambdas:\n"
-            + "".join(f"  {k}: {v}\n" for k, v in lambdas.items())
-            + "constants: {Phi_s: 1.0e-3, Psi_bar: 1.0, Psi_r: 1.05}\n"
-            + "sigma_c: 0.02\n"
-            + "grid: {N: 16, v_max: 4.0}\n"
-            + "t_max: 0.2\n"
-            + "steps: 100\n"
-        )
+        config.write_text(no_nucleation_scenario())
         result = runner.invoke(
             main, ["--out", str(tmp_path), "pbe", "--lambda-file", str(config)]
         )
@@ -167,6 +171,30 @@ class TestPbe:
             main, ["--out", str(tmp_path), "pbe", "--lambda-file", str(config)]
         )
         assert result.exit_code == 64
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("  a_w: 1.0", "  a_ww: 1.0", "lambdas.a_ww"),
+        ("  a_w: 1.0\n", "", "lambdas.a_w"),
+        ("N: 16", "N: sixteen", "grid.N"),
+        ("t_max: 0.2", "t_max: [0.2]", "t_max"),
+    ])
+    def test_bad_scenario_key_is_named(self, runner, tmp_path, old, new, key):
+        config = tmp_path / "bad.yaml"
+        config.write_text(no_nucleation_scenario().replace(old, new))
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "pbe", "--lambda-file", str(config)]
+        )
+        assert result.exit_code == 64
+        assert key in result.output
+
+    def test_solver_bug_is_not_reported_as_config_error(self, runner, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside the solver")
+
+        monkeypatch.setattr("nondim.cli.simulate", broken)
+        result = runner.invoke(main, ["--out", str(tmp_path), "pbe", "--theta", "eucl"])
+        assert isinstance(result.exception, TypeError)
+        assert result.exit_code != 64
 
     def test_eucl_desk_small_grid_guard_failure_exits_4(self, runner, tmp_path):
         # An under-resolved grid breaks non-negativity under the optimal

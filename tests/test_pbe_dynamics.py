@@ -4,13 +4,15 @@ import pytest
 from nondim.errors import NonFiniteEvaluationError
 from nondim.odes import rk4_integrate
 from nondim.pbe import (
+    GmocWorkspace,
     Grid,
-    LatexCoefficients,
     PbeState,
-    assemble_rhs,
     error_series,
+    pack_state,
     phi_and_vp,
+    rhs_vector,
     simulate,
+    unpack_state,
 )
 from nondim.scenarios import latex_scenario
 
@@ -72,6 +74,11 @@ class TestZeroNucleation:
         assert report.V_pol2[-1] == pytest.approx(final[4], abs=1e-10)
 
 
+def state_derivative(coeffs, grid, state):
+    """The solver's own right-hand side at one state."""
+    return unpack_state(rhs_vector(GmocWorkspace(coeffs, grid), pack_state(state)), grid.N)
+
+
 class TestRhsStructure:
     def test_boundary_node_derivative_is_zero(self):
         coeffs = unit_coeffs()
@@ -80,7 +87,7 @@ class TestRhsStructure:
         state.V_mat = 0.5
         state.m = np.linspace(0.0, 1.0, grid.N + 1)
         state.m[0] = 0.0
-        derivative = assemble_rhs(coeffs, grid, state)
+        derivative = state_derivative(coeffs, grid, state)
         assert derivative.m[0] == 0.0
         assert derivative.w[0] == 0.0
 
@@ -92,8 +99,20 @@ class TestRhsStructure:
         state = PbeState.initial(grid, coeffs.Psi_bar)
         state.V_mat = 0.5
         phi, _ = phi_and_vp(coeffs, state)
-        derivative = assemble_rhs(coeffs, grid, state)
+        derivative = state_derivative(coeffs, grid, state)
         assert derivative.V_cm == pytest.approx(phi * coeffs.lam_s_m)
+
+    def test_no_monomer_supply_means_no_nucleation(self):
+        # V_mat = 0 clamps the availability Phi at 0, so with empty
+        # distributions nothing nucleates and no cluster volume appears.
+        coeffs = unit_coeffs()
+        grid = Grid(16, 0.25)
+        state = PbeState.initial(grid, coeffs.Psi_bar)
+        assert phi_and_vp(coeffs, state)[0] == 0.0
+        derivative = state_derivative(coeffs, grid, state)
+        assert np.all(derivative.m == 0.0)
+        assert np.all(derivative.w == 0.0)
+        assert derivative.V_cm == 0.0
 
     def test_psi_decreases_monotonically(self):
         coeffs = unit_coeffs()

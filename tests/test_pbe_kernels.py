@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from nondim.errors import DomainError
 from nondim.pbe import (
+    GmocWorkspace,
     Grid,
     LatexCoefficients,
-    PbeState,
-    aggregation_terms,
     fd4_derivative,
     gaussian_delta,
-    rate_functions,
     simpson_integral,
     simpson_weights,
 )
@@ -94,33 +92,6 @@ class TestGaussianDelta:
             gaussian_delta(1.0, 1.0, 0.0)
 
 
-class TestRates:
-    def test_aggregation_kernel_symmetry(self):
-        coeffs = unit_coeffs()
-        state = PbeState.initial(Grid(10, 0.1), coeffs.Psi_bar)
-        state.V_mat = 0.5
-        a = rate_functions(coeffs, state, 2.0, 3.0)
-        b = rate_functions(coeffs, state, 3.0, 2.0)
-        assert a.a_m == pytest.approx(b.a_m)
-        assert a.a_w == pytest.approx(b.a_w)
-
-    def test_no_monomer_availability_means_no_nucleation_or_surface_growth(self):
-        coeffs = unit_coeffs()
-        state = PbeState.initial(Grid(10, 0.1), coeffs.Psi_bar)
-        # V_mat = 0 puts the availability at its clamp.
-        rates = rate_functions(coeffs, state, 1.0, 1.0)
-        assert rates.n == 0.0
-        psi1 = state.Psi + 1.0
-        v_p = psi1 * (coeffs.lam_p_m * 0 + coeffs.lam_p_pol1)
-        assert rates.g == pytest.approx(coeffs.lam_p * state.Psi / v_p * 1.0)
-
-    def test_volume_must_be_positive(self):
-        coeffs = unit_coeffs()
-        state = PbeState.initial(Grid(10, 0.1), coeffs.Psi_bar)
-        with pytest.raises(DomainError):
-            rate_functions(coeffs, state, 0.0, 1.0)
-
-
 class TestAggregation:
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -133,12 +104,11 @@ class TestAggregation:
         coeffs = unit_coeffs(lam_a_m=float(rng.uniform(0.5, 2.0)))
         dist = rng.uniform(0.0, 2.0, n + 1)
         dist[0] = 0.0
-        state = PbeState.initial(grid, coeffs.Psi_bar)
-        state.Psi = float(rng.uniform(0.1, 1.5))
-        gain, loss = aggregation_terms(coeffs, dist, "m", state, grid)
+        psi = float(rng.uniform(0.1, 1.5))
+        pref = coeffs.lam_a_m * (psi + 1.0) ** (14.0 / 3.0)
+        gain, loss = GmocWorkspace(coeffs, grid).aggregation(dist, pref)
 
         phi = grid.nodes()
-        pref = coeffs.lam_a_m * (state.Psi + 1.0) ** (14.0 / 3.0)
         full_w = simpson_weights(n, h)
         expected_gain = np.zeros(n)
         expected_loss = np.zeros(n)
@@ -161,20 +131,10 @@ class TestAggregation:
         assert loss == pytest.approx(expected_loss, rel=1e-12, abs=1e-12)
 
     def test_first_node_has_no_gain(self):
-        grid = Grid(8, 0.5)
-        coeffs = unit_coeffs()
-        state = PbeState.initial(grid, coeffs.Psi_bar)
         dist = np.ones(9)
         dist[0] = 0.0
-        gain, _ = aggregation_terms(coeffs, dist, "m", state, grid)
+        gain, _ = GmocWorkspace(unit_coeffs(), Grid(8, 0.5)).aggregation(dist, 1.0)
         assert gain[0] == 0.0
-
-    def test_distribution_selector_validated(self):
-        grid = Grid(8, 0.5)
-        coeffs = unit_coeffs()
-        state = PbeState.initial(grid, coeffs.Psi_bar)
-        with pytest.raises(DomainError):
-            aggregation_terms(coeffs, np.ones(9), "x", state, grid)
 
 
 class TestCoefficientBundle:

@@ -10,6 +10,7 @@ from nondim.errors import (
     EnumerationCapError,
     UnsolvableSubsetError,
 )
+from nondim.models import build_latex, build_schrodinger
 from nondim.scaling import (
     AnnealConfig,
     Monomial,
@@ -18,7 +19,6 @@ from nondim.scaling import (
     enumerate_traditional,
     eval_coefficients,
     evaluate_cost,
-    gaussian_elimination_solve,
     ratio,
     solve_euclidean,
     solve_subset,
@@ -81,26 +81,6 @@ class TestEvaluation:
         assert lam == pytest.approx(expected, rel=1e-9)
 
 
-class TestGaussianElimination:
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_matches_numpy_on_well_conditioned_systems(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 7))
-        A = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
-        b = rng.normal(size=n)
-        x, det = gaussian_elimination_solve(A, b)
-        assert x == pytest.approx(np.linalg.solve(A, b), rel=1e-8, abs=1e-10)
-        assert det == pytest.approx(np.linalg.det(A), rel=1e-8)
-
-    def test_singular_reports_rank(self):
-        A = [[1.0, 2.0], [2.0, 4.0]]
-        with pytest.raises(DegenerateExponentsError) as err:
-            gaussian_elimination_solve(A, [1.0, 1.0])
-        assert err.value.rank == 1
-        assert err.value.size == 2
-
-
 class TestEuclideanSolver:
     def test_exactly_solvable_targets_are_hit(self):
         problem = ScalingProblem(
@@ -116,8 +96,10 @@ class TestEuclideanSolver:
             ("a", "b"),
             (Monomial("l1", 2.0, (1.0, 0.0)), Monomial("l2", 3.0, (2.0, 0.0))),
         )
-        with pytest.raises(DegenerateExponentsError):
+        with pytest.raises(DegenerateExponentsError) as err:
             solve_euclidean(problem)
+        assert err.value.rank == 1
+        assert err.value.size == 2
 
     @given(st.lists(st.floats(-2, 2), min_size=2, max_size=2))
     @settings(max_examples=50, deadline=None)
@@ -185,8 +167,7 @@ class TestEnumeration:
         result = enumerate_traditional(toy_problem())
         assert result.total_subsets == 3
         assert result.solvable_count == 3
-        ratios = [sol.ratio for _, sol in result.entries]
-        assert ratios == sorted(ratios)
+        assert np.all(np.diff(result.ratio) >= 0)
 
     def test_cap_enforced(self):
         with pytest.raises(EnumerationCapError) as err:
@@ -203,7 +184,24 @@ class TestEnumeration:
 
     def test_batch_solutions_match_direct_solver(self):
         result = enumerate_traditional(toy_problem())
-        for subset, sol in result.entries:
+        for subset, rho, rat in zip(result.subsets, result.rho, result.ratio):
             direct = solve_subset(toy_problem(), subset)
-            assert sol.theta == pytest.approx(direct.theta, rel=1e-12)
-            assert sol.ratio == pytest.approx(direct.ratio, rel=1e-12)
+            assert 10.0**rho == pytest.approx(direct.theta, rel=1e-12)
+            assert rat == pytest.approx(direct.ratio, rel=1e-12)
+        best_subset, best = result.best
+        assert best.lambdas == pytest.approx(
+            solve_subset(toy_problem(), best_subset).lambdas, rel=1e-12)
+        assert best.ratio == result.ratio[0]
+
+    @pytest.mark.parametrize("build, chunks", [
+        (build_schrodinger, (1, 3)),
+        (lambda: build_latex()[0], (1000,)),
+    ])
+    def test_results_do_not_depend_on_chunk(self, build, chunks):
+        problem = build()
+        reference = enumerate_traditional(problem)
+        for chunk in chunks:
+            result = enumerate_traditional(problem, chunk=chunk)
+            assert result.total_subsets == reference.total_subsets
+            for name in ("subsets", "rho", "cost", "ratio"):
+                np.testing.assert_array_equal(getattr(result, name), getattr(reference, name))
