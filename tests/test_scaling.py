@@ -81,6 +81,21 @@ class TestEvaluation:
         assert lam == pytest.approx(expected, rel=1e-9)
 
 
+class TestGaussianElimination:
+    """The linear solve behind the Euclidean optimum (a least-squares solve
+    of the exponent system) reports the rank of a singular system."""
+
+    def test_singular_reports_rank(self):
+        problem = ScalingProblem(
+            ("a", "b"),
+            (Monomial("l1", 1.0, (1.0, 2.0)), Monomial("l2", 1.0, (2.0, 4.0))),
+        )
+        with pytest.raises(DegenerateExponentsError) as err:
+            solve_euclidean(problem)
+        assert err.value.rank == 1
+        assert err.value.size == 2
+
+
 class TestEuclideanSolver:
     def test_exactly_solvable_targets_are_hit(self):
         problem = ScalingProblem(
