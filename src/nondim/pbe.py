@@ -6,6 +6,9 @@ semi-discretized on a fixed uniform volume grid (the solution is tracked
 along constant curves, so the advection term keeps its spatial derivative).
 Volume derivatives use a fourth-order five-point scheme, the aggregation
 integrals use composite Simpson weights, and time stepping is classical RK4.
+The aggregation gain is evaluated as parity-split convolutions (the Simpson
+weight of an inner node depends only on its parity, with an O(N) correction
+for the 3/8-rule tail of odd rows), so the grid workspace is O(N).
 
 The point-mass nucleation source is regularized as a narrow Gaussian of
 width ``sigma_c``; when the grid cannot resolve that width the solution
@@ -256,18 +259,23 @@ class GmocWorkspace:
         self.loss_weights = loss_w
         # Gain term: for each target node k the convolution integral runs
         # over [0, phi_k] with its own Simpson row; endpoints j = 0 and
-        # j = k are excluded by the open-interval indicator.  The kernel
-        # factor (phi_{k-j}^(-1/3) + phi_j^(-1/3)) is state-independent and
-        # folded into the weight matrix.
-        gain_w = np.zeros((n + 1, n + 1))
-        for k in range(2, n + 1):
-            row = simpson_weights(k, grid.h)
-            gain_w[k, 1:k] = row[1:k] * (inv_cbrt[k - 1:0:-1] + inv_cbrt[1:k])
-        self.gain_weights = gain_w
-        # Gather index for dist[k - j] (entries with j > k are masked by
-        # the zero weights above).
-        kj = np.arange(n + 1)[:, None] - np.arange(n + 1)[None, :]
-        self.kj_index = np.clip(kj, 0, n)
+        # j = k are excluded by the open-interval indicator.  Inside the row
+        # of an even k the weight of node j depends only on the parity of j,
+        # so with the kernel split into its two terms every such row is the
+        # sum of two convolutions with these parity weights.
+        parity = np.full(n + 1, 2.0 * grid.h / 3.0)
+        parity[1::2] = 4.0 * grid.h / 3.0
+        self.parity_weights = parity
+        # The row of an odd k ends in the 3/8 rule on nodes k-3, k-2, k-1
+        # (and k).  tail_weights[i - 1] is the weight correction at j = k - i
+        # times the kernel factor phi_i^(-1/3) + phi_{k-i}^(-1/3), over the
+        # odd k >= 3.  The corrections are those of any odd k >= 5; at k = 3
+        # node k - 3 is the origin, where the term vanishes anyway.
+        odd = np.arange(3, n + 1, 2)
+        delta = simpson_weights(5, grid.h)[4:1:-1] - parity[4:1:-1]
+        self.tail_weights = np.array([
+            delta[i - 1] * (inv_cbrt[i] + inv_cbrt[odd - i]) for i in (1, 2, 3)
+        ])
         self.moment0_weights = simpson_weights(n, grid.h)
         self.surface_integrand = nodes ** (2.0 / 3.0)
         self.nucleation_shape = np.asarray(
@@ -275,9 +283,21 @@ class GmocWorkspace:
         )
 
     def aggregation(self, dist: np.ndarray, prefactor: float) -> tuple[np.ndarray, np.ndarray]:
-        """(gain, loss) at nodes 1..N for kernel prefactor*(v^-1/3 + u^-1/3)."""
-        shifted = dist[self.kj_index]
-        gain = 0.5 * prefactor * ((self.gain_weights * shifted) @ dist)
+        """(gain, loss) at nodes 1..N for kernel prefactor*(v^-1/3 + u^-1/3).
+
+        The gain is evaluated as two direct convolutions plus the odd rows'
+        tail correction, O(N) memory and no FFT, so each node's rounding
+        error stays relative to that node's own terms.
+        """
+        d = dist.copy()
+        d[0] = 0.0
+        cd = self.inv_cbrt * d
+        gain = (np.convolve(cd, self.parity_weights * d)[: d.size]
+                + np.convolve(d, self.parity_weights * cd)[: d.size])
+        # Odd k = 3, 5, ...: d[k - 1], d[k - 2], d[k - 3] as strided views.
+        t1, t2, t3 = self.tail_weights
+        gain[3::2] += t1 * d[1] * d[2:-1:2] + t2 * d[2] * d[1:-2:2] + t3 * d[3] * d[:-3:2]
+        gain *= 0.5 * prefactor
         s0 = self.loss_weights @ dist
         s1 = self.loss_weights @ (self.inv_cbrt * dist)
         loss = prefactor * dist * (self.inv_cbrt * s0 + s1)
@@ -435,6 +455,8 @@ def simulate(
     upper grid boundary, where the truncated aggregation integral stops
     being a valid approximation.
     """
+    if not t_max > 0:
+        raise DomainError("t_max must be > 0")
     if steps < 1 or sample_every < 1:
         raise DomainError("steps and sample_every must be >= 1")
     ws = GmocWorkspace(coeffs, grid)

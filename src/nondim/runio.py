@@ -108,11 +108,18 @@ def load_problem(path) -> ScalingProblem:
         raise ConfigError(f"{path}: malformed problem: {exc}") from exc
 
 
-def _number(path, key: str, value, kind=float):
+def _number(path, key: str, value) -> float:
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {key} must be a number, got {value!r}") from exc
+
+
+def _integer(path, key: str, value) -> int:
+    number = _number(path, key, value)
+    if not number.is_integer():
+        raise ConfigError(f"{path}: {key} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _section(path, data: dict, key: str, names) -> dict:
@@ -141,8 +148,9 @@ def load_lambda_config(path) -> tuple[LatexCoefficients, Grid, float, int]:
         steps: int            # optional, stability heuristic otherwise
 
     Returns ``(coeffs, grid, t_max, steps)``.  A missing, unknown or
-    non-numeric key raises :class:`ConfigError` naming it; values outside
-    the model's domain raise :class:`DomainError`.
+    non-numeric key, or a ``grid.N`` or ``steps`` that is not an integer,
+    raises :class:`ConfigError` naming it; values outside the model's
+    domain raise :class:`DomainError`.
     """
     try:
         with open(path) as fh:
@@ -157,7 +165,7 @@ def load_lambda_config(path) -> tuple[LatexCoefficients, Grid, float, int]:
     lambdas = _section(path, data, "lambdas", LATEX_LABELS)
     constants = _section(path, data, "constants", ("Phi_s", "Psi_bar", "Psi_r"))
     grid_spec = _section(path, data, "grid", ("N", "v_max"))
-    n = _number(path, "grid.N", grid_spec["N"], int)
+    n = _integer(path, "grid.N", grid_spec["N"])
     if n < 1:
         raise ConfigError(f"{path}: grid.N must be >= 1, got {n}")
     coeffs = LatexCoefficients(
@@ -166,7 +174,7 @@ def load_lambda_config(path) -> tuple[LatexCoefficients, Grid, float, int]:
     )
     grid = Grid(N=n, h=grid_spec["v_max"] / n)
     t_max = _number(path, "t_max", data["t_max"])
-    steps = _number(path, "steps", data.get("steps", 0), int)
+    steps = _integer(path, "steps", data.get("steps", 0))
     return coeffs, grid, t_max, steps or default_step_count(coeffs, grid, t_max)
 
 

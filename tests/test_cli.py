@@ -177,6 +177,9 @@ class TestPbe:
         ("  a_w: 1.0\n", "", "lambdas.a_w"),
         ("N: 16", "N: sixteen", "grid.N"),
         ("t_max: 0.2", "t_max: [0.2]", "t_max"),
+        ("N: 16", "N: 16.7", "grid.N"),
+        ("steps: 100", "steps: 100.5", "steps"),
+        ("t_max: 0.2", "t_max: -0.2", "t_max"),
     ])
     def test_bad_scenario_key_is_named(self, runner, tmp_path, old, new, key):
         config = tmp_path / "bad.yaml"
@@ -186,6 +189,14 @@ class TestPbe:
         )
         assert result.exit_code == 64
         assert key in result.output
+
+    def test_negative_horizon_option_exits_64(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "pbe", "--theta", "eucl", "--desk",
+                   "--t-horizon", "-1", "--steps", "5"]
+        )
+        assert result.exit_code == 64
+        assert "t_max" in result.output
 
     def test_solver_bug_is_not_reported_as_config_error(self, runner, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

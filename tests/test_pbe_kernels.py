@@ -97,10 +97,9 @@ class TestAggregation:
     @settings(max_examples=25, deadline=None)
     def test_matches_brute_force_double_loop(self, seed):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(5, 9))
+        n = int(rng.integers(8, 41))
         h = float(rng.uniform(0.1, 1.0))
-        grid = Grid(max(n, 8), h)
-        n = grid.N
+        grid = Grid(n, h)
         coeffs = unit_coeffs(lam_a_m=float(rng.uniform(0.5, 2.0)))
         dist = rng.uniform(0.0, 2.0, n + 1)
         dist[0] = 0.0
@@ -135,6 +134,11 @@ class TestAggregation:
         dist[0] = 0.0
         gain, _ = GmocWorkspace(unit_coeffs(), Grid(8, 0.5)).aggregation(dist, 1.0)
         assert gain[0] == 0.0
+
+    def test_workspace_holds_no_dense_matrix(self):
+        ws = GmocWorkspace(unit_coeffs(), Grid(1000, 0.01))
+        total = sum(v.nbytes for v in vars(ws).values() if isinstance(v, np.ndarray))
+        assert total < 2**20
 
 
 class TestCoefficientBundle:
