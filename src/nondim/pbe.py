@@ -6,9 +6,13 @@ semi-discretized on a fixed uniform volume grid (the solution is tracked
 along constant curves, so the advection term keeps its spatial derivative).
 Volume derivatives use a fourth-order five-point scheme, the aggregation
 integrals use composite Simpson weights, and time stepping is classical RK4.
-The aggregation gain is evaluated as parity-split convolutions (the Simpson
-weight of an inner node depends only on its parity, with an O(N) correction
-for the 3/8-rule tail of odd rows), so the grid workspace is O(N).
+The aggregation gain is evaluated from truncated correlations: the Simpson
+weight of an inner node depends only on its parity, so the two parity
+weights of each product add to 2h in an odd row and depend only on the
+parity of the node in an even row.  One correlation of the full arrays and
+one of their odd-index halves, each computing just the N+1 (or N/2) outputs
+kept, give every row, plus an O(N) correction for the 3/8-rule tail of odd
+rows.  The grid workspace is O(N).
 
 The point-mass nucleation source is regularized as a narrow Gaussian of
 width ``sigma_c``; when the grid cannot resolve that width the solution
@@ -29,6 +33,7 @@ from .odes import rk4_step
 from .scaling import ScalingSolution, ScalingProblem
 
 TRUNCATION_TOLERANCE = 1e-6
+MIN_GRID_N = 8  # the five-point stencils need nodes 0..4 and N-4..N apart
 
 
 @dataclass(frozen=True)
@@ -115,8 +120,8 @@ class Grid:
     h: float
 
     def __post_init__(self):
-        if self.N < 8:
-            raise DomainError("grid needs N >= 8 (five-point stencils)")
+        if self.N < MIN_GRID_N:
+            raise DomainError(f"grid needs N >= {MIN_GRID_N} (five-point stencils)")
         if not self.h > 0:
             raise DomainError("h must be > 0")
 
@@ -175,6 +180,15 @@ def phi_and_vp(coeffs: LatexCoefficients, state: PbeState) -> tuple[float, float
     return phi, v_p
 
 
+# Five-point stencils of the fourth-order first derivative, times 12h: the
+# central one, the one-sided one at node 1 (on nodes 0..4) and those at
+# nodes N-1 and N (on nodes N-4..N).
+FD4_CENTRAL = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
+FD4_HEAD = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])
+FD4_TAIL = np.array([[-1.0, 6.0, -18.0, 10.0, 3.0],
+                     [3.0, -16.0, 36.0, -48.0, 25.0]])
+
+
 def fd4_derivative(values, h: float) -> np.ndarray:
     """Fourth-order first derivative at nodes 1..N of a uniform grid.
 
@@ -186,22 +200,11 @@ def fd4_derivative(values, h: float) -> np.ndarray:
     n = values.size - 1
     if n < 4:
         raise DomainError("fd4 needs at least 5 nodes")
+    scale = 1.0 / (12.0 * h)
     out = np.empty(n)
-    out[1:n - 2] = (
-        -values[4:] + 8.0 * values[3:-1] - 8.0 * values[1:-3] + values[:-4]
-    ) / (12.0 * h)
-    out[0] = (
-        values[4] - 6.0 * values[3] + 18.0 * values[2]
-        - 10.0 * values[1] - 3.0 * values[0]
-    ) / (12.0 * h)
-    out[n - 2] = (
-        3.0 * values[n] + 10.0 * values[n - 1] - 18.0 * values[n - 2]
-        + 6.0 * values[n - 3] - values[n - 4]
-    ) / (12.0 * h)
-    out[n - 1] = (
-        25.0 * values[n] - 48.0 * values[n - 1] + 36.0 * values[n - 2]
-        - 16.0 * values[n - 3] + 3.0 * values[n - 4]
-    ) / (12.0 * h)
+    out[1:n - 2] = np.correlate(values, FD4_CENTRAL * scale)
+    out[0] = (FD4_HEAD @ values[:5]) * scale
+    out[n - 2:] = (FD4_TAIL @ values[n - 4:]) * scale
     return out
 
 
@@ -253,31 +256,39 @@ class GmocWorkspace:
         inv_cbrt[1:] = nodes[1:] ** (-1.0 / 3.0)
         self.inv_cbrt = inv_cbrt
         # Full-grid loss weights with the origin excluded (the kernel is
-        # singular at u = 0 and the open-interval indicator drops it anyway).
+        # singular at u = 0 and the open-interval indicator drops it anyway),
+        # as rows for the two loss sums: of dist and of phi^(-1/3) * dist.
         loss_w = simpson_weights(n, grid.h)
         loss_w[0] = 0.0
-        self.loss_weights = loss_w
+        self.loss_weights = np.array([loss_w, loss_w * inv_cbrt])
         # Gain term: for each target node k the convolution integral runs
         # over [0, phi_k] with its own Simpson row; endpoints j = 0 and
         # j = k are excluded by the open-interval indicator.  Inside the row
-        # of an even k the weight of node j depends only on the parity of j,
-        # so with the kernel split into its two terms every such row is the
-        # sum of two convolutions with these parity weights.
-        parity = np.full(n + 1, 2.0 * grid.h / 3.0)
-        parity[1::2] = 4.0 * grid.h / 3.0
-        self.parity_weights = parity
+        # of an even k the weight of node j depends only on the parity of j
+        # (4h/3 odd, 2h/3 even).  Half the sum of the weights of the two
+        # nodes of a product is h in the row of an odd k, and 2h/3 in the row
+        # of an even k, doubled when j is odd (aggregation() adds the odd-j
+        # sum once more); gain_parity holds the h and 2h/3.
+        self.gain_parity = np.full(n + 1, 2.0 * grid.h / 3.0)
+        self.gain_parity[1::2] = grid.h
         # The row of an odd k ends in the 3/8 rule on nodes k-3, k-2, k-1
         # (and k).  tail_weights[i - 1] is the weight correction at j = k - i
         # times the kernel factor phi_i^(-1/3) + phi_{k-i}^(-1/3), over the
         # odd k >= 3.  The corrections are those of any odd k >= 5; at k = 3
         # node k - 3 is the origin, where the term vanishes anyway.
         odd = np.arange(3, n + 1, 2)
-        delta = simpson_weights(5, grid.h)[4:1:-1] - parity[4:1:-1]
+        parity = np.array([2.0 * grid.h / 3.0, 4.0 * grid.h / 3.0, 2.0 * grid.h / 3.0])
+        delta = simpson_weights(5, grid.h)[4:1:-1] - parity
         self.tail_weights = np.array([
             delta[i - 1] * (inv_cbrt[i] + inv_cbrt[odd - i]) for i in (1, 2, 3)
         ])
+        # Zero-padded operands of the truncated correlations: the padding
+        # stays zero, aggregation() writes c * d behind it.
+        self._pad = np.zeros(2 * n + 1)
+        self._pad_odd = np.zeros(2 * ((n + 1) // 2) - 1)
         self.moment0_weights = simpson_weights(n, grid.h)
         self.surface_integrand = nodes ** (2.0 / 3.0)
+        self.surface_weights = self.moment0_weights * self.surface_integrand
         self.nucleation_shape = np.asarray(
             gaussian_delta(nodes, coeffs.lam_c, coeffs.sigma_c)
         )
@@ -285,21 +296,35 @@ class GmocWorkspace:
     def aggregation(self, dist: np.ndarray, prefactor: float) -> tuple[np.ndarray, np.ndarray]:
         """(gain, loss) at nodes 1..N for kernel prefactor*(v^-1/3 + u^-1/3).
 
-        The gain is evaluated as two direct convolutions plus the odd rows'
-        tail correction, O(N) memory and no FFT, so each node's rounding
-        error stays relative to that node's own terms.
+        With d = dist (d_0 = 0), c = phi^(-1/3) and parity weights p, the
+        gain at node k is prefactor/2 * sum_j c_j d_j d_{k-j} (p_j + p_{k-j}),
+        plus the 3/8-rule tail when k is odd.  The two parity weights add to
+        2h when k is odd and to (4h/3)(1 + [j odd]) when k is even, so with
+        S_k = sum_j c_j d_j d_{k-j} and T_k the same sum over odd j only:
+
+            odd k:  h S_k (+ tail),    even k:  (2h/3) (S_k + T_k).
+
+        S_0..S_N are exactly the N+1 sums of a 'valid' correlation of c*d,
+        zero-padded in front, with reversed d; T is the same on the
+        odd-index halves, at a quarter of the cost.  Each output is its own
+        direct sum (no FFT), so each node's rounding error stays relative to
+        that node's own terms.
         """
+        n = self.grid.N
         d = dist.copy()
         d[0] = 0.0
-        cd = self.inv_cbrt * d
-        gain = (np.convolve(cd, self.parity_weights * d)[: d.size]
-                + np.convolve(d, self.parity_weights * cd)[: d.size])
+        cd = np.multiply(self.inv_cbrt, d, out=self._pad[n:])
+        gain = np.correlate(self._pad, d[::-1])
+        half = d[1::2]
+        self._pad_odd[half.size - 1:] = cd[1::2]
+        gain[2::2] += np.correlate(self._pad_odd, half[::-1])[: n // 2]
+        gain *= self.gain_parity
         # Odd k = 3, 5, ...: d[k - 1], d[k - 2], d[k - 3] as strided views.
         t1, t2, t3 = self.tail_weights
-        gain[3::2] += t1 * d[1] * d[2:-1:2] + t2 * d[2] * d[1:-2:2] + t3 * d[3] * d[:-3:2]
-        gain *= 0.5 * prefactor
-        s0 = self.loss_weights @ dist
-        s1 = self.loss_weights @ (self.inv_cbrt * dist)
+        gain[3::2] += 0.5 * (t1 * d[1] * d[2:-1:2] + t2 * d[2] * d[1:-2:2]
+                             + t3 * d[3] * d[:-3:2])
+        gain *= prefactor
+        s0, s1 = self.loss_weights @ dist
         loss = prefactor * dist * (self.inv_cbrt * s0 + s1)
         return gain[1:], loss[1:]
 
@@ -330,6 +355,7 @@ def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
     """
     c = ws.coeffs
     n = ws.grid.N
+    h = ws.grid.h
     state = unpack_state(y, n)
     m, w = state.m, state.w
     phi, v_p = phi_and_vp(c, state)
@@ -337,48 +363,47 @@ def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
         raise NonFiniteEvaluationError("state corruption: V_p <= 0")
     psi1 = state.Psi + 1.0
     surf = psi1 ** (2.0 / 3.0)
-    sigma_m = surf * float(ws.moment0_weights @ (ws.surface_integrand * m))
-    sigma_w = surf * float(ws.moment0_weights @ (ws.surface_integrand * w))
+    sigma_m, sigma_w = surf * (y[: 2 * n + 2].reshape(2, n + 1) @ ws.surface_weights)
 
     growth_coef = c.lam_d * phi * surf
     dilation = c.lam_p * state.Psi / v_p
-    g = growth_coef * ws.surface_integrand + dilation * ws.nodes
+    g = growth_coef * ws.surface_integrand[1:] + dilation * ws.nodes[1:]
     dg = (2.0 / 3.0) * growth_coef * ws.inv_cbrt[1:] + dilation
 
     agg = psi1 ** (14.0 / 3.0)
     gain_m, loss_m = ws.aggregation(m, c.lam_a_m * agg)
     gain_w, loss_w = ws.aggregation(w, c.lam_a_w * agg)
 
-    dm = np.zeros(n + 1)
-    dw = np.zeros(n + 1)
+    # out = [0, dm at nodes 1..N, 0, dw at nodes 1..N, five auxiliary rates]
+    out = np.empty(2 * n + 7)
+    dm = out[: n + 1]
+    dw = out[n + 1 : 2 * n + 2]
+    dm[0] = dw[0] = 0.0
     dm[1:] = (
-        -g[1:] * fd4_derivative(m, ws.grid.h)
+        -g * fd4_derivative(m, h)
         - (dg + c.lam_mu_m) * m[1:]
         + c.lam_n * phi * ws.nucleation_shape[1:]
         + gain_m - loss_m
     )
     dw[1:] = (
-        -g[1:] * fd4_derivative(w, ws.grid.h)
+        -g * fd4_derivative(w, h)
         - dg * w[1:]
         + c.lam_mu_w * m[1:]
         + gain_w - loss_w
     )
 
     transfer = c.lam_p * state.Psi / v_p
-    d_v_mat = transfer * (state.V_mat + c.lam_pol1_mat) - phi * (
-        c.lam_s_mat + c.lam_dm_mat * sigma_m + c.lam_dw_mat * sigma_w
+    out[-5:] = (
+        transfer * (state.V_mat + c.lam_pol1_mat) - phi * (
+            c.lam_s_mat + c.lam_dm_mat * sigma_m + c.lam_dw_mat * sigma_w),
+        transfer * state.V_cm + phi * (c.lam_s_m + c.lam_d * sigma_m)
+        - c.lam_mu_m * state.V_cm,
+        transfer * state.V_cw + c.lam_d * phi * sigma_w + c.lam_mu_w * state.V_cm,
+        -c.lam_p_pol2 * state.Psi / psi1 * (state.Psi + c.Psi_r) / (
+            state.V_pol2 + c.lam_pol1_pol2),
+        c.lam_p_pol2 * state.Psi / psi1,
     )
-    d_v_cm = transfer * state.V_cm + phi * (c.lam_s_m + c.lam_d * sigma_m) \
-        - c.lam_mu_m * state.V_cm
-    d_v_cw = transfer * state.V_cw + c.lam_d * phi * sigma_w \
-        + c.lam_mu_w * state.V_cm
-    d_psi = -c.lam_p_pol2 * state.Psi / psi1 * (state.Psi + c.Psi_r) / (
-        state.V_pol2 + c.lam_pol1_pol2
-    )
-    d_v_pol2 = c.lam_p_pol2 * state.Psi / psi1
-
-    out = np.concatenate([dm, dw, [d_v_mat, d_v_cm, d_v_cw, d_psi, d_v_pol2]])
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteEvaluationError(_diagnose_nonfinite(dm, dw, out[-5:]))
     return out
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from importlib import metadata
 from pathlib import Path
@@ -22,7 +23,9 @@ import yaml
 
 from .errors import ConfigError
 from .models import LATEX_LABELS
-from .pbe import Grid, LatexCoefficients, SimulationReport, default_step_count
+from .pbe import (
+    MIN_GRID_N, Grid, LatexCoefficients, SimulationReport, default_step_count,
+)
 from .scaling import EnumerationResult, Monomial, ScalingProblem, ScalingSolution
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -145,12 +148,13 @@ def load_lambda_config(path) -> tuple[LatexCoefficients, Grid, float, int]:
         sigma_c: float        # optional, defaults to lambdas[c] / 50
         grid: {N: int, v_max: float}
         t_max: float
-        steps: int            # optional, stability heuristic otherwise
+        steps: int            # optional; 0 or absent: stability heuristic
 
     Returns ``(coeffs, grid, t_max, steps)``.  A missing, unknown or
-    non-numeric key, or a ``grid.N`` or ``steps`` that is not an integer,
-    raises :class:`ConfigError` naming it; values outside the model's
-    domain raise :class:`DomainError`.
+    non-numeric key, a ``grid.N`` or ``steps`` that is not an integer, a
+    ``grid.N`` below 8, a ``grid.v_max`` that is not positive and finite,
+    or a negative ``steps`` raises :class:`ConfigError` naming it; other
+    values outside the model's domain raise :class:`DomainError`.
     """
     try:
         with open(path) as fh:
@@ -166,15 +170,20 @@ def load_lambda_config(path) -> tuple[LatexCoefficients, Grid, float, int]:
     constants = _section(path, data, "constants", ("Phi_s", "Psi_bar", "Psi_r"))
     grid_spec = _section(path, data, "grid", ("N", "v_max"))
     n = _integer(path, "grid.N", grid_spec["N"])
-    if n < 1:
-        raise ConfigError(f"{path}: grid.N must be >= 1, got {n}")
+    if n < MIN_GRID_N:
+        raise ConfigError(f"{path}: grid.N must be >= {MIN_GRID_N}, got {n}")
+    v_max = grid_spec["v_max"]
+    if not 0.0 < v_max < math.inf:
+        raise ConfigError(f"{path}: grid.v_max must be > 0 and finite, got {v_max!r}")
     coeffs = LatexCoefficients(
         **{f"lam_{k}": v for k, v in lambdas.items()}, **constants,
         sigma_c=_number(path, "sigma_c", data.get("sigma_c", 0.0)),
     )
-    grid = Grid(N=n, h=grid_spec["v_max"] / n)
+    grid = Grid(N=n, h=v_max / n)
     t_max = _number(path, "t_max", data["t_max"])
     steps = _integer(path, "steps", data.get("steps", 0))
+    if steps < 0:
+        raise ConfigError(f"{path}: steps must be >= 0 (0 uses the default), got {steps}")
     return coeffs, grid, t_max, steps or default_step_count(coeffs, grid, t_max)
 
 

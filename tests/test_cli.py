@@ -180,6 +180,9 @@ class TestPbe:
         ("N: 16", "N: 16.7", "grid.N"),
         ("steps: 100", "steps: 100.5", "steps"),
         ("t_max: 0.2", "t_max: -0.2", "t_max"),
+        ("N: 16", "N: 4", "grid.N"),
+        ("v_max: 4.0", "v_max: 0.0", "grid.v_max"),
+        ("steps: 100", "steps: -5", "steps must be >= 0"),
     ])
     def test_bad_scenario_key_is_named(self, runner, tmp_path, old, new, key):
         config = tmp_path / "bad.yaml"

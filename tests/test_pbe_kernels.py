@@ -129,6 +129,46 @@ class TestAggregation:
         assert gain == pytest.approx(expected_gain, rel=1e-12, abs=1e-12)
         assert loss == pytest.approx(expected_loss, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [200, 300, 1000])
+    def test_gain_node_relative_at_benchmark_sizes(self, n):
+        # Every product in the row of node k has the size 10^(-250 k / n),
+        # so a sum whose error scales with the largest gain (as an FFT's
+        # does) fails here by hundreds of decades at the last nodes.
+        h = 0.37
+        grid = Grid(n, h)
+        dist = 10.0 ** (-250.0 * np.arange(n + 1) / n)
+        pref = 1.7
+        gain, _ = GmocWorkspace(unit_coeffs(), grid).aggregation(dist, pref)
+
+        phi = grid.nodes()
+        expected = np.zeros(n)
+        for k in range(2, n + 1):
+            j = np.arange(1, k)
+            row = simpson_weights(k, h)[1:k]
+            expected[k - 1] = 0.5 * pref * np.sum(
+                row * (phi[k - j] ** (-1 / 3) + phi[j] ** (-1 / 3))
+                * dist[k - j] * dist[j]
+            )
+        assert gain[0] == 0.0
+        assert np.max(np.abs(gain[1:] / expected[1:] - 1.0)) <= 1e-12
+
+    @given(st.integers(200, 1000), st.floats(0.05, 0.35), st.floats(0.0, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_aggregation_conserves_volume(self, n, a, spread):
+        # A sin^4 bump on [a, b] with b - a >= 0.1 v_max and b <= 0.45 v_max,
+        # so the gain's support (up to 2b) stays inside the grid.  What is
+        # left is quadrature error: largest, about 9.4e-6, for the narrowest
+        # bumps (b - a = 0.1, some 20 nodes) near N = 210; 6e-9 by N = 900.
+        b = a + 0.1 + spread * (0.35 - a)
+        grid = Grid.from_vmax(n, 1.0)
+        phi = grid.nodes()
+        z = (phi - a) / (b - a)
+        dist = np.where((z > 0.0) & (z < 1.0), np.sin(np.pi * z) ** 4, 0.0)
+        gain, loss = GmocWorkspace(unit_coeffs(), grid).aggregation(dist, 1.0)
+        net = simpson_integral(np.concatenate(([0.0], phi[1:] * (gain - loss))), grid.h)
+        lost = simpson_integral(np.concatenate(([0.0], phi[1:] * loss)), grid.h)
+        assert abs(net) <= 1e-5 * lost
+
     def test_first_node_has_no_gain(self):
         dist = np.ones(9)
         dist[0] = 0.0
