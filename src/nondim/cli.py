@@ -30,7 +30,7 @@ from .errors import (
     UnsolvableSubsetError,
 )
 from .odes import flow_field, projectile_system, rk4_integrate
-from .pbe import simulate
+from .pbe import NONNEG_TOL, simulate
 from .scaling import (
     AnnealConfig,
     ScalingProblem,
@@ -39,8 +39,6 @@ from .scaling import (
     eval_coefficients,
     solve_euclidean,
 )
-
-NONNEG_TOL = 1e-8
 
 EXIT_DEGENERATE = 2
 EXIT_CAP = 3
@@ -300,7 +298,10 @@ def pbe(obj, theta_sel, lambda_file, desk, nodes, steps, v_window, t_horizon,
             theta_tag = scenario.theta_tag
         if steps is not None:
             run_steps = steps
-        if sample_every is None:
+        if run_steps is None:
+            if sample_every is not None:
+                raise ConfigError("--sample-every needs a fixed step count (--steps)")
+        elif sample_every is None:
             sample_every = max(run_steps // 100, 1)
         report = simulate(coeffs, grid, t_max, run_steps, sample_every)
     except (ConfigError, DomainError) as exc:
@@ -311,7 +312,8 @@ def pbe(obj, theta_sel, lambda_file, desk, nodes, steps, v_window, t_horizon,
     manifest = runio.RunManifest(
         command="pbe",
         config={"theta": theta_tag, "lambda_file": lambda_file, "desk": desk,
-                "N": grid.N, "h": grid.h, "t_max": t_max, "steps": run_steps,
+                "N": grid.N, "h": grid.h, "t_max": t_max,
+                "steps": report.settings["steps"] if run_steps is None else run_steps,
                 "sample_every": sample_every, "sigma_c": coeffs.sigma_c},
         out_dir=str(obj["out"]), seed=obj["seed"],
     )

@@ -33,6 +33,22 @@ from .odes import rk4_step
 from .scaling import ScalingSolution, ScalingProblem
 
 TRUNCATION_TOLERANCE = 1e-6
+#: A distribution is negative where it falls below -NONNEG_TOL times its
+#: running peak (the first such step is reported).
+NONNEG_TOL = 1e-8
+#: Adaptive runs sample at SAMPLES + 1 uniform times, both ends included.
+SAMPLES = 100
+#: Stability limits of classical RK4 with fd4 transport: tau * max|g| / h
+#: (2 sqrt 2 over the peak 1.372 of the central stencil's symbol; the
+#: eigenvalues of the whole operator, boundary rows included, give 2.10 to
+#: 2.34 for N = 1000 to 100) and tau * decay rate on the negative real axis.
+TRANSPORT_LIMIT = 2.06
+RK4_REAL_LIMIT = 2.785
+#: Adaptive steps keep tau * max|g| / h at COURANT when nothing decays.
+#: Measured on the desk run: it first goes negative at 2.6; at 1 its final
+#: m and w stay within 5.7e-6 and 1.6e-5 of their peaks of a 10,494-step
+#: run, at 1.5 w drifts by 2.4e-5.
+COURANT = 1.0
 MIN_GRID_N = 8  # the five-point stencils need nodes 0..4 and N-4..N apart
 
 
@@ -178,6 +194,19 @@ def phi_and_vp(coeffs: LatexCoefficients, state: PbeState) -> tuple[float, float
         + coeffs.lam_p_pol1
     )
     return phi, v_p
+
+
+def growth_law(
+    coeffs: LatexCoefficients, state: PbeState, phi: float, v_p: float
+) -> tuple[float, float]:
+    """(a, b) of the growth rate g(v) = a v^(2/3) + b v: surface growth and dilation.
+
+    V_p <= 0, a corrupted state, raises :class:`NonFiniteEvaluationError`.
+    """
+    if v_p <= 0:
+        raise NonFiniteEvaluationError("state corruption: V_p <= 0")
+    return (coeffs.lam_d * phi * (state.Psi + 1.0) ** (2.0 / 3.0),
+            coeffs.lam_p * state.Psi / v_p)
 
 
 # Five-point stencils of the fourth-order first derivative, times 12h: the
@@ -359,14 +388,11 @@ def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
     state = unpack_state(y, n)
     m, w = state.m, state.w
     phi, v_p = phi_and_vp(c, state)
-    if v_p <= 0:
-        raise NonFiniteEvaluationError("state corruption: V_p <= 0")
     psi1 = state.Psi + 1.0
     surf = psi1 ** (2.0 / 3.0)
     sigma_m, sigma_w = surf * (y[: 2 * n + 2].reshape(2, n + 1) @ ws.surface_weights)
 
-    growth_coef = c.lam_d * phi * surf
-    dilation = c.lam_p * state.Psi / v_p
+    growth_coef, dilation = growth_law(c, state, phi, v_p)
     g = growth_coef * ws.surface_integrand[1:] + dilation * ws.nodes[1:]
     dg = (2.0 / 3.0) * growth_coef * ws.inv_cbrt[1:] + dilation
 
@@ -449,31 +475,48 @@ class SimulationReport:
         return None if self.eps_w is None else float(np.max(self.eps_w))
 
 
-def default_step_count(
-    coeffs: LatexCoefficients, grid: Grid, t_max: float, cfl: float = 0.5
-) -> int:
-    """Step count keeping tau*max|g|/h below the cfl number.
+def stable_step(ws: GmocWorkspace, y: np.ndarray) -> float:
+    """Largest RK4 step the state ``y`` allows (``inf`` when nothing limits it).
 
-    Uses conservative bounds Phi <= 1, Psi <= Psi(0) and the smallest
-    reachable swollen volume; there is no sharp stability criterion for
-    this system, so this is a heuristic with margin.
+    Transport puts the eigenvalues of the fd4 operator near the imaginary
+    axis, up to 1.372 max|g| / h, where RK4 is stable up to 2 sqrt 2: tau
+    max|g| / h may reach TRANSPORT_LIMIT.  g = a v^(2/3) + b v grows with v,
+    so max|g| is |g| at node N.  The diagonal decay rate dg/dv + lam_mu_m +
+    aggregation loss is largest at node 1 and puts eigenvalues on the
+    negative real axis, where RK4 is stable up to RK4_REAL_LIMIT.  The line
+    between the two axis limits lies inside RK4's stability region, so the
+    step keeps tau (max|g| / h + decay TRANSPORT_LIMIT / RK4_REAL_LIMIT) at
+    COURANT.  No right-hand side is evaluated: the loss rate takes one O(N)
+    sum per distribution, the rest is O(1).
     """
-    psi = coeffs.Psi_bar
-    g_bound = (
-        coeffs.lam_d * (psi + 1.0) ** (2.0 / 3.0) * grid.v_max ** (2.0 / 3.0)
-        + coeffs.lam_p * psi / coeffs.lam_p_pol1 * grid.v_max
-    )
-    return max(int(math.ceil(t_max * g_bound / (cfl * grid.h))), 100)
+    c = ws.coeffs
+    n = ws.grid.N
+    state = unpack_state(y, n)
+    phi, v_p = phi_and_vp(c, state)
+    growth_coef, dilation = growth_law(c, state, phi, v_p)
+    g_max = abs(growth_coef * ws.surface_integrand[n] + dilation * ws.nodes[n])
+    s0, s1 = ws.loss_weights @ y[: 2 * n + 2].reshape(2, n + 1).T
+    loss = (state.Psi + 1.0) ** (14.0 / 3.0) * np.array([c.lam_a_m, c.lam_a_w]) * (
+        ws.inv_cbrt[1] * s0 + s1)
+    decay = ((2.0 / 3.0) * growth_coef * ws.inv_cbrt[1] + dilation
+             + max(c.lam_mu_m + loss[0], loss[1]))
+    rate = g_max / ws.grid.h + max(decay, 0.0) * TRANSPORT_LIMIT / RK4_REAL_LIMIT
+    return COURANT / rate if rate > 0 else math.inf
 
 
 def simulate(
     coeffs: LatexCoefficients,
     grid: Grid,
     t_max: float,
-    steps: int,
-    sample_every: int = 1,
+    steps: int | None = None,
+    sample_every: int | None = None,
 ) -> SimulationReport:
     """Integrate from the empty initial state and collect diagnostics.
+
+    With ``steps`` the run takes that many steps of t_max / steps and
+    samples after every ``sample_every``-th (default 1) and the last.
+    Without, each step is :func:`stable_step` of the current state, cut to
+    land exactly on the SAMPLES + 1 sample times t_max * i / SAMPLES.
 
     Deterministic for identical inputs.  The run stops early (with a
     warning recorded in the report) if the distribution support reaches the
@@ -482,40 +525,68 @@ def simulate(
     """
     if not t_max > 0:
         raise DomainError("t_max must be > 0")
-    if steps < 1 or sample_every < 1:
-        raise DomainError("steps and sample_every must be >= 1")
+    if steps is None:
+        if sample_every is not None:
+            raise DomainError("sample_every needs a fixed step count")
+        sample_times = t_max * np.arange(SAMPLES + 1) / SAMPLES
+        sample_times[-1] = t_max  # t_max * SAMPLES / SAMPLES may round off it
+    else:
+        sample_every = 1 if sample_every is None else sample_every
+        if steps < 1 or sample_every < 1:
+            raise DomainError("steps and sample_every must be >= 1")
+        fixed_tau = t_max / steps
+        sample_steps = np.append(np.arange(0, steps, sample_every), steps)
+        sample_times = sample_steps * fixed_tau
     ws = GmocWorkspace(coeffs, grid)
 
     def rhs(t, y):
         return rhs_vector(ws, y)
 
     n = grid.N
-    tau = t_max / steps
     y = pack_state(PbeState.initial(grid, coeffs.Psi_bar))
-
-    sample_times = [0.0]
     samples = [_sample(ws, y)]
-    min_m = 0.0
-    min_w = 0.0
+    t = 0.0
+    taken = 0
+    tau_min, tau_max = math.inf, 0.0
+    minima, peaks = np.zeros(2), np.zeros(2)  # running min and max of m and w
+    first_negative = None
     aborted = None
-    for k in range(steps):
-        y = rk4_step(rhs, k * tau, y, tau)
+    while len(samples) < len(sample_times):
+        target = sample_times[len(samples)]
+        if steps is None:
+            tau = min(stable_step(ws, y), target - t)
+        else:
+            tau = fixed_tau
+        y = rk4_step(rhs, t, y, tau)
+        taken += 1
         if not np.all(np.isfinite(y)):
             raise NonFiniteEvaluationError(
-                f"state overflow after step {k + 1}", step=k + 1, state=y
+                f"state overflow after step {taken}", step=taken, state=y
             )
-        m = y[: n + 1]
-        w = y[n + 1 : 2 * n + 2]
-        min_m = min(min_m, float(m.min()))
-        min_w = min(min_w, float(w.min()))
-        if (k + 1) % sample_every == 0 or k + 1 == steps:
-            sample_times.append((k + 1) * tau)
+        tau_min, tau_max = min(tau_min, tau), max(tau_max, tau)
+        if steps is None:
+            # A step cut to the target lands on it even where t + tau rounds below.
+            lands = tau == target - t or t + tau >= target
+        else:
+            lands = taken == sample_steps[len(samples)]
+        t = target if lands else t + tau
+        if lands:
             samples.append(_sample(ws, y))
-        peak = float(m.max())
-        if peak > 0 and m[n] > TRUNCATION_TOLERANCE * peak:
+        dists = y[: 2 * n + 2].reshape(2, n + 1)
+        low, high = dists.min(axis=1), dists.max(axis=1)
+        minima = np.minimum(minima, low)
+        peaks = np.maximum(peaks, high)
+        negative = low < -NONNEG_TOL * peaks
+        if first_negative is None and negative.any():
+            which = int(np.argmax(negative))
+            first_negative = {"step": taken, "time": float(t),
+                              "distribution": "mw"[which],
+                              "node": int(np.argmin(dists[which]))}
+        m = dists[0]
+        if high[0] > 0 and m[n] > TRUNCATION_TOLERANCE * high[0]:
             aborted = (
-                f"support reached the grid boundary at step {k + 1}: "
-                f"m_N = {m[n]:.3e} vs max(m) = {peak:.3e}"
+                f"support reached the grid boundary at step {taken}: "
+                f"m_N = {m[n]:.3e} vs max(m) = {high[0]:.3e}"
             )
             warnings.warn(aborted, RuntimeWarning, stacklevel=2)
             break
@@ -523,16 +594,18 @@ def simulate(
     series = np.array(samples)  # (S, 7)
     state = unpack_state(y, n)
     report = SimulationReport(
-        times=np.array(sample_times),
+        times=sample_times[: len(samples)],
         V_mat=series[:, 0], V_cm=series[:, 1], V_cw=series[:, 2],
         Psi=series[:, 3], V_pol2=series[:, 4],
         F_m=series[:, 5], F_w=series[:, 6],
-        min_m=min_m, min_w=min_w,
+        min_m=float(minima[0]), min_w=float(minima[1]),
         final_m=state.m.copy(), final_w=state.w.copy(),
         settings={
-            "N": n, "h": grid.h, "t_max": t_max, "steps": steps,
+            "N": n, "h": grid.h, "t_max": t_max, "steps": taken,
             "sample_every": sample_every, "sigma_c": coeffs.sigma_c,
             "lam_c": coeffs.lam_c,
+            "tau_min": float(tau_min), "tau_max": float(tau_max),
+            "first_negative": first_negative,
         },
         aborted=aborted,
     )

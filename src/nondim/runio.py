@@ -23,9 +23,7 @@ import yaml
 
 from .errors import ConfigError
 from .models import LATEX_LABELS
-from .pbe import (
-    MIN_GRID_N, Grid, LatexCoefficients, SimulationReport, default_step_count,
-)
+from .pbe import MIN_GRID_N, Grid, LatexCoefficients, SimulationReport
 from .scaling import EnumerationResult, Monomial, ScalingProblem, ScalingSolution
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -138,7 +136,7 @@ def _section(path, data: dict, key: str, names) -> dict:
     return {name: _number(path, f"{key}.{name}", section[name]) for name in names}
 
 
-def load_lambda_config(path) -> tuple[LatexCoefficients, Grid, float, int]:
+def load_lambda_config(path) -> tuple[LatexCoefficients, Grid, float, int | None]:
     """Read an explicit coefficient scenario from YAML.
 
     Expected shape::
@@ -148,7 +146,7 @@ def load_lambda_config(path) -> tuple[LatexCoefficients, Grid, float, int]:
         sigma_c: float        # optional, defaults to lambdas[c] / 50
         grid: {N: int, v_max: float}
         t_max: float
-        steps: int            # optional; 0 or absent: stability heuristic
+        steps: int            # optional; 0 or absent: None (adaptive steps)
 
     Returns ``(coeffs, grid, t_max, steps)``.  A missing, unknown or
     non-numeric key, a ``grid.N`` or ``steps`` that is not an integer, a
@@ -184,7 +182,7 @@ def load_lambda_config(path) -> tuple[LatexCoefficients, Grid, float, int]:
     steps = _integer(path, "steps", data.get("steps", 0))
     if steps < 0:
         raise ConfigError(f"{path}: steps must be >= 0 (0 uses the default), got {steps}")
-    return coeffs, grid, t_max, steps or default_step_count(coeffs, grid, t_max)
+    return coeffs, grid, t_max, steps or None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .models import LATEX_TEST_SUBSET, LatexParams, POLYMAT_2018, build_latex
-from .pbe import Grid, LatexCoefficients, default_step_count
+from .pbe import Grid, LatexCoefficients
 from .scaling import ScalingSolution, solve_euclidean, solve_subset
 
 #: Physical experiment window (volumes in L, time in s).
@@ -45,7 +45,7 @@ class LatexScenario:
     coeffs: LatexCoefficients
     grid: Grid
     t_max: float
-    steps: int
+    steps: int | None
 
 
 def latex_solution(theta: str, params: LatexParams = POLYMAT_2018) -> ScalingSolution:
@@ -73,8 +73,9 @@ def latex_scenario(
     The physical window (v_window in L, t_horizon in s) is converted into
     the chosen scaling's own units, so 'eucl' and 'test' scenarios with the
     same window describe the same physical experiment.  Unset values fall
-    back to the desk-scale (default) or full-scale defaults; steps defaults
-    to the advective stability heuristic.
+    back to the desk-scale (default) or full-scale defaults.  Unset steps
+    stay None: simulate() then takes each step from the state's stability
+    limit (:func:`nondim.pbe.stable_step`).
     """
     problem, constants = build_latex(params)
     solution = latex_solution(theta, params)
@@ -92,8 +93,6 @@ def latex_scenario(
     nu0, t0 = solution.theta[0], solution.theta[1]
     grid = Grid.from_vmax(n_nodes, v_window / nu0)
     t_max = t_horizon / t0
-    if steps is None:
-        steps = default_step_count(coeffs, grid, t_max)
     return LatexScenario(
         theta_tag=theta, solution=solution, coeffs=coeffs,
         grid=grid, t_max=t_max, steps=steps,

@@ -201,6 +201,38 @@ class TestPbe:
         assert result.exit_code == 64
         assert "t_max" in result.output
 
+    def test_sample_every_needs_steps(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "pbe", "--theta", "eucl", "--desk",
+                   "--sample-every", "5"]
+        )
+        assert result.exit_code == 64
+        assert "--sample-every" in result.output
+
+    def test_decay_limited_scenario_without_steps_stays_finite(self, runner, tmp_path):
+        # lam_mu_m * t_max / 100 = 6 lies beyond RK4's real-axis limit 2.785,
+        # so steps taken from transport and the sample spacing alone blow up
+        # (exit 5); the decay limit keeps the run finite.
+        config = tmp_path / "decay.yaml"
+        config.write_text(
+            no_nucleation_scenario().replace("steps: 100\n", "")
+            .replace("  n: 0.0", "  n: 1.0").replace("  s_m: 0.0", "  s_m: 1.0")
+            .replace("  mu_m: 1.0", "  mu_m: 3000.0")
+        )
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "pbe", "--lambda-file", str(config)]
+        )
+        assert result.exit_code == 0, result.output
+        with open(tmp_path / "pbe_summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["max_m"] > 0
+        assert all(math.isfinite(summary[key])
+                   for key in ("min_m", "min_w", "max_m", "max_w"))
+        steps = summary["settings"]["steps"]
+        assert steps > 100
+        assert summary["manifest"]["config"]["steps"] == steps
+        assert summary["manifest"]["config"]["sample_every"] is None
+
     def test_solver_bug_is_not_reported_as_config_error(self, runner, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("bug inside the solver")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nondim import pbe
 from nondim.errors import NonFiniteEvaluationError
 from nondim.odes import rk4_integrate
 from nondim.pbe import (
@@ -12,6 +13,7 @@ from nondim.pbe import (
     phi_and_vp,
     rhs_vector,
     simulate,
+    stable_step,
     unpack_state,
 )
 from nondim.scenarios import latex_scenario
@@ -136,10 +138,8 @@ class TestSimulate:
         # reaches the last node and the run must stop with a warning.
         scenario = latex_scenario("eucl", n_nodes=16, v_window=0.05e-16,
                                   t_horizon=250.0)
-        steps = min(scenario.steps, 4000)
         with pytest.warns(RuntimeWarning, match="support reached the grid boundary"):
-            report = simulate(scenario.coeffs, scenario.grid, scenario.t_max,
-                              steps, sample_every=steps // 10)
+            report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
         assert report.aborted is not None
         assert report.times[-1] < scenario.t_max
 
@@ -159,12 +159,82 @@ class TestSimulate:
         assert len(report.times) == len(report.V_cm)
 
 
+class TestAdaptiveSteps:
+    def test_lands_on_uniform_samples_with_four_rhs_calls_per_step(self, monkeypatch):
+        scenario = latex_scenario("eucl")  # desk defaults, no step count
+        assert scenario.steps is None
+        calls = []
+
+        def counted(ws, y):
+            calls.append(None)
+            return rhs_vector(ws, y)
+
+        monkeypatch.setattr(pbe, "rhs_vector", counted)
+        report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
+        t_max = scenario.t_max
+        np.testing.assert_array_equal(report.times, t_max * np.arange(101) / 100)
+        assert report.times[-1] == t_max
+        settings = report.settings
+        assert len(calls) == 4 * settings["steps"]
+        assert 100 <= settings["steps"] < 300
+        # A sample gap may exceed t_max / 100 by rounding.
+        assert 0 < settings["tau_min"] <= settings["tau_max"] <= t_max / 100 * (1 + 1e-12)
+        assert settings["sample_every"] is None
+        assert settings["first_negative"] is None
+
+    def test_first_negative_step_matches_a_replay(self, monkeypatch):
+        # The under-resolved N = 64 grid dips below -1e-8 of the running peak.
+        scenario = latex_scenario("eucl", n_nodes=64, v_window=0.25e-16,
+                                  t_horizon=120.0)
+        n = scenario.grid.N
+        history = []
+        rk4_step = pbe.rk4_step
+
+        def recorded(rhs, t, y, tau):
+            out = rk4_step(rhs, t, y, tau)
+            history.append((t + tau, out[: 2 * n + 2].reshape(2, n + 1).copy()))
+            return out
+
+        monkeypatch.setattr(pbe, "rk4_step", recorded)
+        report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
+        dists = np.array([d for _, d in history])
+        peaks = np.maximum.accumulate(np.maximum(dists.max(axis=2), 0.0), axis=0)
+        negative = dists.min(axis=2) < -1e-8 * peaks
+        k = int(np.argmax(negative.any(axis=1)))
+        assert negative[k].any()
+        which = int(np.argmax(negative[k]))
+        first = report.settings["first_negative"]
+        assert first == {"step": k + 1, "time": pytest.approx(history[k][0]),
+                         "distribution": "mw"[which],
+                         "node": int(np.argmin(dists[k, which]))}
+        assert report.min_m == dists[:, 0].min()
+        assert report.min_w == dists[:, 1].min()
+        # Here t_max * 100 / 100 rounds off t_max; the last sample is t_max.
+        assert report.times[-1] == scenario.t_max
+
+    def test_without_transport_the_decay_rate_limits_the_step(self):
+        # Psi = 0 and V_mat = 0 make g vanish; on empty distributions the
+        # diagonal decay rate is lam_mu_m alone.
+        coeffs = unit_coeffs(lam_mu_m=50.0)
+        grid = Grid(16, 0.25)
+        state = PbeState.initial(grid, 0.0)
+        tau = stable_step(GmocWorkspace(coeffs, grid), pack_state(state))
+        assert tau == pytest.approx(
+            pbe.COURANT * pbe.RK4_REAL_LIMIT / (pbe.TRANSPORT_LIMIT * 50.0))
+
+    def test_fixed_steps_report_their_constant_step(self):
+        coeffs = unit_coeffs()
+        report = simulate(coeffs, Grid(16, 0.25), 0.1, 40, sample_every=7)
+        assert report.settings["steps"] == 40
+        assert report.settings["tau_min"] == report.settings["tau_max"] == 0.1 / 40
+        assert report.times[-1] == 40 * (0.1 / 40)
+
+
 class TestErrorSeries:
     def test_consistent_series_has_small_error(self):
         scenario = latex_scenario("eucl", n_nodes=64, v_window=0.25e-16,
                                   t_horizon=120.0)
-        report = simulate(scenario.coeffs, scenario.grid, scenario.t_max,
-                          scenario.steps, sample_every=scenario.steps // 20)
+        report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
         assert report.max_eps_m < 1e-3
         assert report.max_eps_w < 1e-3
 
