@@ -89,10 +89,8 @@ def main(ctx, out, seed, config):
               default="euclid")
 @click.option("--q", type=int, default=3, help="Size-separation decades (ldg preset).")
 @click.option("--max-evals", type=int, default=100_000)
-@click.option("--step-scale", type=float, default=2.0)
-@click.option("--initial-temp", type=float, default=1.0)
 @click.pass_obj
-def scale(obj, preset, method, q, max_evals, step_scale, initial_temp):
+def scale(obj, preset, method, q, max_evals):
     """Compute scaling factors by one method and write the solution CSV."""
     try:
         problem = _load_preset(preset, obj["config"], q)
@@ -100,12 +98,9 @@ def scale(obj, preset, method, q, max_evals, step_scale, initial_temp):
             solution = solve_euclidean(problem)
         else:
             kind = "max" if method == "anneal-max" else "euclid"
-            config = AnnealConfig(
-                max_evaluations=max_evals, seed=obj["seed"],
-                step_scale=step_scale, initial_temperature=initial_temp,
-            )
+            config = AnnealConfig(max_evaluations=max_evals, seed=obj["seed"])
             solution = anneal_minimize(problem, kind, config)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     except DegenerateExponentsError as exc:
         _fail(EXIT_DEGENERATE, f"{exc} (numerical rank {exc.rank} of {exc.size})")
@@ -113,8 +108,7 @@ def scale(obj, preset, method, q, max_evals, step_scale, initial_temp):
     manifest = runio.RunManifest(
         command="scale",
         config={"preset": preset, "config": obj["config"], "method": method,
-                "q": q, "max_evals": max_evals, "step_scale": step_scale,
-                "initial_temp": initial_temp},
+                "q": q, "max_evals": max_evals},
         out_dir=str(obj["out"]), seed=obj["seed"],
     )
     path = obj["out"] / "scale_solution.csv"
@@ -139,12 +133,10 @@ def enumerate_cmd(obj, preset, q, cap):
     try:
         problem = _load_preset(preset, obj["config"], q)
         result = enumerate_traditional(problem, cap=cap)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     except EnumerationCapError as exc:
         _fail(EXIT_CAP, str(exc))
-    except DomainError as exc:
-        _fail(EXIT_CONFIG, str(exc))
 
     manifest = runio.RunManifest(
         command="enumerate",
@@ -264,46 +256,37 @@ def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtri
 @click.option("--t-horizon", type=float, default=None, help="Physical time bound in s.")
 @click.option("--sigma-rule", type=float, default=None,
               help="Gaussian width divisor: sigma_c = lambda_c / RULE.")
-@click.option("--sample-every", type=int, default=None)
 @click.pass_obj
 def pbe(obj, theta_sel, lambda_file, desk, nodes, steps, v_window, t_horizon,
-        sigma_rule, sample_every):
+        sigma_rule):
     """Run the population balance solver and write its artifacts."""
     lambda_file = lambda_file or obj["config"]
     try:
         if lambda_file is not None:
-            theta_sel = "explicit"
             coeffs, grid, t_max, run_steps = runio.load_lambda_config(lambda_file)
             theta_tag = "explicit"
         elif theta_sel == "explicit":
             raise ConfigError("--theta explicit needs --lambda-file or --config")
-        elif (theta_sel == "test" and desk
-              and all(v is None for v in (nodes, steps, v_window, t_horizon, sigma_rule))):
-            # The default desk grid (N=200 on the poorly-scaled window) has a
-            # spacing wider than the nucleation site's volume, so nothing ever
-            # nucleates.  The matched contrast pair is the smallest desk
-            # setting where the poorly-scaled run shows its oscillations.
-            scenario = scenarios.matched_pair()[1]
-            coeffs, grid = scenario.coeffs, scenario.grid
-            t_max, run_steps = scenario.t_max, scenario.steps
-            theta_tag = scenario.theta_tag
         else:
-            scenario = scenarios.latex_scenario(
-                theta_sel, n_nodes=nodes, v_window=v_window,
-                t_horizon=t_horizon, sigma_rule=sigma_rule, steps=steps,
-                desk=desk,
-            )
+            if (theta_sel == "test" and desk and all(
+                    v is None for v in (nodes, steps, v_window, t_horizon, sigma_rule))):
+                # The default desk grid (N=200 on the poorly-scaled window) has
+                # a spacing wider than the nucleation site's volume, so nothing
+                # ever nucleates.  The matched contrast pair is the smallest
+                # desk setting where the poorly-scaled run shows its oscillations.
+                scenario = scenarios.matched_pair()[1]
+            else:
+                scenario = scenarios.latex_scenario(
+                    theta_sel, n_nodes=nodes, v_window=v_window,
+                    t_horizon=t_horizon, sigma_rule=sigma_rule, steps=steps,
+                    desk=desk,
+                )
             coeffs, grid = scenario.coeffs, scenario.grid
             t_max, run_steps = scenario.t_max, scenario.steps
             theta_tag = scenario.theta_tag
         if steps is not None:
             run_steps = steps
-        if run_steps is None:
-            if sample_every is not None:
-                raise ConfigError("--sample-every needs a fixed step count (--steps)")
-        elif sample_every is None:
-            sample_every = max(run_steps // 100, 1)
-        report = simulate(coeffs, grid, t_max, run_steps, sample_every)
+        report = simulate(coeffs, grid, t_max, run_steps)
     except (ConfigError, DomainError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     except NonFiniteEvaluationError as exc:
@@ -314,7 +297,7 @@ def pbe(obj, theta_sel, lambda_file, desk, nodes, steps, v_window, t_horizon,
         config={"theta": theta_tag, "lambda_file": lambda_file, "desk": desk,
                 "N": grid.N, "h": grid.h, "t_max": t_max,
                 "steps": report.settings["steps"] if run_steps is None else run_steps,
-                "sample_every": sample_every, "sigma_c": coeffs.sigma_c},
+                "sigma_c": coeffs.sigma_c},
         out_dir=str(obj["out"]), seed=obj["seed"],
     )
     out = obj["out"]

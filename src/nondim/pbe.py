@@ -36,7 +36,7 @@ TRUNCATION_TOLERANCE = 1e-6
 #: A distribution is negative where it falls below -NONNEG_TOL times its
 #: running peak (the first such step is reported).
 NONNEG_TOL = 1e-8
-#: Adaptive runs sample at SAMPLES + 1 uniform times, both ends included.
+#: Adaptive runs sample at SAMPLES + 1 uniform times; see simulate() for fixed ones.
 SAMPLES = 100
 #: Stability limits of classical RK4 with fd4 transport: tau * max|g| / h
 #: (2 sqrt 2 over the peak 1.372 of the central stencil's symbol; the
@@ -418,13 +418,12 @@ def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
         + gain_w - loss_w
     )
 
-    transfer = c.lam_p * state.Psi / v_p
     out[-5:] = (
-        transfer * (state.V_mat + c.lam_pol1_mat) - phi * (
+        dilation * (state.V_mat + c.lam_pol1_mat) - phi * (
             c.lam_s_mat + c.lam_dm_mat * sigma_m + c.lam_dw_mat * sigma_w),
-        transfer * state.V_cm + phi * (c.lam_s_m + c.lam_d * sigma_m)
+        dilation * state.V_cm + phi * (c.lam_s_m + c.lam_d * sigma_m)
         - c.lam_mu_m * state.V_cm,
-        transfer * state.V_cw + c.lam_d * phi * sigma_w + c.lam_mu_w * state.V_cm,
+        dilation * state.V_cw + c.lam_d * phi * sigma_w + c.lam_mu_w * state.V_cm,
         -c.lam_p_pol2 * state.Psi / psi1 * (state.Psi + c.Psi_r) / (
             state.V_pol2 + c.lam_pol1_pol2),
         c.lam_p_pol2 * state.Psi / psi1,
@@ -509,12 +508,11 @@ def simulate(
     grid: Grid,
     t_max: float,
     steps: int | None = None,
-    sample_every: int | None = None,
 ) -> SimulationReport:
     """Integrate from the empty initial state and collect diagnostics.
 
     With ``steps`` the run takes that many steps of t_max / steps and
-    samples after every ``sample_every``-th (default 1) and the last.
+    samples after every max(steps // SAMPLES, 1)-th and the last.
     Without, each step is :func:`stable_step` of the current state, cut to
     land exactly on the SAMPLES + 1 sample times t_max * i / SAMPLES.
 
@@ -526,16 +524,13 @@ def simulate(
     if not t_max > 0:
         raise DomainError("t_max must be > 0")
     if steps is None:
-        if sample_every is not None:
-            raise DomainError("sample_every needs a fixed step count")
         sample_times = t_max * np.arange(SAMPLES + 1) / SAMPLES
         sample_times[-1] = t_max  # t_max * SAMPLES / SAMPLES may round off it
     else:
-        sample_every = 1 if sample_every is None else sample_every
-        if steps < 1 or sample_every < 1:
-            raise DomainError("steps and sample_every must be >= 1")
+        if steps < 1:
+            raise DomainError("steps must be >= 1")
         fixed_tau = t_max / steps
-        sample_steps = np.append(np.arange(0, steps, sample_every), steps)
+        sample_steps = np.append(np.arange(0, steps, max(steps // SAMPLES, 1)), steps)
         sample_times = sample_steps * fixed_tau
     ws = GmocWorkspace(coeffs, grid)
 
@@ -602,8 +597,7 @@ def simulate(
         final_m=state.m.copy(), final_w=state.w.copy(),
         settings={
             "N": n, "h": grid.h, "t_max": t_max, "steps": taken,
-            "sample_every": sample_every, "sigma_c": coeffs.sigma_c,
-            "lam_c": coeffs.lam_c,
+            "sigma_c": coeffs.sigma_c, "lam_c": coeffs.lam_c,
             "tau_min": float(tau_min), "tau_max": float(tau_max),
             "first_negative": first_negative,
         },

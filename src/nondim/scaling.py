@@ -4,7 +4,8 @@ A scaling problem collects the dimensionless coefficients of an equation as
 monomials ``lambda_i = kappa_i * prod_j theta_j**alpha_ij`` over strictly
 positive factors ``theta``.  Everything here works on ``rho = log10(theta)``,
 where each ``log10(lambda_i)`` is affine and the Euclidean cost is a linear
-least-squares problem.
+least-squares problem.  All solvers report through one log residual, one
+dispatch on the cost kind and one ratio, taken from the logs.
 
 Solvers provided:
 
@@ -110,25 +111,18 @@ class ScalingSolution:
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Knobs for :func:`anneal_minimize`.
+    """Evaluation budget and seed of :func:`anneal_minimize`.
 
-    The published method fixes only the evaluation budget; the cooling
-    schedule and proposal width are this implementation's own (geometric
-    cooling, Gaussian log-space steps shrinking with temperature).
+    The published method fixes only the evaluation budget; the schedule is
+    this implementation's own, and fixed (see :func:`anneal_minimize`).
     """
 
     max_evaluations: int = 100_000
-    initial_temperature: float = 1.0
     seed: int = 0
-    step_scale: float = 2.0
 
     def __post_init__(self):
         if self.max_evaluations < 1:
             raise DomainError("max_evaluations must be >= 1")
-        if not self.initial_temperature > 0:
-            raise DomainError("initial_temperature must be > 0")
-        if not self.step_scale > 0:
-            raise DomainError("step_scale must be > 0")
 
 
 def _check_theta(problem: ScalingProblem, theta) -> np.ndarray:
@@ -142,16 +136,38 @@ def _check_theta(problem: ScalingProblem, theta) -> np.ndarray:
     return theta
 
 
+def _log_residuals(problem: ScalingProblem):
+    """rho -> log10(lambda) - targets = rho A^T + (log10 kappa - targets).
+
+    For one rho or a batch of rows; A and the shift are built once, here.
+    """
+    a_t = problem.exponent_matrix().T
+    shift = problem.log_kappas() - problem.targets()
+    return lambda rho: rho @ a_t + shift
+
+
+def _cost(kind: str):
+    """Cost ``kind`` (see :func:`evaluate_cost`) over the last axis of log residuals."""
+    if kind == "euclid":
+        return lambda res: np.sum(res**2, axis=-1)
+    if kind == "max":
+        return lambda res: np.max(np.abs(res), axis=-1)
+    raise DomainError(f"unknown cost kind {kind!r}")
+
+
+def _ratio(log_lam: np.ndarray):
+    """max(lambda) / min(lambda) over the last axis, from log10(lambda).
+
+    Taken from the logs, it is ``inf`` exactly where the spread passes
+    about 308 decades, even where min(lambda) itself underflows.
+    """
+    return 10.0 ** (np.max(log_lam, axis=-1) - np.min(log_lam, axis=-1))
+
+
 def eval_coefficients(problem: ScalingProblem, theta) -> np.ndarray:
     """Realized coefficients lambda_i = kappa_i * prod_j theta_j**alpha_ij."""
     theta = _check_theta(problem, theta)
-    log_lam = problem.log_kappas() + problem.exponent_matrix() @ np.log10(theta)
-    return 10.0 ** log_lam
-
-
-def log_residuals(problem: ScalingProblem, rho: np.ndarray) -> np.ndarray:
-    """log10(lambda_i) - target_i as a function of rho = log10(theta)."""
-    return problem.log_kappas() + problem.exponent_matrix() @ rho - problem.targets()
+    return 10.0 ** (_log_residuals(problem)(np.log10(theta)) + problem.targets())
 
 
 def evaluate_cost(problem: ScalingProblem, theta, kind: str) -> float:
@@ -161,31 +177,17 @@ def evaluate_cost(problem: ScalingProblem, theta, kind: str) -> float:
     the largest absolute log10 deviation.
     """
     theta = _check_theta(problem, theta)
-    res = log_residuals(problem, np.log10(theta))
-    if kind == "euclid":
-        return float(np.sum(res**2))
-    if kind == "max":
-        return float(np.max(np.abs(res)))
-    raise DomainError(f"unknown cost kind {kind!r}")
+    return float(_cost(kind)(_log_residuals(problem)(np.log10(theta))))
 
 
-def ratio(lambdas) -> float:
-    """max(lambda) / min(lambda), the tractability metric of a coefficient set."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.size == 0:
-        raise DomainError("ratio of an empty coefficient vector")
-    if not np.all(lambdas > 0):
-        raise DomainError("ratio requires strictly positive coefficients")
-    return float(np.max(lambdas) / np.min(lambdas))
-
-
-def _solution(problem: ScalingProblem, theta: np.ndarray, kind: str, tag: str) -> ScalingSolution:
-    lambdas = eval_coefficients(problem, theta)
+def _solution(problem: ScalingProblem, rho: np.ndarray, kind: str, tag: str) -> ScalingSolution:
+    res = _log_residuals(problem)(rho)
+    log_lam = res + problem.targets()
     return ScalingSolution(
-        theta=theta,
-        lambdas=lambdas,
-        cost=evaluate_cost(problem, theta, kind),
-        ratio=ratio(lambdas),
+        theta=10.0**rho,
+        lambdas=10.0**log_lam,
+        cost=float(_cost(kind)(res)),
+        ratio=float(_ratio(log_lam)),
         method_tag=tag,
     )
 
@@ -206,7 +208,7 @@ def solve_euclidean(problem: ScalingProblem) -> ScalingSolution:
     )
     if rank < problem.n_factors:
         raise DegenerateExponentsError(rank=int(rank), size=problem.n_factors)
-    return _solution(problem, 10.0**rho, "euclid", "euclid")
+    return _solution(problem, rho, "euclid", "euclid")
 
 
 def solve_subset(problem: ScalingProblem, subset) -> ScalingSolution:
@@ -230,7 +232,7 @@ def solve_subset(problem: ScalingProblem, subset) -> ScalingSolution:
         raise UnsolvableSubsetError(subset, det)
     rho = np.linalg.solve(A, rhs)
     tag = "subset:" + ",".join(str(c) for c in subset)
-    return _solution(problem, 10.0**rho, "euclid", tag)
+    return _solution(problem, rho, "euclid", tag)
 
 
 def anneal_minimize(
@@ -238,42 +240,35 @@ def anneal_minimize(
 ) -> ScalingSolution:
     """Simulated annealing over rho = log10(theta) for either cost kind.
 
-    The search is unconstrained in rho, which keeps theta positive by
-    construction.  Always returns the best point seen, so the result never
-    beats the initial point's cost from below.  Deterministic for a fixed
-    seed.
+    The search starts at rho = 0 and is unconstrained in rho, which keeps
+    theta positive by construction.  The schedule is fixed: the temperature
+    starts at 1 and is multiplied by 0.95 after every hundredth of the
+    evaluation budget, and each proposal adds a Gaussian step of width
+    2 x temperature to every component of rho.  Always returns the best
+    point seen, so the result never beats the initial point's cost from
+    below.  Deterministic for a fixed seed.
     """
-    if kind not in ("euclid", "max"):
-        raise DomainError(f"unknown cost kind {kind!r}")
+    cost = _cost(kind)
     config = config or AnnealConfig()
-    A = problem.exponent_matrix()
-    shift = problem.log_kappas() - problem.targets()
-
-    def cost_of(rho):
-        res = A @ rho + shift
-        if kind == "euclid":
-            return float(res @ res)
-        return float(np.max(np.abs(res)))
+    residuals = _log_residuals(problem)
 
     rng = np.random.default_rng(config.seed)
     n_x = problem.n_factors
     rho = np.zeros(n_x)
-    current = cost_of(rho)
+    current = float(cost(residuals(rho)))
     best_rho, best_cost = rho.copy(), current
 
-    t0 = config.initial_temperature
     evals_per_level = max(1, config.max_evaluations // 100)
     for evaluation in range(config.max_evaluations):
-        temperature = t0 * 0.95 ** (evaluation // evals_per_level)
-        width = config.step_scale * temperature / t0
-        proposal = rho + rng.normal(0.0, width, size=n_x)
-        proposed = cost_of(proposal)
+        temperature = 0.95 ** (evaluation // evals_per_level)
+        proposal = rho + rng.normal(0.0, 2.0 * temperature, size=n_x)
+        proposed = float(cost(residuals(proposal)))
         delta = proposed - current
         if delta <= 0 or rng.random() < math.exp(-delta / temperature):
             rho, current = proposal, proposed
             if current < best_cost:
                 best_rho, best_cost = rho.copy(), current
-    return _solution(problem, 10.0**best_rho, kind, f"anneal-{kind}")
+    return _solution(problem, best_rho, kind, f"anneal-{kind}")
 
 
 @dataclass
@@ -299,10 +294,9 @@ class EnumerationResult:
     def _row(self, i: int) -> tuple[tuple[int, ...], ScalingSolution]:
         subset = tuple(int(c) for c in self.subsets[i])
         rho = self.rho[i]
-        log_lam = self.problem.log_kappas() + self.problem.exponent_matrix() @ rho
         return subset, ScalingSolution(
             theta=10.0**rho,
-            lambdas=10.0**log_lam,
+            lambdas=10.0 ** (_log_residuals(self.problem)(rho) + self.problem.targets()),
             cost=float(self.cost[i]),
             ratio=float(self.ratio[i]),
             method_tag="subset:" + ",".join(str(c) for c in subset),
@@ -339,8 +333,10 @@ def enumerate_traditional(
         raise EnumerationCapError(count, cap)
 
     A = problem.exponent_matrix()
-    log_kappas = problem.log_kappas()
     targets = problem.targets()
+    forced = targets - problem.log_kappas()  # A rho on the chosen rows
+    residuals = _log_residuals(problem)
+    cost = _cost("euclid")
     parts = [(np.empty((0, n_x), dtype=int), np.empty((0, n_x)), np.empty(0), np.empty(0))]
 
     combos = itertools.combinations(range(n_d), n_x)
@@ -350,13 +346,10 @@ def enumerate_traditional(
             break
         mats = A[idx]  # (B, N_x, N_x)
         solvable = np.abs(np.linalg.det(mats)) > SINGULARITY_EPS
-        rhs = (targets - log_kappas)[idx[solvable]]
+        rhs = forced[idx[solvable]]
         rhos = np.linalg.solve(mats[solvable], rhs[..., None])[..., 0]
-        log_lams = log_kappas[None, :] + rhos @ A.T
-        res = log_lams - targets[None, :]
-        costs = np.sum(res**2, axis=1)
-        ratios = 10.0 ** (np.max(log_lams, axis=1) - np.min(log_lams, axis=1))
-        parts.append((idx[solvable], rhos, costs, ratios))
+        res = residuals(rhos)
+        parts.append((idx[solvable], rhos, cost(res), _ratio(res + targets)))
 
     subsets, rhos, costs, ratios = (np.concatenate(p) for p in zip(*parts))
     # Combinations arrive in lexicographic order, so a stable sort by ratio

@@ -38,10 +38,9 @@ DESK_SIGMA_RULE = 10.0
 
 @dataclass(frozen=True)
 class LatexScenario:
-    """Everything simulate() needs, plus the scaling it came from."""
+    """Everything simulate() needs, tagged with the scaling it came from."""
 
     theta_tag: str
-    solution: ScalingSolution
     coeffs: LatexCoefficients
     grid: Grid
     t_max: float
@@ -94,7 +93,7 @@ def latex_scenario(
     grid = Grid.from_vmax(n_nodes, v_window / nu0)
     t_max = t_horizon / t0
     return LatexScenario(
-        theta_tag=theta, solution=solution, coeffs=coeffs,
+        theta_tag=theta, coeffs=coeffs,
         grid=grid, t_max=t_max, steps=steps,
     )
 

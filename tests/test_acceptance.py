@@ -186,10 +186,8 @@ def test_criterion_7b_scaling_contrast():
     eucl, test = matched_pair()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rep_e = simulate(eucl.coeffs, eucl.grid, eucl.t_max, eucl.steps,
-                         sample_every=max(eucl.steps // 100, 1))
-        rep_t = simulate(test.coeffs, test.grid, test.t_max, test.steps,
-                         sample_every=max(test.steps // 100, 1))
+        rep_e = simulate(eucl.coeffs, eucl.grid, eucl.t_max, eucl.steps)
+        rep_t = simulate(test.coeffs, test.grid, test.t_max, test.steps)
     max_m_e = max(float(rep_e.final_m.max()), 0.0)
     peak_t = max(float(np.max(np.abs(rep_t.final_m))), 1e-300)
     ok = (rep_t.max_eps_m > rep_e.max_eps_m
@@ -206,8 +204,7 @@ def test_criterion_7c_refinement_monotonicity():
     errors = []
     for n, steps in ((100, 4197), (200, 8395), (400, 16790)):
         level = latex_scenario("eucl", n_nodes=n, t_horizon=200.0, steps=steps)
-        rep = simulate(level.coeffs, level.grid, level.t_max, level.steps,
-                       sample_every=max(level.steps // 100, 1))
+        rep = simulate(level.coeffs, level.grid, level.t_max, level.steps)
         errors.append(rep.max_eps_m)
     ok = errors[0] > errors[1] > errors[2]
     report("7c", ok,
@@ -277,12 +274,12 @@ def test_criterion_9_auxiliary_oracle_decoupling():
     coeffs = unit_coeffs(lam_n=0.0, lam_s_m=0.0)
     grid = Grid(16, 0.25)
     steps = 500
-    rep = simulate(coeffs, grid, 1.0, steps, sample_every=steps // 10)
+    rep = simulate(coeffs, grid, 1.0, steps)
     oracle = rk4_integrate(
         auxiliary_oracle_rhs(coeffs), [0.0, 0.0, 0.0, coeffs.Psi_bar, 0.0],
         0.0, 1.0, steps,
     )
-    sample_idx = np.arange(0, steps + 1, steps // 10)
+    sample_idx = np.arange(0, steps + 1, steps // 100)
     deviation = max(
         float(np.max(np.abs(series - oracle.states[sample_idx, column])))
         for column, series in enumerate(

@@ -46,6 +46,16 @@ class TestScale:
         result = runner.invoke(main, ["--out", str(tmp_path), "scale"])
         assert result.exit_code == 64
 
+    @pytest.mark.parametrize("args, message", [
+        (["--preset", "latex", "--method", "anneal-max", "--max-evals", "0"],
+         "max_evaluations"),
+        (["--preset", "ldg", "--q", "0"], "q must be"),
+    ])
+    def test_out_of_domain_option_exits_64(self, runner, tmp_path, args, message):
+        result = runner.invoke(main, ["--out", str(tmp_path), "scale", *args])
+        assert result.exit_code == 64, result.output
+        assert message in result.output
+
     def test_degenerate_problem_exits_2(self, runner, tmp_path):
         config = tmp_path / "degenerate.yaml"
         config.write_text(
@@ -201,14 +211,6 @@ class TestPbe:
         assert result.exit_code == 64
         assert "t_max" in result.output
 
-    def test_sample_every_needs_steps(self, runner, tmp_path):
-        result = runner.invoke(
-            main, ["--out", str(tmp_path), "pbe", "--theta", "eucl", "--desk",
-                   "--sample-every", "5"]
-        )
-        assert result.exit_code == 64
-        assert "--sample-every" in result.output
-
     def test_decay_limited_scenario_without_steps_stays_finite(self, runner, tmp_path):
         # lam_mu_m * t_max / 100 = 6 lies beyond RK4's real-axis limit 2.785,
         # so steps taken from transport and the sample spacing alone blow up
@@ -231,7 +233,6 @@ class TestPbe:
         steps = summary["settings"]["steps"]
         assert steps > 100
         assert summary["manifest"]["config"]["steps"] == steps
-        assert summary["manifest"]["config"]["sample_every"] is None
 
     def test_solver_bug_is_not_reported_as_config_error(self, runner, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

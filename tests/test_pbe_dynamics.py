@@ -49,14 +49,14 @@ class TestZeroNucleation:
     def test_distributions_stay_identically_zero(self):
         coeffs = unit_coeffs(lam_n=0.0, lam_s_m=0.0)
         grid = Grid(16, 0.25)
-        report = simulate(coeffs, grid, 0.5, 200, sample_every=20)
+        report = simulate(coeffs, grid, 0.5, 200)
         assert np.all(report.final_m == 0.0)
         assert np.all(report.final_w == 0.0)
         assert report.min_m == 0.0 and report.min_w == 0.0
 
     def test_error_series_absent_without_cluster_volume(self):
         coeffs = unit_coeffs(lam_n=0.0, lam_s_m=0.0)
-        report = simulate(coeffs, Grid(16, 0.25), 0.5, 100, sample_every=10)
+        report = simulate(coeffs, Grid(16, 0.25), 0.5, 100)
         assert report.eps_m is None
         assert report.eps_w is None
         assert report.max_eps_m is None
@@ -65,7 +65,7 @@ class TestZeroNucleation:
         coeffs = unit_coeffs(lam_n=0.0, lam_s_m=0.0)
         grid = Grid(16, 0.25)
         steps = 400
-        report = simulate(coeffs, grid, 1.0, steps, sample_every=steps)
+        report = simulate(coeffs, grid, 1.0, steps)
         y0 = [0.0, 0.0, 0.0, coeffs.Psi_bar, 0.0]
         oracle = rk4_integrate(auxiliary_oracle_rhs(coeffs), y0, 0.0, 1.0, steps)
         final = oracle.final_state()
@@ -118,7 +118,7 @@ class TestRhsStructure:
 
     def test_psi_decreases_monotonically(self):
         coeffs = unit_coeffs()
-        report = simulate(coeffs, Grid(16, 0.25), 0.1, 200, sample_every=10)
+        report = simulate(coeffs, Grid(16, 0.25), 0.1, 200)
         assert np.all(np.diff(report.Psi) <= 0)
         assert np.all(np.diff(report.V_pol2) >= 0)
 
@@ -126,8 +126,8 @@ class TestRhsStructure:
 class TestSimulate:
     def test_bitwise_deterministic(self):
         scenario = latex_scenario("eucl", n_nodes=32, steps=150)
-        a = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 150, 15)
-        b = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 150, 15)
+        a = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 150)
+        b = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 150)
         assert np.array_equal(a.final_m, b.final_m)
         assert np.array_equal(a.final_w, b.final_w)
         assert np.array_equal(a.V_cm, b.V_cm)
@@ -149,13 +149,14 @@ class TestSimulate:
         coeffs = unit_coeffs(lam_a_m=1e300)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteEvaluationError):
-            simulate(coeffs, Grid(16, 0.25), 0.5, 50, sample_every=10)
+            simulate(coeffs, Grid(16, 0.25), 0.5, 50)
 
     def test_sampling_includes_initial_and_final_times(self):
         coeffs = unit_coeffs()
-        report = simulate(coeffs, Grid(16, 0.25), 0.1, 105, sample_every=20)
+        report = simulate(coeffs, Grid(16, 0.25), 0.1, 205)  # samples every 2nd step
         assert report.times[0] == 0.0
         assert report.times[-1] == pytest.approx(0.1)
+        assert report.times[-1] - report.times[-2] == pytest.approx(0.1 / 205)
         assert len(report.times) == len(report.V_cm)
 
 
@@ -179,7 +180,6 @@ class TestAdaptiveSteps:
         assert 100 <= settings["steps"] < 300
         # A sample gap may exceed t_max / 100 by rounding.
         assert 0 < settings["tau_min"] <= settings["tau_max"] <= t_max / 100 * (1 + 1e-12)
-        assert settings["sample_every"] is None
         assert settings["first_negative"] is None
 
     def test_first_negative_step_matches_a_replay(self, monkeypatch):
@@ -224,7 +224,7 @@ class TestAdaptiveSteps:
 
     def test_fixed_steps_report_their_constant_step(self):
         coeffs = unit_coeffs()
-        report = simulate(coeffs, Grid(16, 0.25), 0.1, 40, sample_every=7)
+        report = simulate(coeffs, Grid(16, 0.25), 0.1, 40)
         assert report.settings["steps"] == 40
         assert report.settings["tau_min"] == report.settings["tau_max"] == 0.1 / 40
         assert report.times[-1] == 40 * (0.1 / 40)
@@ -240,7 +240,7 @@ class TestErrorSeries:
 
     def test_recompute_matches_report(self):
         scenario = latex_scenario("eucl", n_nodes=32, steps=200)
-        report = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 200, 20)
+        report = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 200)
         eps_m, eps_w = error_series(report)
         np.testing.assert_array_equal(eps_m, report.eps_m)
         np.testing.assert_array_equal(eps_w, report.eps_w)

@@ -19,7 +19,6 @@ from nondim.scaling import (
     enumerate_traditional,
     eval_coefficients,
     evaluate_cost,
-    ratio,
     solve_euclidean,
     solve_subset,
 )
@@ -52,10 +51,6 @@ class TestValidation:
     def test_theta_must_be_positive(self):
         with pytest.raises(DomainError):
             eval_coefficients(toy_problem(), [1.0, -1.0])
-
-    def test_ratio_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            ratio([1.0, 0.0])
 
 
 class TestEvaluation:
