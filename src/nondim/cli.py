@@ -8,17 +8,19 @@ Exit codes are stable contracts:
 * 3 — enumeration size exceeds the cap
 * 4 — non-negativity guard violated under the optimally-scaled preset
 * 5 — solver state stopped being finite
-* 64 — malformed configuration
+* 64 — malformed configuration or command line
+
+:data:`EXIT_CODES` maps each toolkit error to its code, for every command.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import models, runio, scenarios
 from .errors import (
@@ -27,7 +29,6 @@ from .errors import (
     DomainError,
     EnumerationCapError,
     NonFiniteEvaluationError,
-    UnsolvableSubsetError,
 )
 from .odes import flow_field, projectile_system, rk4_integrate
 from .pbe import NONNEG_TOL, simulate
@@ -40,11 +41,16 @@ from .scaling import (
     solve_euclidean,
 )
 
-EXIT_DEGENERATE = 2
-EXIT_CAP = 3
+#: Exit code of each error a command may raise; any other error propagates.
+#: 64 is sysexits' EX_USAGE, which click usage errors exit with too.
+EXIT_CODES = {
+    DegenerateExponentsError: 2,
+    EnumerationCapError: 3,
+    NonFiniteEvaluationError: 5,
+    ConfigError: 64,
+    DomainError: 64,
+}
 EXIT_NONNEG = 4
-EXIT_SOLVER = 5
-EXIT_CONFIG = 64
 
 
 def _load_preset(preset: str | None, config: str | None, q: int) -> ScalingProblem:
@@ -64,12 +70,28 @@ def _load_preset(preset: str | None, config: str | None, q: int) -> ScalingProbl
     raise ConfigError(f"unknown preset {preset!r}")
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Cli(click.Group):
+    """A group whose commands exit by :data:`EXIT_CODES`."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        try:
+            return super().make_context(info_name, args, parent=parent, **extra)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_CODES[ConfigError]
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_CODES[ConfigError]
+            raise
+        except tuple(EXIT_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind)))
 
 
-@click.group()
+@click.group(cls=_Cli)
 @click.option("--out", type=click.Path(file_okay=False), default=".",
               help="Directory for output artifacts.")
 @click.option("--seed", type=int, default=0, help="Seed for stochastic methods.")
@@ -92,18 +114,13 @@ def main(ctx, out, seed, config):
 @click.pass_obj
 def scale(obj, preset, method, q, max_evals):
     """Compute scaling factors by one method and write the solution CSV."""
-    try:
-        problem = _load_preset(preset, obj["config"], q)
-        if method == "euclid":
-            solution = solve_euclidean(problem)
-        else:
-            kind = "max" if method == "anneal-max" else "euclid"
-            config = AnnealConfig(max_evaluations=max_evals, seed=obj["seed"])
-            solution = anneal_minimize(problem, kind, config)
-    except (ConfigError, DomainError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except DegenerateExponentsError as exc:
-        _fail(EXIT_DEGENERATE, f"{exc} (numerical rank {exc.rank} of {exc.size})")
+    problem = _load_preset(preset, obj["config"], q)
+    if method == "euclid":
+        solution = solve_euclidean(problem)
+    else:
+        kind = "max" if method == "anneal-max" else "euclid"
+        config = AnnealConfig(max_evaluations=max_evals, seed=obj["seed"])
+        solution = anneal_minimize(problem, kind, config)
 
     manifest = runio.RunManifest(
         command="scale",
@@ -130,13 +147,8 @@ def scale(obj, preset, method, q, max_evals):
 @click.pass_obj
 def enumerate_cmd(obj, preset, q, cap):
     """Survey all traditional one-equals-one scalings, sorted by ratio."""
-    try:
-        problem = _load_preset(preset, obj["config"], q)
-        result = enumerate_traditional(problem, cap=cap)
-    except (ConfigError, DomainError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except EnumerationCapError as exc:
-        _fail(EXIT_CAP, str(exc))
+    problem = _load_preset(preset, obj["config"], q)
+    result = enumerate_traditional(problem, cap=cap)
 
     manifest = runio.RunManifest(
         command="enumerate",
@@ -177,28 +189,23 @@ def enumerate_cmd(obj, preset, q, cap):
 def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtrip):
     """Integrate the scaled throw and sample its phase-plane flow."""
     problem = models.build_projectile()
-    try:
-        if theta:
-            theta = np.asarray(theta, dtype=float)
-        elif method == "unit":
-            theta = np.ones(2)
-        elif method == "euclid":
-            theta = solve_euclidean(problem).theta
-        else:
-            kind = "max" if method == "anneal-max" else "euclid"
-            theta = anneal_minimize(
-                problem, kind, AnnealConfig(seed=obj["seed"])
-            ).theta
-        lambdas = eval_coefficients(problem, theta)
-        t_c = float(theta[0])
-        tau_max = t_max / t_c
-        rhs = projectile_system(lambdas)
-        trajectory = rk4_integrate(rhs, [0.0, lambdas[2]], 0.0, tau_max, steps)
-        flow = flow_field(lambdas, flow_range[:2], flow_range[2:], flow_grid)
-    except (ConfigError, DomainError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except NonFiniteEvaluationError as exc:
-        _fail(EXIT_SOLVER, str(exc))
+    if theta:
+        theta = np.asarray(theta, dtype=float)
+    elif method == "unit":
+        theta = np.ones(2)
+    elif method == "euclid":
+        theta = solve_euclidean(problem).theta
+    else:
+        kind = "max" if method == "anneal-max" else "euclid"
+        theta = anneal_minimize(
+            problem, kind, AnnealConfig(seed=obj["seed"])
+        ).theta
+    lambdas = eval_coefficients(problem, theta)
+    t_c = float(theta[0])
+    tau_max = t_max / t_c
+    rhs = projectile_system(lambdas)
+    trajectory = rk4_integrate(rhs, [0.0, lambdas[2]], 0.0, tau_max, steps)
+    flow = flow_field(lambdas, flow_range[:2], flow_range[2:], flow_grid)
 
     manifest = runio.RunManifest(
         command="projectile",
@@ -244,10 +251,7 @@ def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtri
 
 
 @main.command()
-@click.option("--theta", "theta_sel", type=click.Choice(["eucl", "test", "explicit"]),
-              default="eucl")
-@click.option("--lambda-file", type=click.Path(dir_okay=False), default=None,
-              help="Explicit coefficient scenario (implies --theta explicit).")
+@click.option("--theta", "theta_sel", type=click.Choice(["eucl", "test"]), default="eucl")
 @click.option("--desk/--full", default=True,
               help="Desk-scale (default) or full-scale window defaults.")
 @click.option("--nodes", type=int, default=None)
@@ -256,45 +260,40 @@ def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtri
 @click.option("--t-horizon", type=float, default=None, help="Physical time bound in s.")
 @click.option("--sigma-rule", type=float, default=None,
               help="Gaussian width divisor: sigma_c = lambda_c / RULE.")
-@click.pass_obj
-def pbe(obj, theta_sel, lambda_file, desk, nodes, steps, v_window, t_horizon,
-        sigma_rule):
+@click.pass_context
+def pbe(ctx, theta_sel, desk, nodes, steps, v_window, t_horizon, sigma_rule):
     """Run the population balance solver and write its artifacts."""
-    lambda_file = lambda_file or obj["config"]
-    try:
-        if lambda_file is not None:
-            coeffs, grid, t_max, run_steps = runio.load_lambda_config(lambda_file)
-            theta_tag = "explicit"
-        elif theta_sel == "explicit":
-            raise ConfigError("--theta explicit needs --lambda-file or --config")
-        else:
-            if (theta_sel == "test" and desk and all(
-                    v is None for v in (nodes, steps, v_window, t_horizon, sigma_rule))):
-                # The default desk grid (N=200 on the poorly-scaled window) has
-                # a spacing wider than the nucleation site's volume, so nothing
-                # ever nucleates.  The matched contrast pair is the smallest
-                # desk setting where the poorly-scaled run shows its oscillations.
-                scenario = scenarios.matched_pair()[1]
-            else:
-                scenario = scenarios.latex_scenario(
-                    theta_sel, n_nodes=nodes, v_window=v_window,
-                    t_horizon=t_horizon, sigma_rule=sigma_rule, steps=steps,
-                    desk=desk,
-                )
-            coeffs, grid = scenario.coeffs, scenario.grid
-            t_max, run_steps = scenario.t_max, scenario.steps
-            theta_tag = scenario.theta_tag
-        if steps is not None:
-            run_steps = steps
-        report = simulate(coeffs, grid, t_max, run_steps)
-    except (ConfigError, DomainError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except NonFiniteEvaluationError as exc:
-        _fail(EXIT_SOLVER, str(exc))
+    obj = ctx.obj
+    if obj["config"] is not None:
+        fixed = [
+            "/".join(param.opts + param.secondary_opts) for param in ctx.command.params
+            if param.name != "steps"
+            and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT
+        ]
+        if fixed:
+            raise ConfigError("the --config scenario file fixes the window; drop "
+                              + ", ".join(fixed))
+        scenario = runio.load_lambda_config(obj["config"])
+    elif (theta_sel == "test" and desk and all(
+            v is None for v in (nodes, steps, v_window, t_horizon, sigma_rule))):
+        # The default desk grid (N=200 on the poorly-scaled window) has
+        # a spacing wider than the nucleation site's volume, so nothing
+        # ever nucleates.  The matched contrast pair is the smallest
+        # desk setting where the poorly-scaled run shows its oscillations.
+        scenario = scenarios.matched_pair()[1]
+    else:
+        scenario = scenarios.latex_scenario(
+            theta_sel, n_nodes=nodes, v_window=v_window,
+            t_horizon=t_horizon, sigma_rule=sigma_rule, steps=steps,
+            desk=desk,
+        )
+    coeffs, grid, t_max = scenario.coeffs, scenario.grid, scenario.t_max
+    run_steps = scenario.steps if steps is None else steps
+    report = simulate(coeffs, grid, t_max, run_steps)
 
     manifest = runio.RunManifest(
         command="pbe",
-        config={"theta": theta_tag, "lambda_file": lambda_file, "desk": desk,
+        config={"theta": scenario.theta_tag, "config": obj["config"], "desk": desk,
                 "N": grid.N, "h": grid.h, "t_max": t_max,
                 "steps": report.settings["steps"] if run_steps is None else run_steps,
                 "sigma_c": coeffs.sigma_c},
@@ -310,7 +309,7 @@ def pbe(obj, theta_sel, lambda_file, desk, nodes, steps, v_window, t_horizon,
         report.min_m < -NONNEG_TOL * max_m or report.min_w < -NONNEG_TOL * max_w
     )
     summary = {
-        "theta": theta_tag,
+        "theta": scenario.theta_tag,
         "min_m": report.min_m, "min_w": report.min_w,
         "max_m": max_m, "max_w": max_w,
         "negative_minima": bool(negative_minima),
@@ -327,7 +326,7 @@ def pbe(obj, theta_sel, lambda_file, desk, nodes, steps, v_window, t_horizon,
         click.echo("negative minima beyond tolerance")
     for name in ("pbe_distributions.csv", "pbe_diagnostics.csv", "pbe_summary.json"):
         click.echo(f"wrote {out / name}")
-    if negative_minima and theta_tag == "eucl":
+    if negative_minima and scenario.theta_tag == "eucl":
         sys.exit(EXIT_NONNEG)
 
 

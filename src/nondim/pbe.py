@@ -30,7 +30,6 @@ import numpy as np
 from .errors import DomainError, NonFiniteEvaluationError
 from .models import LatexConstants
 from .odes import rk4_step
-from .scaling import ScalingSolution, ScalingProblem
 
 TRUNCATION_TOLERANCE = 1e-6
 #: A distribution is negative where it falls below -NONNEG_TOL times its
@@ -82,11 +81,9 @@ class LatexCoefficients:
     Phi_s: float
     Psi_bar: float
     Psi_r: float
-    sigma_c: float = 0.0  # 0 means "use lam_c / 50"
+    sigma_c: float
 
     def __post_init__(self):
-        if self.sigma_c == 0.0:
-            object.__setattr__(self, "sigma_c", self.lam_c / 50.0)
         # lam_n and lam_s_m may be zero together (the nucleation off-switch;
         # they are tied by the moment identity lam_s_m = lam_n * lam_c).
         for f in fields(self):
@@ -103,28 +100,14 @@ class LatexCoefficients:
             raise DomainError("lam_c must dominate sigma_c (ratio >= 10)")
 
     @classmethod
-    def from_solution(
-        cls,
-        problem: ScalingProblem,
-        solution: ScalingSolution,
-        constants: LatexConstants,
-        sigma_rule: float = 50.0,
+    def from_labels(
+        cls, lambdas, constants: LatexConstants, sigma_c: float
     ) -> "LatexCoefficients":
-        """Bundle a scaling solution of the 19-coefficient problem."""
-        lam = dict(zip(problem.labels, solution.lambdas))
+        """Bundle the 19 coefficients given by label (``a_m`` -> ``lam_a_m``)."""
         return cls(
-            lam_a_m=lam["a_m"], lam_a_w=lam["a_w"], lam_d=lam["d"],
-            lam_p=lam["p"], lam_n=lam["n"], lam_c=lam["c"],
-            lam_mu_m=lam["mu_m"], lam_mu_w=lam["mu_w"],
-            lam_dm_mat=lam["dm_mat"], lam_dw_mat=lam["dw_mat"],
-            lam_s_m=lam["s_m"], lam_s_mat=lam["s_mat"],
-            lam_pol1_pol2=lam["pol1_pol2"], lam_pol1_mat=lam["pol1_mat"],
-            lam_p_m=lam["p_m"], lam_p_w=lam["p_w"],
-            lam_p_pol2=lam["p_pol2"], lam_p_pol1=lam["p_pol1"],
-            lam_p_mat=lam["p_mat"],
+            **{f"lam_{label}": value for label, value in lambdas.items()},
             Phi_s=constants.Phi_s, Psi_bar=constants.Psi_bar,
-            Psi_r=constants.Psi_r,
-            sigma_c=lam["c"] / sigma_rule,
+            Psi_r=constants.Psi_r, sigma_c=sigma_c,
         )
 
 

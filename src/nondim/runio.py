@@ -22,9 +22,10 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .models import LATEX_LABELS
+from .models import LATEX_LABELS, LatexConstants
 from .pbe import MIN_GRID_N, Grid, LatexCoefficients, SimulationReport
 from .scaling import EnumerationResult, Monomial, ScalingProblem, ScalingSolution
+from .scenarios import FULL_SIGMA_RULE, LatexScenario
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -136,7 +137,7 @@ def _section(path, data: dict, key: str, names) -> dict:
     return {name: _number(path, f"{key}.{name}", section[name]) for name in names}
 
 
-def load_lambda_config(path) -> tuple[LatexCoefficients, Grid, float, int | None]:
+def load_lambda_config(path) -> LatexScenario:
     """Read an explicit coefficient scenario from YAML.
 
     Expected shape::
@@ -148,11 +149,12 @@ def load_lambda_config(path) -> tuple[LatexCoefficients, Grid, float, int | None
         t_max: float
         steps: int            # optional; 0 or absent: None (adaptive steps)
 
-    Returns ``(coeffs, grid, t_max, steps)``.  A missing, unknown or
-    non-numeric key, a ``grid.N`` or ``steps`` that is not an integer, a
-    ``grid.N`` below 8, a ``grid.v_max`` that is not positive and finite,
-    or a negative ``steps`` raises :class:`ConfigError` naming it; other
-    values outside the model's domain raise :class:`DomainError`.
+    Returns a :class:`LatexScenario` tagged ``"explicit"``.  A missing,
+    unknown or non-numeric key, a ``grid.N`` or ``steps`` that is not an
+    integer, a ``grid.N`` below 8, a ``grid.v_max`` that is not positive
+    and finite, or a negative ``steps`` raises :class:`ConfigError` naming
+    it; other values outside the model's domain, ``sigma_c <= 0`` among
+    them, raise :class:`DomainError`.
     """
     try:
         with open(path) as fh:
@@ -173,16 +175,14 @@ def load_lambda_config(path) -> tuple[LatexCoefficients, Grid, float, int | None
     v_max = grid_spec["v_max"]
     if not 0.0 < v_max < math.inf:
         raise ConfigError(f"{path}: grid.v_max must be > 0 and finite, got {v_max!r}")
-    coeffs = LatexCoefficients(
-        **{f"lam_{k}": v for k, v in lambdas.items()}, **constants,
-        sigma_c=_number(path, "sigma_c", data.get("sigma_c", 0.0)),
-    )
-    grid = Grid(N=n, h=v_max / n)
+    sigma_c = _number(path, "sigma_c", data.get("sigma_c", lambdas["c"] / FULL_SIGMA_RULE))
+    coeffs = LatexCoefficients.from_labels(lambdas, LatexConstants(**constants), sigma_c)
+    grid = Grid.from_vmax(n, v_max)
     t_max = _number(path, "t_max", data["t_max"])
     steps = _integer(path, "steps", data.get("steps", 0))
     if steps < 0:
         raise ConfigError(f"{path}: steps must be >= 0 (0 uses the default), got {steps}")
-    return coeffs, grid, t_max, steps or None
+    return LatexScenario("explicit", coeffs, grid, t_max, steps or None)
 
 
 # ---------------------------------------------------------------------------

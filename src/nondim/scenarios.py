@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .models import LATEX_TEST_SUBSET, LatexParams, POLYMAT_2018, build_latex
+from .models import LATEX_TEST_SUBSET, build_latex
 from .pbe import Grid, LatexCoefficients
-from .scaling import ScalingSolution, solve_euclidean, solve_subset
+from .scaling import solve_euclidean, solve_subset
 
 #: Physical experiment window (volumes in L, time in s).
 FULL_V_WINDOW = 1.0e-16
@@ -47,16 +47,6 @@ class LatexScenario:
     steps: int | None
 
 
-def latex_solution(theta: str, params: LatexParams = POLYMAT_2018) -> ScalingSolution:
-    """The two pinned scalings: 'eucl' (optimal) and 'test' (poorly scaled)."""
-    problem, _ = build_latex(params)
-    if theta == "eucl":
-        return solve_euclidean(problem)
-    if theta == "test":
-        return solve_subset(problem, LATEX_TEST_SUBSET)
-    raise ConfigError(f"unknown theta selector {theta!r} (want 'eucl' or 'test')")
-
-
 def latex_scenario(
     theta: str,
     n_nodes: int | None = None,
@@ -65,9 +55,8 @@ def latex_scenario(
     sigma_rule: float | None = None,
     steps: int | None = None,
     desk: bool = True,
-    params: LatexParams = POLYMAT_2018,
 ) -> LatexScenario:
-    """Build a ready-to-run scenario for one of the pinned scalings.
+    """Build a ready-to-run scenario for 'eucl' (optimal) or 'test' (poorly scaled).
 
     The physical window (v_window in L, t_horizon in s) is converted into
     the chosen scaling's own units, so 'eucl' and 'test' scenarios with the
@@ -76,8 +65,13 @@ def latex_scenario(
     stay None: simulate() then takes each step from the state's stability
     limit (:func:`nondim.pbe.stable_step`).
     """
-    problem, constants = build_latex(params)
-    solution = latex_solution(theta, params)
+    problem, constants = build_latex()
+    if theta == "eucl":
+        solution = solve_euclidean(problem)
+    elif theta == "test":
+        solution = solve_subset(problem, LATEX_TEST_SUBSET)
+    else:
+        raise ConfigError(f"unknown theta selector {theta!r} (want 'eucl' or 'test')")
     if n_nodes is None:
         n_nodes = DESK_N if desk else FULL_N
     if v_window is None:
@@ -86,32 +80,24 @@ def latex_scenario(
         t_horizon = DESK_T_HORIZON if desk else FULL_T_HORIZON
     if sigma_rule is None:
         sigma_rule = DESK_SIGMA_RULE if desk else FULL_SIGMA_RULE
-    coeffs = LatexCoefficients.from_solution(
-        problem, solution, constants, sigma_rule=sigma_rule
+    lambdas = dict(zip(problem.labels, solution.lambdas))
+    coeffs = LatexCoefficients.from_labels(
+        lambdas, constants, sigma_c=lambdas["c"] / sigma_rule
     )
     nu0, t0 = solution.theta[0], solution.theta[1]
     grid = Grid.from_vmax(n_nodes, v_window / nu0)
-    t_max = t_horizon / t0
-    return LatexScenario(
-        theta_tag=theta, coeffs=coeffs,
-        grid=grid, t_max=t_max, steps=steps,
-    )
+    return LatexScenario(theta, coeffs, grid, t_horizon / t0, steps)
 
 
-def matched_pair(
-    n_nodes: int = 300,
-    steps: int = 16000,
-    v_window: float = 0.7e-16,
-    t_horizon: float = 313.0,
-) -> tuple[LatexScenario, LatexScenario]:
+def matched_pair() -> tuple[LatexScenario, LatexScenario]:
     """The well/poorly-scaled contrast pair at matched (N, steps).
 
     Both scenarios discretize the same physical experiment with the same
     node count and step count; only the scaling differs.  The advective
     stability number is scale-invariant, so one step count serves both.
-    The defaults are the smallest matched pair whose poorly-scaled grid
-    can still see the nucleation site.
+    This is the smallest matched pair whose poorly-scaled grid can still
+    see the nucleation site.
     """
-    kw = dict(n_nodes=n_nodes, steps=steps, v_window=v_window,
-              t_horizon=t_horizon, sigma_rule=DESK_SIGMA_RULE)
+    kw = dict(n_nodes=300, steps=16000, v_window=0.7e-16,
+              t_horizon=313.0, sigma_rule=DESK_SIGMA_RULE)
     return latex_scenario("eucl", **kw), latex_scenario("test", **kw)

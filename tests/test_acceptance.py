@@ -40,7 +40,7 @@ from nondim.scaling import (
     solve_euclidean,
     solve_subset,
 )
-from nondim.scenarios import DESK_SIGMA_RULE, latex_scenario, matched_pair
+from nondim.scenarios import latex_scenario, matched_pair
 
 from test_pbe_dynamics import auxiliary_oracle_rhs
 from test_pbe_kernels import unit_coeffs

@@ -164,7 +164,7 @@ class TestPbe:
         config = tmp_path / "custom.yaml"
         config.write_text(no_nucleation_scenario())
         result = runner.invoke(
-            main, ["--out", str(tmp_path), "pbe", "--lambda-file", str(config)]
+            main, ["--out", str(tmp_path), "--config", str(config), "pbe"]
         )
         assert result.exit_code == 0, result.output
         _, rows = read_csv(tmp_path / "pbe_distributions.csv")
@@ -178,7 +178,7 @@ class TestPbe:
         config = tmp_path / "incomplete.yaml"
         config.write_text("lambdas: {a_m: 1.0}\n")
         result = runner.invoke(
-            main, ["--out", str(tmp_path), "pbe", "--lambda-file", str(config)]
+            main, ["--out", str(tmp_path), "--config", str(config), "pbe"]
         )
         assert result.exit_code == 64
 
@@ -193,15 +193,63 @@ class TestPbe:
         ("N: 16", "N: 4", "grid.N"),
         ("v_max: 4.0", "v_max: 0.0", "grid.v_max"),
         ("steps: 100", "steps: -5", "steps must be >= 0"),
+        ("sigma_c: 0.02", "sigma_c: 0.0", "sigma_c"),
     ])
     def test_bad_scenario_key_is_named(self, runner, tmp_path, old, new, key):
         config = tmp_path / "bad.yaml"
         config.write_text(no_nucleation_scenario().replace(old, new))
         result = runner.invoke(
-            main, ["--out", str(tmp_path), "pbe", "--lambda-file", str(config)]
+            main, ["--out", str(tmp_path), "--config", str(config), "pbe"]
         )
         assert result.exit_code == 64
         assert key in result.output
+
+    @pytest.mark.parametrize("args, named", [
+        (["--nodes", "400"], ["--nodes"]),
+        (["--theta", "test"], ["--theta"]),
+        (["--full"], ["--desk/--full"]),
+        (["--desk"], ["--desk/--full"]),
+        (["--v-window", "1e-16", "--t-horizon", "9", "--sigma-rule", "25"],
+         ["--v-window", "--t-horizon", "--sigma-rule"]),
+    ], ids=["nodes", "theta", "full", "desk", "window"])
+    def test_window_options_beside_scenario_file_exit_64(
+        self, runner, tmp_path, args, named
+    ):
+        config = tmp_path / "custom.yaml"
+        config.write_text(no_nucleation_scenario())
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "--config", str(config), "pbe", *args]
+        )
+        assert result.exit_code == 64, result.output
+        for name in named:
+            assert name in result.output
+        assert not (tmp_path / "pbe_summary.json").exists()
+
+    def test_steps_overrides_scenario_file(self, runner, tmp_path):
+        config = tmp_path / "custom.yaml"
+        config.write_text(no_nucleation_scenario())
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "--config", str(config), "pbe",
+                   "--steps", "30"]
+        )
+        assert result.exit_code == 0, result.output
+        with open(tmp_path / "pbe_summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["settings"]["steps"] == 30
+        assert summary["manifest"]["config"]["config"] == str(config)
+
+    def test_non_finite_state_exits_5(self, runner, tmp_path):
+        config = tmp_path / "blowup.yaml"
+        config.write_text(
+            no_nucleation_scenario().replace("  a_m: 1.0", "  a_m: 1.0e300")
+            .replace("  n: 0.0", "  n: 1.0").replace("  s_m: 0.0", "  s_m: 1.0")
+            .replace("steps: 100", "steps: 50").replace("t_max: 0.2", "t_max: 0.5")
+        )
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "--config", str(config), "pbe"]
+        )
+        assert result.exit_code == 5, result.output
+        assert "non-finite" in result.output
 
     def test_negative_horizon_option_exits_64(self, runner, tmp_path):
         result = runner.invoke(
@@ -222,7 +270,7 @@ class TestPbe:
             .replace("  mu_m: 1.0", "  mu_m: 3000.0")
         )
         result = runner.invoke(
-            main, ["--out", str(tmp_path), "pbe", "--lambda-file", str(config)]
+            main, ["--out", str(tmp_path), "--config", str(config), "pbe"]
         )
         assert result.exit_code == 0, result.output
         with open(tmp_path / "pbe_summary.json") as fh:
@@ -233,15 +281,6 @@ class TestPbe:
         steps = summary["settings"]["steps"]
         assert steps > 100
         assert summary["manifest"]["config"]["steps"] == steps
-
-    def test_solver_bug_is_not_reported_as_config_error(self, runner, tmp_path, monkeypatch):
-        def broken(*args, **kwargs):
-            raise TypeError("bug inside the solver")
-
-        monkeypatch.setattr("nondim.cli.simulate", broken)
-        result = runner.invoke(main, ["--out", str(tmp_path), "pbe", "--theta", "eucl"])
-        assert isinstance(result.exception, TypeError)
-        assert result.exit_code != 64
 
     def test_eucl_desk_small_grid_guard_failure_exits_4(self, runner, tmp_path):
         # An under-resolved grid breaks non-negativity under the optimal
@@ -254,3 +293,41 @@ class TestPbe:
         with open(tmp_path / "pbe_summary.json") as fh:
             summary = json.load(fh)
         assert (result.exit_code == 4) == summary["negative_minima"]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("args", [
+        ["pbe", "--nodes", "abc"],
+        ["scale", "--preset", "foo"],
+        ["scale", "--bogus"],
+        ["--seed", "abc", "scale"],
+        ["bogus"],
+    ], ids=["bad-int", "bad-choice", "unknown-option", "bad-group-option",
+            "unknown-command"])
+    def test_usage_error_exits_64(self, runner, tmp_path, args):
+        result = runner.invoke(main, ["--out", str(tmp_path), *args])
+        assert result.exit_code == 64, result.output
+        assert "Error" in result.output
+
+    @pytest.mark.parametrize("args", [["--help"], ["pbe", "--help"]])
+    def test_help_exits_0(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("target, args", [
+        pytest.param("simulate", ["pbe", "--theta", "eucl"], id="pbe"),
+        pytest.param("solve_euclidean", ["scale", "--preset", "projectile"], id="scale"),
+        pytest.param("enumerate_traditional", ["enumerate", "--preset", "projectile"],
+                     id="enumerate"),
+        pytest.param("rk4_integrate", ["projectile"], id="projectile"),
+    ])
+    def test_solver_bug_is_not_reported_as_config_error(
+        self, runner, tmp_path, monkeypatch, target, args
+    ):
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside the solver")
+
+        monkeypatch.setattr(f"nondim.cli.{target}", broken)
+        result = runner.invoke(main, ["--out", str(tmp_path), *args])
+        assert isinstance(result.exception, TypeError)
+        assert result.exit_code != 64

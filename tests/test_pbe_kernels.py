@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from nondim.errors import DomainError
+from nondim.models import LATEX_LABELS
 from nondim.pbe import (
     GmocWorkspace,
     Grid,
@@ -14,6 +16,7 @@ from nondim.pbe import (
     simpson_integral,
     simpson_weights,
 )
+from nondim.runio import load_lambda_config
 
 
 def unit_coeffs(**overrides):
@@ -182,9 +185,18 @@ class TestAggregation:
 
 
 class TestCoefficientBundle:
-    def test_default_width_rule(self):
-        coeffs = unit_coeffs(lam_c=5.0, sigma_c=0.0)
-        assert coeffs.sigma_c == pytest.approx(0.1)
+    def test_default_width_rule(self, tmp_path):
+        # A scenario file without sigma_c gets the paper's lambda_c / 50.
+        lambdas = dict.fromkeys(LATEX_LABELS, 1.0)
+        lambdas["c"] = 5.0
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump({
+            "lambdas": lambdas,
+            "constants": {"Phi_s": 1e-3, "Psi_bar": 1.0, "Psi_r": 1.05},
+            "grid": {"N": 16, "v_max": 4.0},
+            "t_max": 0.2,
+        }))
+        assert load_lambda_config(path).coeffs.sigma_c == lambdas["c"] / 50
 
     def test_width_separation_invariant(self):
         with pytest.raises(DomainError):
@@ -194,12 +206,12 @@ class TestCoefficientBundle:
         with pytest.raises(DomainError):
             unit_coeffs(lam_d=0.0)
 
-    def test_from_solution_maps_by_label(self, latex_problem, latex_eucl):
+    def test_from_labels_maps_by_label(self, latex_problem, latex_eucl):
         problem, constants = latex_problem
-        coeffs = LatexCoefficients.from_solution(problem, latex_eucl, constants)
         lam = dict(zip(problem.labels, latex_eucl.lambdas))
-        assert coeffs.lam_d == pytest.approx(lam["d"])
-        assert coeffs.lam_mu_m == pytest.approx(lam["mu_m"])
-        assert coeffs.lam_c == pytest.approx(lam["c"])
-        assert coeffs.sigma_c == pytest.approx(lam["c"] / 50.0)
+        coeffs = LatexCoefficients.from_labels(lam, constants, sigma_c=lam["c"] / 25.0)
+        assert coeffs.lam_d == lam["d"]
+        assert coeffs.lam_mu_m == lam["mu_m"]
+        assert coeffs.lam_c == lam["c"]
+        assert coeffs.sigma_c == lam["c"] / 25.0
         assert coeffs.Phi_s == constants.Phi_s
