@@ -12,6 +12,7 @@ byte-identical payloads.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -28,6 +29,9 @@ from .scaling import EnumerationResult, Monomial, ScalingProblem, ScalingSolutio
 from .scenarios import FULL_SIGMA_RULE, LatexScenario
 
 SUMMARY_SCHEMA_VERSION = 1
+
+#: Values of a CSV column formatted at a time.
+CSV_CHUNK = 1024
 
 
 def _version() -> str:
@@ -62,10 +66,6 @@ class RunManifest:
 
     def header_line(self) -> str:
         return "# manifest: " + json.dumps(self.as_dict(), sort_keys=True)
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _slug(name: str) -> str:
@@ -189,27 +189,48 @@ def load_lambda_config(path) -> LatexScenario:
 # artifact writers
 
 
-def _write_csv(path, manifest: RunManifest, header, rows) -> None:
-    """Manifest line, header, then the rows; numbers formatted by _fmt."""
+def _cells(column):
+    """A column's cells: ``repr(float(v))`` for a float array, strings as given.
+
+    An array is formatted :data:`CSV_CHUNK` values at a time, so its strings
+    are never all held at once.
+    """
+    if not isinstance(column, np.ndarray):
+        return column
+    column = np.asarray(column, dtype=float)
+    return itertools.chain.from_iterable(
+        map(repr, column[start:start + CSV_CHUNK].tolist())
+        for start in range(0, len(column), CSV_CHUNK)
+    )
+
+
+def _write_csv(path, manifest: RunManifest, header, columns) -> None:
+    """Manifest line, header, then one row per entry of the columns.
+
+    A column is a float array or an iterable of strings (see :func:`_cells`).
+    """
     with open(path, "w", newline="") as fh:
         fh.write(manifest.header_line() + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+        writer.writerows(zip(*map(_cells, columns)))
 
 
 def write_solution_csv(
     path, problem: ScalingProblem, solutions: list[ScalingSolution], manifest: RunManifest
 ) -> None:
     """One row per solution: method, cost, ratio, factors, coefficients."""
+    theta = np.reshape([sol.theta for sol in solutions], (-1, problem.n_factors))
+    lambdas = np.reshape([sol.lambdas for sol in solutions], (-1, problem.n_coefficients))
     _write_csv(
         path, manifest,
         ["method", "cost", "ratio"]
         + [f"theta_{_slug(name)}" for name in problem.factor_names]
         + [f"lambda_{label}" for label in problem.labels],
-        ([sol.method_tag, sol.cost, sol.ratio, *sol.theta, *sol.lambdas]
-         for sol in solutions),
+        [[sol.method_tag for sol in solutions],
+         np.array([sol.cost for sol in solutions]),
+         np.array([sol.ratio for sol in solutions]),
+         *theta.T, *lambdas.T],
     )
 
 
@@ -217,50 +238,51 @@ def write_enumeration_csv(
     path, problem: ScalingProblem, result: EnumerationResult, manifest: RunManifest
 ) -> None:
     """All solvable subsets sorted by ratio, then factor values per row."""
+    labels = problem.labels
     _write_csv(
         path, manifest,
         ["subset", "ratio", "cost"]
         + [f"theta_{_slug(name)}" for name in problem.factor_names],
-        ([";".join(problem.labels[c] for c in subset), ratio, cost, *10.0**rho]
-         for subset, ratio, cost, rho in zip(
-             result.subsets, result.ratio, result.cost, result.rho)),
+        [(";".join([labels[c] for c in subset])
+          for start in range(0, len(result.subsets), CSV_CHUNK)
+          for subset in result.subsets[start:start + CSV_CHUNK].tolist()),
+         result.ratio, result.cost, *(10.0**result.rho).T],
     )
 
 
 def write_trajectory_csv(path, times, states, columns, manifest: RunManifest) -> None:
     """Time series of an ODE solve, one state component per column."""
-    _write_csv(
-        path, manifest, ["t"] + list(columns),
-        ([t, *np.atleast_1d(row)] for t, row in zip(times, np.asarray(states))),
-    )
+    states = np.atleast_2d(np.asarray(states, dtype=float).T)
+    _write_csv(path, manifest, ["t"] + list(columns), [times, *states])
 
 
 def write_flow_csv(path, flow, manifest: RunManifest) -> None:
-    """Lattice samples of the phase-plane tangent field (NaN at poles)."""
+    """Lattice samples of the phase-plane tangent field (NaN at poles), w1 fastest."""
+    n1, n2 = len(flow.w1), len(flow.w2)
     _write_csv(
         path, manifest, ["w1", "w2", "dw1", "dw2"],
-        ([a, b, flow.dw1[i, j], flow.dw2[i, j]]
-         for i, b in enumerate(flow.w2) for j, a in enumerate(flow.w1)),
+        [np.tile(flow.w1, n2), np.repeat(flow.w2, n1),
+         np.ravel(flow.dw1), np.ravel(flow.dw2)],
     )
 
 
 def write_distributions_csv(path, grid, report: SimulationReport, manifest: RunManifest) -> None:
     """Final distributions m and w over the volume grid."""
     _write_csv(path, manifest, ["v", "m", "w"],
-               zip(grid.nodes(), report.final_m, report.final_w))
+               [grid.nodes(), report.final_m, report.final_w])
 
 
 def write_diagnostics_csv(path, report: SimulationReport, manifest: RunManifest) -> None:
     """Sampled auxiliary scalars, first moments, and error series."""
-    nan = [float("nan")] * len(report.times)
+    nan = np.full(len(report.times), np.nan)
     _write_csv(
         path, manifest,
         ["t", "V_mat", "V_cm", "V_cw", "Psi", "V_pol2",
          "F_m", "F_w", "eps_m", "eps_w"],
-        zip(report.times, report.V_mat, report.V_cm, report.V_cw,
-            report.Psi, report.V_pol2, report.F_m, report.F_w,
-            nan if report.eps_m is None else report.eps_m,
-            nan if report.eps_w is None else report.eps_w),
+        [report.times, report.V_mat, report.V_cm, report.V_cw,
+         report.Psi, report.V_pol2, report.F_m, report.F_w,
+         nan if report.eps_m is None else report.eps_m,
+         nan if report.eps_w is None else report.eps_w],
     )
 
 

@@ -34,6 +34,12 @@ from .errors import (
 
 SINGULARITY_EPS = 1e-12
 
+#: Most annealing evaluations whose random draws are held at once.
+DRAW_BLOCK = 1024
+
+#: Annealing proposals costed together from one current point.
+ANNEAL_WINDOW = 12
+
 
 @dataclass(frozen=True)
 class Monomial:
@@ -149,9 +155,9 @@ def _log_residuals(problem: ScalingProblem):
 def _cost(kind: str):
     """Cost ``kind`` (see :func:`evaluate_cost`) over the last axis of log residuals."""
     if kind == "euclid":
-        return lambda res: np.sum(res**2, axis=-1)
+        return lambda res: (res**2).sum(axis=-1)
     if kind == "max":
-        return lambda res: np.max(np.abs(res), axis=-1)
+        return lambda res: np.abs(res).max(axis=-1)
     raise DomainError(f"unknown cost kind {kind!r}")
 
 
@@ -242,11 +248,20 @@ def anneal_minimize(
 
     The search starts at rho = 0 and is unconstrained in rho, which keeps
     theta positive by construction.  The schedule is fixed: the temperature
-    starts at 1 and is multiplied by 0.95 after every hundredth of the
-    evaluation budget, and each proposal adds a Gaussian step of width
-    2 x temperature to every component of rho.  Always returns the best
-    point seen, so the result never beats the initial point's cost from
-    below.  Deterministic for a fixed seed.
+    T starts at 1 and is multiplied by 0.95 after every hundredth of the
+    evaluation budget (one level), and each proposal adds a Gaussian step of
+    width 2T to every component of rho.  A proposal is accepted iff its cost
+    is at most the current cost plus the slack -T log(1 - U) of its own
+    uniform U, which is the Metropolis rule.  Always returns the best point
+    seen, so the result is never worse than the starting point.
+
+    Random stream: each level is cut into blocks of at most
+    :data:`DRAW_BLOCK` evaluations, and each block draws its
+    (size, N_x) Gaussian steps (one row per proposal) and then its size
+    uniforms, whether or not a proposal is accepted.  Proposals are costed
+    :data:`ANNEAL_WINDOW` at a time from the current point; the chain keeps
+    the first accepted one and goes on from the proposal after it, so the
+    result is the one-at-a-time chain's.  Deterministic for a fixed seed.
     """
     cost = _cost(kind)
     config = config or AnnealConfig()
@@ -256,18 +271,30 @@ def anneal_minimize(
     n_x = problem.n_factors
     rho = np.zeros(n_x)
     current = float(cost(residuals(rho)))
-    best_rho, best_cost = rho.copy(), current
+    best_rho, best_cost = rho, current
 
-    evals_per_level = max(1, config.max_evaluations // 100)
-    for evaluation in range(config.max_evaluations):
-        temperature = 0.95 ** (evaluation // evals_per_level)
-        proposal = rho + rng.normal(0.0, 2.0 * temperature, size=n_x)
-        proposed = float(cost(residuals(proposal)))
-        delta = proposed - current
-        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-            rho, current = proposal, proposed
-            if current < best_cost:
-                best_rho, best_cost = rho.copy(), current
+    budget = config.max_evaluations
+    per_level = max(1, budget // 100)
+    for level_start in range(0, budget, per_level):
+        temperature = 0.95 ** (level_start // per_level)
+        level_end = min(level_start + per_level, budget)
+        for block_start in range(level_start, level_end, DRAW_BLOCK):
+            size = min(DRAW_BLOCK, level_end - block_start)
+            steps = rng.normal(0.0, 2.0 * temperature, size=(size, n_x))
+            slack = -temperature * np.log1p(-rng.random(size))
+            k = 0
+            while k < size:
+                proposals = rho + steps[k:k + ANNEAL_WINDOW]
+                proposed = cost(residuals(proposals))
+                accepted = proposed <= current + slack[k:k + ANNEAL_WINDOW]
+                first = int(accepted.argmax())
+                if not accepted[first]:
+                    k += ANNEAL_WINDOW
+                    continue
+                rho, current = proposals[first], float(proposed[first])
+                if current < best_cost:
+                    best_rho, best_cost = rho, current
+                k += first + 1
     return _solution(problem, best_rho, kind, f"anneal-{kind}")
 
 

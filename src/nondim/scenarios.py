@@ -7,11 +7,15 @@ resolved on an N = 200 grid and the distribution support stays inside the
 grid: the physical window shrinks to 0.5e-16 L over 250 s and the Gaussian
 width widens from lambda_c/50 to lambda_c/10.  The width-to-spacing ratios
 differ: sigma_c/h is 3.54 on the desk defaults but 1.77 on the full-scale
-defaults, so ``--full`` at the paper's lambda_c/50 is under-resolved;
-``--sigma-rule 25`` gives the full grid the desk ratio.  On coarser grids
-the lambda_c/50 source falls below grid resolution and the non-monotone
-fourth-order transport scheme answers with order-one oscillations, so a
-literal parameter-for-parameter shrink has no non-negative regime.
+defaults, so ``--full`` at the paper's lambda_c/50 is under-resolved.
+``--sigma-rule 25`` gives the full grid the desk ratio, but that ratio is
+not enough for the full 450 s run: min m dips to -1.196e-8 (the first value
+below -1e-8 of its running peak is w at node 114, t ~ 54 s), and the
+truncation guard stops the run near 386 s, when the support reaches v_max.
+On coarser grids the lambda_c/50 source falls below grid resolution and
+the non-monotone fourth-order transport scheme answers with order-one
+oscillations, so a literal parameter-for-parameter shrink has no
+non-negative regime.
 """
 
 from __future__ import annotations

@@ -1,0 +1,75 @@
+"""Oracle for the windowed annealing chain: a one-proposal-at-a-time replay.
+
+``anneal_minimize`` costs several proposals per numpy call and keeps the
+first accepted one.  The replay below draws the same random stream (per
+level, blocks of at most DRAW_BLOCK evaluations: Gaussian steps, then
+uniforms) and walks the Metropolis chain one proposal at a time on single
+rows, so both must end at the same best point.  DRAW_BLOCK is patched small
+so that levels span several blocks and windows run past a block's end.
+"""
+
+import numpy as np
+import pytest
+
+from nondim import models, scaling
+from nondim.scaling import AnnealConfig, anneal_minimize, evaluate_cost, solve_euclidean
+
+PROBLEMS = {
+    "latex": lambda: models.build_latex()[0],
+    "projectile": models.build_projectile,
+}
+
+#: Largest difference of the best rho (decades) and relative difference of
+#: its cost between the windowed chain and the replay.
+TOL = 1e-12
+
+
+def replay(problem, kind, config):
+    residuals = scaling._log_residuals(problem)
+    cost = scaling._cost(kind)
+    rng = np.random.default_rng(config.seed)
+    n_x = problem.n_factors
+    budget = config.max_evaluations
+    per_level = max(1, budget // 100)
+
+    rho = np.zeros(n_x)
+    current = float(cost(residuals(rho)))
+    best_rho, best_cost = rho, current
+    evaluation = 0
+    while evaluation < budget:
+        level = evaluation // per_level
+        temperature = 0.95**level
+        level_end = min((level + 1) * per_level, budget)
+        size = min(scaling.DRAW_BLOCK, level_end - evaluation)
+        steps = rng.normal(0.0, 2.0 * temperature, size=(size, n_x))
+        uniforms = rng.random(size)
+        for step, uniform in zip(steps, uniforms):
+            proposal = rho + step
+            proposed = float(cost(residuals(proposal)))
+            if proposed <= current - temperature * np.log1p(-uniform):
+                rho, current = proposal, proposed
+                if current < best_cost:
+                    best_rho, best_cost = rho, current
+        evaluation += size
+    return best_rho, best_cost
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+@pytest.mark.parametrize("kind", ["euclid", "max"])
+@pytest.mark.parametrize("budget", [1, 99, 150, 2000])
+def test_windowed_chain_matches_one_at_a_time_replay(monkeypatch, name, kind, budget):
+    monkeypatch.setattr(scaling, "DRAW_BLOCK", 7)
+    problem = PROBLEMS[name]()
+    config = AnnealConfig(max_evaluations=budget, seed=budget)
+    sol = anneal_minimize(problem, kind, config)
+    best_rho, best_cost = replay(problem, kind, config)
+    np.testing.assert_allclose(np.log10(sol.theta), best_rho, rtol=0, atol=TOL)
+    assert sol.cost == pytest.approx(best_cost, rel=TOL, abs=TOL)
+
+
+def test_latex_max_beats_the_euclidean_optimum():
+    """The benchmark's bound on the annealed latex max cost (2.3955)."""
+    problem = PROBLEMS["latex"]()
+    euclid = evaluate_cost(problem, solve_euclidean(problem).theta, "max")
+    sol = anneal_minimize(problem, "max", AnnealConfig(max_evaluations=100_000, seed=0))
+    assert sol.cost <= euclid

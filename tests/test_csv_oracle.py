@@ -1,0 +1,143 @@
+"""Byte-identity oracle for the CSV artifact writers.
+
+Each writer's file must equal the manifest line followed by ``csv.writer``
+rows built here one row at a time, with every number written as
+``repr(float(v))``.  The values include nan, +-inf, -0.0, the smallest
+subnormal and the largest double; one label holds a comma and a quote; and
+the row counts straddle the writers' chunk, patched small.
+"""
+
+import csv
+import io
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from nondim import runio
+from nondim.odes import FlowField
+from nondim.scaling import EnumerationResult, Monomial, ScalingProblem, ScalingSolution
+
+CHUNK = 4
+ROW_COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1]
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+MANIFEST = runio.RunManifest("test", {"k": 1}, "out", 0, version="0")
+
+
+@pytest.fixture(autouse=True)
+def small_chunk(monkeypatch):
+    monkeypatch.setattr(runio, "CSV_CHUNK", CHUNK)
+
+
+def values(rng, *shape):
+    """Wide-range floats, about 40% of them drawn from the special values."""
+    out = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    special = rng.random(shape) < 0.4
+    out[special] = rng.choice(SPECIAL, size=int(special.sum()))
+    return out
+
+
+def expected(header, rows):
+    buf = io.StringIO()
+    buf.write(MANIFEST.header_line() + "\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
+    return buf.getvalue().encode()
+
+
+def problem():
+    return ScalingProblem(("f a[x]", "g"), (
+        Monomial('l,"q', 1.0, (1.0, 0.0)),
+        Monomial("m", 2.0, (0.0, 1.0)),
+        Monomial("n", 3.0, (1.0, 1.0)),
+    ))
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_solution_csv(tmp_path, n):
+    rng = np.random.default_rng(n)
+    prob = problem()
+    solutions = [
+        ScalingSolution(theta=values(rng, 2), lambdas=values(rng, 3),
+                        cost=float(c), ratio=float(r), method_tag=f'x,"{i}')
+        for i, (c, r) in enumerate(values(rng, n, 2))
+    ]
+    runio.write_solution_csv(tmp_path / "s.csv", prob, solutions, MANIFEST)
+    header = ["method", "cost", "ratio", "theta_f_a", "theta_g",
+              'lambda_l,"q', "lambda_m", "lambda_n"]
+    rows = [[s.method_tag, s.cost, s.ratio, *s.theta, *s.lambdas] for s in solutions]
+    assert (tmp_path / "s.csv").read_bytes() == expected(header, rows)
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_enumeration_csv(tmp_path, n):
+    rng = np.random.default_rng(n)
+    prob = problem()
+    result = EnumerationResult(
+        problem=prob, subsets=rng.integers(0, 3, size=(n, 2)),
+        rho=rng.uniform(-400, 400, size=(n, 2)), cost=values(rng, n),
+        ratio=values(rng, n), total_subsets=3,
+    )
+    with np.errstate(over="ignore"):  # rho beyond 308 decades writes inf
+        runio.write_enumeration_csv(tmp_path / "e.csv", prob, result, MANIFEST)
+        rows = [[";".join(prob.labels[c] for c in subset), ratio, cost, *10.0**rho]
+                for subset, ratio, cost, rho in zip(
+                    result.subsets, result.ratio, result.cost, result.rho)]
+    header = ["subset", "ratio", "cost", "theta_f_a", "theta_g"]
+    assert (tmp_path / "e.csv").read_bytes() == expected(header, rows)
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+@pytest.mark.parametrize("width", [None, 2])
+def test_trajectory_csv(tmp_path, n, width):
+    rng = np.random.default_rng(n)
+    times = values(rng, n)
+    states = values(rng, n) if width is None else values(rng, n, width)
+    columns = ["w1"] if width is None else ["w1", "w2"]
+    runio.write_trajectory_csv(tmp_path / "t.csv", times, states, columns, MANIFEST)
+    rows = [[t, *np.atleast_1d(row)] for t, row in zip(times, states)]
+    assert (tmp_path / "t.csv").read_bytes() == expected(["t"] + columns, rows)
+
+
+@pytest.mark.parametrize("n1, n2", [(0, 3), (1, 1), (3, 1), (2, 2), (1, 5)])
+def test_flow_csv(tmp_path, n1, n2):
+    rng = np.random.default_rng(n1 * 10 + n2)
+    flow = FlowField(w1=values(rng, n1), w2=values(rng, n2),
+                     dw1=values(rng, n2, n1), dw2=values(rng, n2, n1),
+                     singular_points=[])
+    runio.write_flow_csv(tmp_path / "f.csv", flow, MANIFEST)
+    rows = [[a, b, flow.dw1[i, j], flow.dw2[i, j]]
+            for i, b in enumerate(flow.w2) for j, a in enumerate(flow.w1)]
+    expect = expected(["w1", "w2", "dw1", "dw2"], rows)
+    assert (tmp_path / "f.csv").read_bytes() == expect
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_distributions_csv(tmp_path, n):
+    rng = np.random.default_rng(n)
+    nodes = values(rng, n)
+    grid = SimpleNamespace(nodes=lambda: nodes)
+    report = SimpleNamespace(final_m=values(rng, n), final_w=values(rng, n))
+    runio.write_distributions_csv(tmp_path / "d.csv", grid, report, MANIFEST)
+    rows = zip(nodes, report.final_m, report.final_w)
+    assert (tmp_path / "d.csv").read_bytes() == expected(["v", "m", "w"], rows)
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+@pytest.mark.parametrize("with_eps", [False, True])
+def test_diagnostics_csv(tmp_path, n, with_eps):
+    rng = np.random.default_rng(n)
+    names = ["times", "V_mat", "V_cm", "V_cw", "Psi", "V_pol2", "F_m", "F_w"]
+    report = SimpleNamespace(**{name: values(rng, n) for name in names},
+                             eps_m=values(rng, n) if with_eps else None,
+                             eps_w=values(rng, n) if with_eps else None)
+    runio.write_diagnostics_csv(tmp_path / "g.csv", report, MANIFEST)
+    nan = [float("nan")] * n
+    rows = zip(*(getattr(report, name) for name in names),
+               nan if report.eps_m is None else report.eps_m,
+               nan if report.eps_w is None else report.eps_w)
+    header = ["t", "V_mat", "V_cm", "V_cw", "Psi", "V_pol2",
+              "F_m", "F_w", "eps_m", "eps_w"]
+    assert (tmp_path / "g.csv").read_bytes() == expected(header, rows)
