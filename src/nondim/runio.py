@@ -181,7 +181,7 @@ def load_lambda_config(path) -> LatexScenario:
     t_max = _number(path, "t_max", data["t_max"])
     steps = _integer(path, "steps", data.get("steps", 0))
     if steps < 0:
-        raise ConfigError(f"{path}: steps must be >= 0 (0 uses the default), got {steps}")
+        raise ConfigError(f"{path}: steps must be >= 0 (0 or absent: adaptive steps), got {steps}")
     return LatexScenario("explicit", coeffs, grid, t_max, steps or None)
 
 
@@ -192,14 +192,18 @@ def load_lambda_config(path) -> LatexScenario:
 def _cells(column):
     """A column's cells: ``repr(float(v))`` for a float array, strings as given.
 
-    An array is formatted :data:`CSV_CHUNK` values at a time, so its strings
-    are never all held at once.
+    An array's distinct values, told apart by bit pattern (so ``-0.0`` and
+    ``0.0`` stay distinct, and every nan of one pattern is formatted once),
+    are each formatted once; the cells are handed out :data:`CSV_CHUNK` at
+    a time from that table.
     """
     if not isinstance(column, np.ndarray):
         return column
-    column = np.asarray(column, dtype=float)
+    column = np.ascontiguousarray(column, dtype=float)
+    bits, index = np.unique(column.view(np.uint64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
     return itertools.chain.from_iterable(
-        map(repr, column[start:start + CSV_CHUNK].tolist())
+        text[index[start:start + CSV_CHUNK]].tolist()
         for start in range(0, len(column), CSV_CHUNK)
     )
 

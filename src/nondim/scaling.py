@@ -262,6 +262,13 @@ def anneal_minimize(
     :data:`ANNEAL_WINDOW` at a time from the current point; the chain keeps
     the first accepted one and goes on from the proposal after it, so the
     result is the one-at-a-time chain's.  Deterministic for a fixed seed.
+
+    Residuals are affine in rho, so a proposal's log residual is the current
+    one plus its step's move ``step A^T``.  Each block computes the moves of
+    all its steps at once and costs each window from the current residual
+    plus its moves; an accepted step is added to both rho and the residual.
+    The residual and the current cost are recomputed from rho at the start
+    of every block, so rounding never builds up past one block.
     """
     cost = _cost(kind)
     config = config or AnnealConfig()
@@ -273,6 +280,7 @@ def anneal_minimize(
     current = float(cost(residuals(rho)))
     best_rho, best_cost = rho, current
 
+    a_t = problem.exponent_matrix().T
     budget = config.max_evaluations
     per_level = max(1, budget // 100)
     for level_start in range(0, budget, per_level):
@@ -282,19 +290,22 @@ def anneal_minimize(
             size = min(DRAW_BLOCK, level_end - block_start)
             steps = rng.normal(0.0, 2.0 * temperature, size=(size, n_x))
             slack = -temperature * np.log1p(-rng.random(size))
+            moves = steps @ a_t
+            res = residuals(rho)
+            current = float(cost(res))
             k = 0
             while k < size:
-                proposals = rho + steps[k:k + ANNEAL_WINDOW]
-                proposed = cost(residuals(proposals))
+                proposed = cost(res + moves[k:k + ANNEAL_WINDOW])
                 accepted = proposed <= current + slack[k:k + ANNEAL_WINDOW]
                 first = int(accepted.argmax())
                 if not accepted[first]:
                     k += ANNEAL_WINDOW
                     continue
-                rho, current = proposals[first], float(proposed[first])
+                k += first
+                rho, res, current = rho + steps[k], res + moves[k], float(proposed[first])
                 if current < best_cost:
                     best_rho, best_cost = rho, current
-                k += first + 1
+                k += 1
     return _solution(problem, best_rho, kind, f"anneal-{kind}")
 
 

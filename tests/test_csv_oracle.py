@@ -2,9 +2,10 @@
 
 Each writer's file must equal the manifest line followed by ``csv.writer``
 rows built here one row at a time, with every number written as
-``repr(float(v))``.  The values include nan, +-inf, -0.0, the smallest
-subnormal and the largest double; one label holds a comma and a quote; and
-the row counts straddle the writers' chunk, patched small.
+``repr(float(v))``.  The values include nan, +-inf, 0.0, -0.0, the smallest
+subnormal and the largest double; one label holds a comma and a quote; the
+row counts straddle the writers' chunk, patched small; and one column
+repeats 0.0, -0.0 and nan over several chunks.
 """
 
 import csv
@@ -20,7 +21,7 @@ from nondim.scaling import EnumerationResult, Monomial, ScalingProblem, ScalingS
 
 CHUNK = 4
 ROW_COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1]
-SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308]
 MANIFEST = runio.RunManifest("test", {"k": 1}, "out", 0, version="0")
 
 
@@ -141,3 +142,12 @@ def test_diagnostics_csv(tmp_path, n, with_eps):
     header = ["t", "V_mat", "V_cm", "V_cw", "Psi", "V_pol2",
               "F_m", "F_w", "eps_m", "eps_w"]
     assert (tmp_path / "g.csv").read_bytes() == expected(header, rows)
+
+
+def test_repeated_values_across_chunks(tmp_path):
+    """Equal-comparing values (0.0 and -0.0, nans of either sign) keep their own text."""
+    repeats = np.tile([0.0, -0.0, np.nan, -np.nan, 1.5], 3)  # 15 rows, 4 chunks
+    states = np.stack([repeats[::-1], -repeats], axis=1)
+    runio.write_trajectory_csv(tmp_path / "r.csv", repeats, states, ["a", "b"], MANIFEST)
+    rows = [[t, *row] for t, row in zip(repeats, states)]
+    assert (tmp_path / "r.csv").read_bytes() == expected(["t", "a", "b"], rows)
