@@ -35,6 +35,7 @@ from .pbe import NONNEG_TOL, simulate
 from .scaling import (
     AnnealConfig,
     ScalingProblem,
+    ScalingSolution,
     anneal_minimize,
     enumerate_traditional,
     eval_coefficients,
@@ -53,21 +54,30 @@ EXIT_CODES = {
 EXIT_NONNEG = 4
 
 
+#: The problem each ``--preset`` builds, from the ``--q`` option.
+PRESETS = {
+    "projectile": lambda q: models.build_projectile(),
+    "schrodinger": lambda q: models.build_schrodinger(),
+    "ldg": lambda q: models.build_ldg(models.LdGParams(q=q)),
+    "latex": lambda q: models.build_latex()[0],
+}
+
+
 def _load_preset(preset: str | None, config: str | None, q: int) -> ScalingProblem:
     if (preset is None) == (config is None):
         raise ConfigError("give exactly one of --preset or --config")
     if config is not None:
         return runio.load_problem(config)
-    if preset == "projectile":
-        return models.build_projectile()
-    if preset == "schrodinger":
-        return models.build_schrodinger()
-    if preset == "ldg":
-        return models.build_ldg(models.LdGParams(q=q))
-    if preset == "latex":
-        problem, _ = models.build_latex()
-        return problem
-    raise ConfigError(f"unknown preset {preset!r}")
+    return PRESETS[preset](q)
+
+
+def _solve(problem: ScalingProblem, method: str, **anneal) -> ScalingSolution:
+    """The Euclidean optimum, or the ``anneal-max``/``anneal-eucl`` minimum
+    under ``AnnealConfig(**anneal)``."""
+    if method == "euclid":
+        return solve_euclidean(problem)
+    kind = "max" if method == "anneal-max" else "euclid"
+    return anneal_minimize(problem, kind, AnnealConfig(**anneal))
 
 
 class _Cli(click.Group):
@@ -105,8 +115,7 @@ def main(ctx, out, seed, config):
 
 
 @main.command()
-@click.option("--preset", type=click.Choice(["projectile", "schrodinger", "ldg", "latex"]),
-              default=None)
+@click.option("--preset", type=click.Choice(list(PRESETS)), default=None)
 @click.option("--method", type=click.Choice(["euclid", "anneal-max", "anneal-eucl"]),
               default="euclid")
 @click.option("--q", type=int, default=3, help="Size-separation decades (ldg preset).")
@@ -115,12 +124,7 @@ def main(ctx, out, seed, config):
 def scale(obj, preset, method, q, max_evals):
     """Compute scaling factors by one method and write the solution CSV."""
     problem = _load_preset(preset, obj["config"], q)
-    if method == "euclid":
-        solution = solve_euclidean(problem)
-    else:
-        kind = "max" if method == "anneal-max" else "euclid"
-        config = AnnealConfig(max_evaluations=max_evals, seed=obj["seed"])
-        solution = anneal_minimize(problem, kind, config)
+    solution = _solve(problem, method, max_evaluations=max_evals, seed=obj["seed"])
 
     manifest = runio.RunManifest(
         command="scale",
@@ -140,8 +144,7 @@ def scale(obj, preset, method, q, max_evals):
 
 
 @main.command("enumerate")
-@click.option("--preset", type=click.Choice(["projectile", "schrodinger", "ldg", "latex"]),
-              default=None)
+@click.option("--preset", type=click.Choice(list(PRESETS)), default=None)
 @click.option("--q", type=int, default=3)
 @click.option("--cap", type=int, default=10**6, help="Largest allowed subset count.")
 @click.pass_obj
@@ -193,13 +196,8 @@ def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtri
         theta = np.asarray(theta, dtype=float)
     elif method == "unit":
         theta = np.ones(2)
-    elif method == "euclid":
-        theta = solve_euclidean(problem).theta
     else:
-        kind = "max" if method == "anneal-max" else "euclid"
-        theta = anneal_minimize(
-            problem, kind, AnnealConfig(seed=obj["seed"])
-        ).theta
+        theta = _solve(problem, method, seed=obj["seed"]).theta
     lambdas = eval_coefficients(problem, theta)
     t_c = float(theta[0])
     tau_max = t_max / t_c
@@ -251,7 +249,11 @@ def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtri
 
 
 @main.command()
-@click.option("--theta", "theta_sel", type=click.Choice(["eucl", "test"]), default="eucl")
+@click.option("--theta", "theta_sel", type=click.Choice(["eucl", "test"]), default="eucl",
+              help="Scaling: 'eucl', the Euclidean optimum, or 'test', a poorly-"
+                   "scaled one-equals-one subset.  --theta test with no other "
+                   "grid, step or window option runs the matched contrast pair: "
+                   "N=300, 0.7e-16 L, 313 s, 16,000 steps.")
 @click.option("--desk/--full", default=True,
               help="Desk-scale (default) or full-scale window defaults.")
 @click.option("--nodes", type=int, default=None)

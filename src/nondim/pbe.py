@@ -136,25 +136,6 @@ class Grid:
         return self.h * np.arange(self.N + 1)
 
 
-@dataclass
-class PbeState:
-    """Distribution values on the grid plus the five auxiliary scalars."""
-
-    m: np.ndarray
-    w: np.ndarray
-    V_mat: float
-    V_cm: float
-    V_cw: float
-    Psi: float
-    V_pol2: float
-
-    @classmethod
-    def initial(cls, grid: Grid, psi_bar: float) -> "PbeState":
-        zeros = np.zeros(grid.N + 1)
-        return cls(m=zeros.copy(), w=zeros.copy(),
-                   V_mat=0.0, V_cm=0.0, V_cw=0.0, Psi=psi_bar, V_pol2=0.0)
-
-
 def gaussian_delta(v: float, lc: float, sc: float):
     """Gaussian density of mean lc and width sc, the mollified point mass."""
     if not sc > 0:
@@ -163,33 +144,26 @@ def gaussian_delta(v: float, lc: float, sc: float):
     return np.exp(-0.5 * z * z) / (sc * math.sqrt(2.0 * math.pi))
 
 
-def phi_and_vp(coeffs: LatexCoefficients, state: PbeState) -> tuple[float, float]:
-    """Monomer availability Phi (clamped at 0) and swollen volume V_p."""
-    psi1 = state.Psi + 1.0
-    phi = max(
-        state.V_mat / (psi1 * (state.V_mat + coeffs.lam_pol1_mat)) - coeffs.Phi_s,
-        0.0,
-    )
+def growth_law(coeffs: LatexCoefficients, aux) -> tuple[float, float, float]:
+    """Monomer availability Phi (clamped at 0) and (a, b) of the growth rate
+    g(v) = a v^(2/3) + b v: surface growth and dilation.
+
+    ``aux`` holds the five auxiliary scalars of the packed state.  A swollen
+    volume V_p <= 0, a corrupted state, raises
+    :class:`NonFiniteEvaluationError`.
+    """
+    v_mat, v_cm, v_cw, psi, _ = aux
+    psi1 = psi + 1.0
+    phi = max(v_mat / (psi1 * (v_mat + coeffs.lam_pol1_mat)) - coeffs.Phi_s, 0.0)
     v_p = psi1 * (
-        coeffs.lam_p_mat * state.V_mat
-        + coeffs.lam_p_m * state.V_cm
-        + coeffs.lam_p_w * state.V_cw
+        coeffs.lam_p_mat * v_mat
+        + coeffs.lam_p_m * v_cm
+        + coeffs.lam_p_w * v_cw
         + coeffs.lam_p_pol1
     )
-    return phi, v_p
-
-
-def growth_law(
-    coeffs: LatexCoefficients, state: PbeState, phi: float, v_p: float
-) -> tuple[float, float]:
-    """(a, b) of the growth rate g(v) = a v^(2/3) + b v: surface growth and dilation.
-
-    V_p <= 0, a corrupted state, raises :class:`NonFiniteEvaluationError`.
-    """
     if v_p <= 0:
         raise NonFiniteEvaluationError("state corruption: V_p <= 0")
-    return (coeffs.lam_d * phi * (state.Psi + 1.0) ** (2.0 / 3.0),
-            coeffs.lam_p * state.Psi / v_p)
+    return phi, coeffs.lam_d * phi * psi1 ** (2.0 / 3.0), coeffs.lam_p * psi / v_p
 
 
 # Five-point stencils of the fourth-order first derivative, times 12h: the
@@ -341,52 +315,53 @@ class GmocWorkspace:
         return gain[1:], loss[1:]
 
 
-def pack_state(state: PbeState) -> np.ndarray:
-    """The state as one vector: m, w, then the five auxiliary scalars."""
-    return np.concatenate(
-        [state.m, state.w,
-         [state.V_mat, state.V_cm, state.V_cw, state.Psi, state.V_pol2]]
-    )
+def initial_state(grid: Grid, psi_bar: float) -> np.ndarray:
+    """The empty packed state: m and w on nodes 0..N, then the five
+    auxiliary scalars V_mat, V_cm, V_cw, Psi = psi_bar and V_pol2."""
+    y = np.zeros(2 * grid.N + 7)
+    y[-2] = psi_bar
+    return y
 
 
-def unpack_state(y: np.ndarray, n: int) -> PbeState:
-    """Inverse of :func:`pack_state` on an N = n grid (m and w are views of y)."""
-    return PbeState(
-        m=y[: n + 1], w=y[n + 1 : 2 * n + 2],
-        V_mat=float(y[-5]), V_cm=float(y[-4]), V_cw=float(y[-3]),
-        Psi=float(y[-2]), V_pol2=float(y[-1]),
-    )
+def split_state(y: np.ndarray, n: int) -> tuple[np.ndarray, list[float]]:
+    """The (2, N+1) view of m and w in the packed state ``y`` of an N = n
+    grid, and its five auxiliary scalars as floats."""
+    return y[: 2 * n + 2].reshape(2, n + 1), y[-5:].tolist()
+
+
+def _rates(ws: GmocWorkspace, aux) -> tuple[float, float, np.ndarray, np.ndarray, float]:
+    """Phi, the dilation rate b, g and dg/dv at nodes 1..N, and the
+    aggregation factor (Psi+1)^(14/3) at the auxiliary scalars ``aux``."""
+    phi, a, b = growth_law(ws.coeffs, aux)
+    g = a * ws.surface_integrand[1:] + b * ws.nodes[1:]
+    dg = (2.0 / 3.0) * a * ws.inv_cbrt[1:] + b
+    return phi, b, g, dg, (aux[3] + 1.0) ** (14.0 / 3.0)
 
 
 def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
-    """Time derivative of the packed state ``y``; the rate laws live here.
+    """Time derivative of the packed state ``y`` (see :func:`initial_state`).
 
-    Node 0 of both distributions is a boundary condition and gets zero
-    derivative.  A non-finite result or V_p <= 0 raises
+    Per distribution: transport at the growth rate g(v) of
+    :func:`growth_law` with its -dg/dv term, and aggregation gain and loss;
+    nucleation feeds m, and m migrates into w.  Then the five auxiliary
+    ODEs.  Node 0 of both distributions is a boundary condition and gets
+    zero derivative.  A non-finite result or V_p <= 0 raises
     :class:`NonFiniteEvaluationError`.
     """
     c = ws.coeffs
     n = ws.grid.N
     h = ws.grid.h
-    state = unpack_state(y, n)
-    m, w = state.m, state.w
-    phi, v_p = phi_and_vp(c, state)
-    psi1 = state.Psi + 1.0
-    surf = psi1 ** (2.0 / 3.0)
-    sigma_m, sigma_w = surf * (y[: 2 * n + 2].reshape(2, n + 1) @ ws.surface_weights)
-
-    growth_coef, dilation = growth_law(c, state, phi, v_p)
-    g = growth_coef * ws.surface_integrand[1:] + dilation * ws.nodes[1:]
-    dg = (2.0 / 3.0) * growth_coef * ws.inv_cbrt[1:] + dilation
-
-    agg = psi1 ** (14.0 / 3.0)
+    dists, aux = split_state(y, n)
+    m, w = dists
+    v_mat, v_cm, v_cw, psi, v_pol2 = aux
+    phi, dilation, g, dg, agg = _rates(ws, aux)
+    psi1 = psi + 1.0
+    sigma_m, sigma_w = psi1 ** (2.0 / 3.0) * (dists @ ws.surface_weights)
     gain_m, loss_m = ws.aggregation(m, c.lam_a_m * agg)
     gain_w, loss_w = ws.aggregation(w, c.lam_a_w * agg)
 
-    # out = [0, dm at nodes 1..N, 0, dw at nodes 1..N, five auxiliary rates]
-    out = np.empty(2 * n + 7)
-    dm = out[: n + 1]
-    dw = out[n + 1 : 2 * n + 2]
+    out = np.empty_like(y)
+    (dm, dw), _ = split_state(out, n)
     dm[0] = dw[0] = 0.0
     dm[1:] = (
         -g * fd4_derivative(m, h)
@@ -402,14 +377,12 @@ def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
     )
 
     out[-5:] = (
-        dilation * (state.V_mat + c.lam_pol1_mat) - phi * (
+        dilation * (v_mat + c.lam_pol1_mat) - phi * (
             c.lam_s_mat + c.lam_dm_mat * sigma_m + c.lam_dw_mat * sigma_w),
-        dilation * state.V_cm + phi * (c.lam_s_m + c.lam_d * sigma_m)
-        - c.lam_mu_m * state.V_cm,
-        dilation * state.V_cw + c.lam_d * phi * sigma_w + c.lam_mu_w * state.V_cm,
-        -c.lam_p_pol2 * state.Psi / psi1 * (state.Psi + c.Psi_r) / (
-            state.V_pol2 + c.lam_pol1_pol2),
-        c.lam_p_pol2 * state.Psi / psi1,
+        dilation * v_cm + phi * (c.lam_s_m + c.lam_d * sigma_m) - c.lam_mu_m * v_cm,
+        dilation * v_cw + c.lam_d * phi * sigma_w + c.lam_mu_w * v_cm,
+        -c.lam_p_pol2 * psi / psi1 * (psi + c.Psi_r) / (v_pol2 + c.lam_pol1_pol2),
+        c.lam_p_pol2 * psi / psi1,
     )
     if not np.isfinite(out).all():
         raise NonFiniteEvaluationError(_diagnose_nonfinite(dm, dw, out[-5:]))
@@ -463,26 +436,23 @@ def stable_step(ws: GmocWorkspace, y: np.ndarray) -> float:
     Transport puts the eigenvalues of the fd4 operator near the imaginary
     axis, up to 1.372 max|g| / h, where RK4 is stable up to 2 sqrt 2: tau
     max|g| / h may reach TRANSPORT_LIMIT.  g = a v^(2/3) + b v grows with v,
-    so max|g| is |g| at node N.  The diagonal decay rate dg/dv + lam_mu_m +
-    aggregation loss is largest at node 1 and puts eigenvalues on the
-    negative real axis, where RK4 is stable up to RK4_REAL_LIMIT.  The line
-    between the two axis limits lies inside RK4's stability region, so the
-    step keeps tau (max|g| / h + decay TRANSPORT_LIMIT / RK4_REAL_LIMIT) at
-    COURANT.  No right-hand side is evaluated: the loss rate takes one O(N)
-    sum per distribution, the rest is O(1).
+    so max|g| is |g| at node N.  The diagonal decay rate (dg/dv + lam_mu_m +
+    aggregation loss of m, dg/dv + aggregation loss of w) is largest at
+    node 1 and puts eigenvalues on the negative real axis, where RK4 is
+    stable up to RK4_REAL_LIMIT.  The line between the two axis limits lies
+    inside RK4's stability region, so the step keeps tau (max|g| / h +
+    decay TRANSPORT_LIMIT / RK4_REAL_LIMIT) at COURANT.  No right-hand side
+    is evaluated: g and dg/dv come from the same rates as
+    :func:`rhs_vector`'s, and the two loss sums are one product of the
+    (2, N+1) distributions with the loss weights.
     """
     c = ws.coeffs
-    n = ws.grid.N
-    state = unpack_state(y, n)
-    phi, v_p = phi_and_vp(c, state)
-    growth_coef, dilation = growth_law(c, state, phi, v_p)
-    g_max = abs(growth_coef * ws.surface_integrand[n] + dilation * ws.nodes[n])
-    s0, s1 = ws.loss_weights @ y[: 2 * n + 2].reshape(2, n + 1).T
-    loss = (state.Psi + 1.0) ** (14.0 / 3.0) * np.array([c.lam_a_m, c.lam_a_w]) * (
-        ws.inv_cbrt[1] * s0 + s1)
-    decay = ((2.0 / 3.0) * growth_coef * ws.inv_cbrt[1] + dilation
-             + max(c.lam_mu_m + loss[0], loss[1]))
-    rate = g_max / ws.grid.h + max(decay, 0.0) * TRANSPORT_LIMIT / RK4_REAL_LIMIT
+    dists, aux = split_state(y, ws.grid.N)
+    _, _, g, dg, agg = _rates(ws, aux)
+    s0, s1 = ws.loss_weights @ dists.T
+    loss = agg * np.array([c.lam_a_m, c.lam_a_w]) * (ws.inv_cbrt[1] * s0 + s1)
+    decay = dg[0] + max(c.lam_mu_m + loss[0], loss[1])
+    rate = abs(g[-1]) / ws.grid.h + max(decay, 0.0) * TRANSPORT_LIMIT / RK4_REAL_LIMIT
     return COURANT / rate if rate > 0 else math.inf
 
 
@@ -521,7 +491,7 @@ def simulate(
         return rhs_vector(ws, y)
 
     n = grid.N
-    y = pack_state(PbeState.initial(grid, coeffs.Psi_bar))
+    y = initial_state(grid, coeffs.Psi_bar)
     samples = [_sample(ws, y)]
     t = 0.0
     taken = 0
@@ -550,7 +520,7 @@ def simulate(
         t = target if lands else t + tau
         if lands:
             samples.append(_sample(ws, y))
-        dists = y[: 2 * n + 2].reshape(2, n + 1)
+        dists, _ = split_state(y, n)
         low, high = dists.min(axis=1), dists.max(axis=1)
         minima = np.minimum(minima, low)
         peaks = np.maximum(peaks, high)
@@ -570,14 +540,14 @@ def simulate(
             break
 
     series = np.array(samples)  # (S, 7)
-    state = unpack_state(y, n)
+    final, _ = split_state(y, n)
     report = SimulationReport(
         times=sample_times[: len(samples)],
         V_mat=series[:, 0], V_cm=series[:, 1], V_cw=series[:, 2],
         Psi=series[:, 3], V_pol2=series[:, 4],
         F_m=series[:, 5], F_w=series[:, 6],
         min_m=float(minima[0]), min_w=float(minima[1]),
-        final_m=state.m.copy(), final_w=state.w.copy(),
+        final_m=final[0].copy(), final_w=final[1].copy(),
         settings={
             "N": n, "h": grid.h, "t_max": t_max, "steps": taken,
             "sigma_c": coeffs.sigma_c, "lam_c": coeffs.lam_c,
@@ -591,11 +561,9 @@ def simulate(
 
 
 def _sample(ws: GmocWorkspace, y: np.ndarray) -> list[float]:
-    n = ws.grid.N
-    state = unpack_state(y, n)
-    f_m = float(ws.moment0_weights @ (ws.nodes * state.m))
-    f_w = float(ws.moment0_weights @ (ws.nodes * state.w))
-    return [state.V_mat, state.V_cm, state.V_cw, state.Psi, state.V_pol2, f_m, f_w]
+    """The five auxiliary scalars, then the first moments F_m and F_w."""
+    dists, aux = split_state(y, ws.grid.N)
+    return aux + [float(ws.moment0_weights @ (ws.nodes * d)) for d in dists]
 
 
 def _time_integral(times: np.ndarray, values: np.ndarray) -> float:

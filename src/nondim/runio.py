@@ -84,30 +84,55 @@ def load_problem(path) -> ScalingProblem:
         factors: [name, ...]
         monomials:
           - {label: str, kappa: float, exponents: [float, ...], target: 0.0}
+
+    A missing, unknown or non-numeric key raises :class:`ConfigError`
+    naming it; values outside the problem's domain raise
+    :class:`DomainError`.
     """
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read problem file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    try:
-        factors = tuple(str(name) for name in data["factors"])
-        monomials = tuple(
-            Monomial(
-                label=str(entry["label"]),
-                kappa=float(entry["kappa"]),
-                exponents=tuple(float(a) for a in entry["exponents"]),
-                target=float(entry.get("target", 0.0)),
-            )
-            for entry in data["monomials"]
-        )
-        return ScalingProblem(factor_names=factors, monomials=monomials)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"{path}: malformed problem: {exc}") from exc
+    _check_keys(path, data, "", ("factors", "monomials"))
+    factors = _list(path, "factors", data["factors"])
+    monomials = []
+    for i, entry in enumerate(_list(path, "monomials", data["monomials"])):
+        where = f"monomials[{i}]"
+        _check_keys(path, entry, where, ("label", "kappa", "exponents"), ("target",))
+        exponents = _list(path, f"{where}.exponents", entry["exponents"])
+        monomials.append(Monomial(
+            label=str(entry["label"]),
+            kappa=_number(path, f"{where}.kappa", entry["kappa"]),
+            exponents=tuple(_number(path, f"{where}.exponents[{j}]", a)
+                            for j, a in enumerate(exponents)),
+            target=_number(path, f"{where}.target", entry.get("target", 0.0)),
+        ))
+    return ScalingProblem(factor_names=tuple(str(name) for name in factors),
+                          monomials=tuple(monomials))
+
+
+def _check_keys(path, mapping, where: str, required, optional=()) -> None:
+    """Raise :class:`ConfigError` unless ``mapping`` is a mapping holding every
+    ``required`` key and no key outside ``required`` and ``optional``.
+
+    ``where`` names the mapping in the file ("" for the top level); the
+    error names each missing and unknown key under it.
+    """
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{path}: {where or 'top level'} must be a mapping")
+    prefix = f"{where}." if where else ""
+    bad = [f"missing {prefix}{key}" for key in required if key not in mapping]
+    bad += [f"unknown {prefix}{key}" for key in mapping
+            if key not in required and key not in optional]
+    if bad:
+        raise ConfigError(f"{path}: " + ", ".join(bad))
+
+
+def _list(path, key: str, value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: {key} must be a list, got {value!r}")
+    return value
 
 
 def _number(path, key: str, value) -> float:
@@ -126,15 +151,8 @@ def _integer(path, key: str, value) -> int:
 
 def _section(path, data: dict, key: str, names) -> dict:
     """The numbers under ``data[key]``, which must hold exactly ``names``."""
-    section = data[key]
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: {key!r} must be a mapping")
-    missing = [name for name in names if name not in section]
-    unknown = [name for name in section if name not in names]
-    if missing or unknown:
-        bad = [f"missing {key}.{n}" for n in missing] + [f"unknown {key}.{n}" for n in unknown]
-        raise ConfigError(f"{path}: " + ", ".join(bad))
-    return {name: _number(path, f"{key}.{name}", section[name]) for name in names}
+    _check_keys(path, data[key], key, names)
+    return {name: _number(path, f"{key}.{name}", data[key][name]) for name in names}
 
 
 def load_lambda_config(path) -> LatexScenario:
@@ -161,11 +179,8 @@ def load_lambda_config(path) -> LatexScenario:
             data = yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    for key in ("lambdas", "constants", "grid", "t_max"):
-        if key not in data:
-            raise ConfigError(f"{path}: missing required key {key!r}")
+    _check_keys(path, data, "", ("lambdas", "constants", "grid", "t_max"),
+                ("sigma_c", "steps"))
     lambdas = _section(path, data, "lambdas", LATEX_LABELS)
     constants = _section(path, data, "constants", ("Phi_s", "Psi_bar", "Psi_r"))
     grid_spec = _section(path, data, "grid", ("N", "v_max"))

@@ -40,6 +40,9 @@ DRAW_BLOCK = 1024
 #: Annealing proposals costed together from one current point.
 ANNEAL_WINDOW = 12
 
+#: Subsets solved per vectorized batch of the enumeration.
+ENUMERATION_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class Monomial:
@@ -353,15 +356,14 @@ class EnumerationResult:
         return float(np.mean(self.ratio > threshold))
 
 
-def enumerate_traditional(
-    problem: ScalingProblem, cap: int = 10**6, chunk: int = 8192
-) -> EnumerationResult:
+def enumerate_traditional(problem: ScalingProblem, cap: int = 10**6) -> EnumerationResult:
     """Survey every choice of N_x coefficients forced to 1.
 
     Iterates all C(N_d, N_x) subsets, discards the ones whose exponent
     submatrix has |det| <= 1e-12, and sorts the solvable ones by the ratio
     of their realized coefficients.  Subsets are solved in vectorized
-    batches of ``chunk``; the results do not depend on batching.
+    batches of :data:`ENUMERATION_CHUNK`; the results do not depend on
+    batching.
     """
     n_x, n_d = problem.n_factors, problem.n_coefficients
     if n_d <= n_x:
@@ -379,7 +381,7 @@ def enumerate_traditional(
 
     combos = itertools.combinations(range(n_d), n_x)
     while True:
-        idx = np.array(list(itertools.islice(combos, chunk)), dtype=int)  # (B, N_x)
+        idx = np.array(list(itertools.islice(combos, ENUMERATION_CHUNK)), dtype=int)  # (B, N_x)
         if idx.size == 0:
             break
         mats = A[idx]  # (B, N_x, N_x)

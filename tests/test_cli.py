@@ -17,6 +17,15 @@ def read_csv(path):
     return manifest, rows
 
 
+#: A valid two-coefficient problem file.
+PROBLEM = (
+    "factors: [a]\n"
+    "monomials:\n"
+    "  - {label: l1, kappa: 3.0, exponents: [1]}\n"
+    "  - {label: l2, kappa: 2.0, exponents: [-1]}\n"
+)
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -77,6 +86,23 @@ class TestScale:
             main, ["--out", str(tmp_path), "--config", str(config), "scale"]
         )
         assert result.exit_code == 64
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("exponents: [1]}", "exponents: [1], tagret: 1}", "monomials[0].tagret"),
+        ("factors: [a]", "factors: [a]\nfactor: [b]", "unknown factor"),
+        ("kappa: 2.0, ", "", "monomials[1].kappa"),
+        ("kappa: 2.0", "kappa: two", "monomials[1].kappa"),
+        ("exponents: [1]}", "exponents: 1}", "monomials[0].exponents"),
+    ], ids=["unknown-monomial-key", "unknown-top-key", "missing-key", "not-a-number",
+            "not-a-list"])
+    def test_bad_problem_key_is_named(self, runner, tmp_path, old, new, key):
+        config = tmp_path / "bad.yaml"
+        config.write_text(PROBLEM.replace(old, new, 1))
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "--config", str(config), "scale"]
+        )
+        assert result.exit_code == 64, result.output
+        assert key in result.output
 
     def test_anneal_max_is_seeded(self, runner, tmp_path):
         args = ["--out", str(tmp_path), "--seed", "11", "scale",
@@ -194,6 +220,9 @@ class TestPbe:
         ("v_max: 4.0", "v_max: 0.0", "grid.v_max"),
         ("steps: 100", "steps: -5", "steps must be >= 0"),
         ("sigma_c: 0.02", "sigma_c: 0.0", "sigma_c"),
+        ("steps: 100", "stpes: 10", "unknown stpes"),
+        ("sigma_c: 0.02", "sigma-c: 0.5", "unknown sigma-c"),
+        ("t_max: 0.2", "", "missing t_max"),
     ])
     def test_bad_scenario_key_is_named(self, runner, tmp_path, old, new, key):
         config = tmp_path / "bad.yaml"
@@ -315,11 +344,13 @@ class TestExitCodes:
         assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("target, args", [
-        pytest.param("simulate", ["pbe", "--theta", "eucl"], id="pbe"),
-        pytest.param("solve_euclidean", ["scale", "--preset", "projectile"], id="scale"),
-        pytest.param("enumerate_traditional", ["enumerate", "--preset", "projectile"],
+        pytest.param("cli.simulate", ["pbe", "--theta", "eucl"], id="pbe"),
+        pytest.param("cli.solve_euclidean", ["scale", "--preset", "projectile"], id="scale"),
+        pytest.param("cli.enumerate_traditional", ["enumerate", "--preset", "projectile"],
                      id="enumerate"),
-        pytest.param("rk4_integrate", ["projectile"], id="projectile"),
+        pytest.param("cli.rk4_integrate", ["projectile"], id="projectile"),
+        pytest.param("runio.Monomial", ["--config", "{problem}", "scale"],
+                     id="problem-loader"),
     ])
     def test_solver_bug_is_not_reported_as_config_error(
         self, runner, tmp_path, monkeypatch, target, args
@@ -327,7 +358,10 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise TypeError("bug inside the solver")
 
-        monkeypatch.setattr(f"nondim.cli.{target}", broken)
+        problem = tmp_path / "problem.yaml"
+        problem.write_text(PROBLEM)
+        monkeypatch.setattr(f"nondim.{target}", broken)
+        args = [arg.format(problem=problem) for arg in args]
         result = runner.invoke(main, ["--out", str(tmp_path), *args])
         assert isinstance(result.exception, TypeError)
         assert result.exit_code != 64

@@ -7,14 +7,13 @@ from nondim.odes import rk4_integrate
 from nondim.pbe import (
     GmocWorkspace,
     Grid,
-    PbeState,
     error_series,
-    pack_state,
-    phi_and_vp,
+    growth_law,
+    initial_state,
     rhs_vector,
     simulate,
+    split_state,
     stable_step,
-    unpack_state,
 )
 from nondim.scenarios import latex_scenario
 
@@ -76,45 +75,43 @@ class TestZeroNucleation:
         assert report.V_pol2[-1] == pytest.approx(final[4], abs=1e-10)
 
 
-def state_derivative(coeffs, grid, state):
-    """The solver's own right-hand side at one state."""
-    return unpack_state(rhs_vector(GmocWorkspace(coeffs, grid), pack_state(state)), grid.N)
+def state_derivative(coeffs, grid, y):
+    """The solver's own right-hand side at one packed state, split."""
+    return split_state(rhs_vector(GmocWorkspace(coeffs, grid), y), grid.N)
 
 
 class TestRhsStructure:
     def test_boundary_node_derivative_is_zero(self):
         coeffs = unit_coeffs()
         grid = Grid(16, 0.25)
-        state = PbeState.initial(grid, coeffs.Psi_bar)
-        state.V_mat = 0.5
-        state.m = np.linspace(0.0, 1.0, grid.N + 1)
-        state.m[0] = 0.0
-        derivative = state_derivative(coeffs, grid, state)
-        assert derivative.m[0] == 0.0
-        assert derivative.w[0] == 0.0
+        y = initial_state(grid, coeffs.Psi_bar)
+        y[-5] = 0.5  # V_mat
+        y[1 : grid.N + 1] = np.linspace(0.0, 1.0, grid.N + 1)[1:]  # m
+        (dm, dw), _ = state_derivative(coeffs, grid, y)
+        assert dm[0] == 0.0
+        assert dw[0] == 0.0
 
     def test_monomer_sink_balances_nucleated_volume_initially(self):
         # At the empty state the only cluster-volume fluxes are the direct
         # source terms; dV_cm picks up Phi * lam_s_m exactly.
         coeffs = unit_coeffs()
         grid = Grid(16, 0.25)
-        state = PbeState.initial(grid, coeffs.Psi_bar)
-        state.V_mat = 0.5
-        phi, _ = phi_and_vp(coeffs, state)
-        derivative = state_derivative(coeffs, grid, state)
-        assert derivative.V_cm == pytest.approx(phi * coeffs.lam_s_m)
+        y = initial_state(grid, coeffs.Psi_bar)
+        y[-5] = 0.5  # V_mat
+        phi, _, _ = growth_law(coeffs, split_state(y, grid.N)[1])
+        _, (_, dv_cm, _, _, _) = state_derivative(coeffs, grid, y)
+        assert dv_cm == pytest.approx(phi * coeffs.lam_s_m)
 
     def test_no_monomer_supply_means_no_nucleation(self):
         # V_mat = 0 clamps the availability Phi at 0, so with empty
         # distributions nothing nucleates and no cluster volume appears.
         coeffs = unit_coeffs()
         grid = Grid(16, 0.25)
-        state = PbeState.initial(grid, coeffs.Psi_bar)
-        assert phi_and_vp(coeffs, state)[0] == 0.0
-        derivative = state_derivative(coeffs, grid, state)
-        assert np.all(derivative.m == 0.0)
-        assert np.all(derivative.w == 0.0)
-        assert derivative.V_cm == 0.0
+        y = initial_state(grid, coeffs.Psi_bar)
+        assert growth_law(coeffs, split_state(y, grid.N)[1])[0] == 0.0
+        dists, (_, dv_cm, _, _, _) = state_derivative(coeffs, grid, y)
+        assert np.all(dists == 0.0)
+        assert dv_cm == 0.0
 
     def test_psi_decreases_monotonically(self):
         coeffs = unit_coeffs()
@@ -192,7 +189,7 @@ class TestAdaptiveSteps:
 
         def recorded(rhs, t, y, tau):
             out = rk4_step(rhs, t, y, tau)
-            history.append((t + tau, out[: 2 * n + 2].reshape(2, n + 1).copy()))
+            history.append((t + tau, split_state(out, n)[0].copy()))
             return out
 
         monkeypatch.setattr(pbe, "rk4_step", recorded)
@@ -217,10 +214,50 @@ class TestAdaptiveSteps:
         # diagonal decay rate is lam_mu_m alone.
         coeffs = unit_coeffs(lam_mu_m=50.0)
         grid = Grid(16, 0.25)
-        state = PbeState.initial(grid, 0.0)
-        tau = stable_step(GmocWorkspace(coeffs, grid), pack_state(state))
+        tau = stable_step(GmocWorkspace(coeffs, grid), initial_state(grid, 0.0))
         assert tau == pytest.approx(
             pbe.COURANT * pbe.RK4_REAL_LIMIT / (pbe.TRANSPORT_LIMIT * 50.0))
+
+    @pytest.mark.parametrize("m_scale, w_scale, fastest", [
+        (0.0, 0.0, "m"), (1.0, 0.2, "m"), (0.2, 2.0, "w"),
+    ], ids=["empty", "m-decays-fastest", "w-decays-fastest"])
+    def test_transport_and_loss_rates_set_the_step(self, m_scale, w_scale, fastest):
+        # V_mat = 0.5 makes Phi and so g positive.  tau follows in closed
+        # form from g(v_N), dg/dv(v_1) and the Simpson aggregation loss rate
+        # of each distribution at node 1.
+        coeffs = unit_coeffs(lam_a_w=2.0)
+        grid = Grid(16, 0.25)
+        n, h, v = grid.N, grid.h, grid.nodes()
+        v_mat, psi1 = 0.5, coeffs.Psi_bar + 1.0
+        y = initial_state(grid, coeffs.Psi_bar)
+        y[-5] = v_mat
+        shape = v * np.exp(-v)
+        y[: n + 1] = m_scale * shape
+        y[n + 1 : 2 * n + 2] = w_scale * shape
+
+        phi = v_mat / (psi1 * (v_mat + coeffs.lam_pol1_mat)) - coeffs.Phi_s
+        a = coeffs.lam_d * phi * psi1 ** (2.0 / 3.0)
+        b = coeffs.lam_p * coeffs.Psi_bar / (
+            psi1 * (coeffs.lam_p_mat * v_mat + coeffs.lam_p_pol1))
+        g_n = a * v[n] ** (2.0 / 3.0) + b * v[n]
+        dg_1 = (2.0 / 3.0) * a * v[1] ** (-1.0 / 3.0) + b
+        simpson = np.full(n + 1, 2.0 * h / 3.0)
+        simpson[1::2] = 4.0 * h / 3.0
+        simpson[n] = h / 3.0
+        simpson[0] = 0.0  # the kernel is singular at u = 0
+
+        def loss_rate(dist, lam_a):
+            kernel = v[1] ** (-1.0 / 3.0) + np.r_[0.0, v[1:] ** (-1.0 / 3.0)]
+            return lam_a * psi1 ** (14.0 / 3.0) * (simpson @ (kernel * dist))
+
+        loss_m = loss_rate(m_scale * shape, coeffs.lam_a_m)
+        loss_w = loss_rate(w_scale * shape, coeffs.lam_a_w)
+        assert (coeffs.lam_mu_m + loss_m > loss_w) == (fastest == "m")
+        decay = dg_1 + max(coeffs.lam_mu_m + loss_m, loss_w)
+        expected = pbe.COURANT / (
+            g_n / h + decay * pbe.TRANSPORT_LIMIT / pbe.RK4_REAL_LIMIT)
+        tau = stable_step(GmocWorkspace(coeffs, grid), y)
+        assert tau == pytest.approx(expected, rel=1e-12)
 
     def test_fixed_steps_report_their_constant_step(self):
         coeffs = unit_coeffs()

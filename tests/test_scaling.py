@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nondim import scaling
 from nondim.errors import (
     DegenerateExponentsError,
     DomainError,
@@ -207,11 +208,12 @@ class TestEnumeration:
         (build_schrodinger, (1, 3)),
         (lambda: build_latex()[0], (1000,)),
     ])
-    def test_results_do_not_depend_on_chunk(self, build, chunks):
+    def test_results_do_not_depend_on_chunk(self, build, chunks, monkeypatch):
         problem = build()
         reference = enumerate_traditional(problem)
         for chunk in chunks:
-            result = enumerate_traditional(problem, chunk=chunk)
+            monkeypatch.setattr(scaling, "ENUMERATION_CHUNK", chunk)
+            result = enumerate_traditional(problem)
             assert result.total_subsets == reference.total_subsets
             for name in ("subsets", "rho", "cost", "ratio"):
                 np.testing.assert_array_equal(getattr(result, name), getattr(reference, name))
