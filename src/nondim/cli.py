@@ -251,13 +251,14 @@ def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtri
 @main.command()
 @click.option("--theta", "theta_sel", type=click.Choice(["eucl", "test"]), default="eucl",
               help="Scaling: 'eucl', the Euclidean optimum, or 'test', a poorly-"
-                   "scaled one-equals-one subset.  --theta test with no other "
-                   "grid, step or window option runs the matched contrast pair: "
-                   "N=300, 0.7e-16 L, 313 s, 16,000 steps.")
+                   "scaled one-equals-one subset.  Either runs the window the "
+                   "other options give.")
 @click.option("--desk/--full", default=True,
               help="Desk-scale (default) or full-scale window defaults.")
 @click.option("--nodes", type=int, default=None)
-@click.option("--steps", type=int, default=None)
+@click.option("--steps", type=int, default=None,
+              help="Fixed RK4 step count, also beside --config; unset, each "
+                   "step comes from the stability limit.")
 @click.option("--v-window", type=float, default=None, help="Physical volume bound in L.")
 @click.option("--t-horizon", type=float, default=None, help="Physical time bound in s.")
 @click.option("--sigma-rule", type=float, default=None,
@@ -276,28 +277,19 @@ def pbe(ctx, theta_sel, desk, nodes, steps, v_window, t_horizon, sigma_rule):
             raise ConfigError("the --config scenario file fixes the window; drop "
                               + ", ".join(fixed))
         scenario = runio.load_lambda_config(obj["config"])
-    elif (theta_sel == "test" and desk and all(
-            v is None for v in (nodes, steps, v_window, t_horizon, sigma_rule))):
-        # The default desk grid (N=200 on the poorly-scaled window) has
-        # a spacing wider than the nucleation site's volume, so nothing
-        # ever nucleates.  The matched contrast pair is the smallest
-        # desk setting where the poorly-scaled run shows its oscillations.
-        scenario = scenarios.matched_pair()[1]
     else:
         scenario = scenarios.latex_scenario(
             theta_sel, n_nodes=nodes, v_window=v_window,
-            t_horizon=t_horizon, sigma_rule=sigma_rule, steps=steps,
-            desk=desk,
+            t_horizon=t_horizon, sigma_rule=sigma_rule, desk=desk,
         )
     coeffs, grid, t_max = scenario.coeffs, scenario.grid, scenario.t_max
-    run_steps = scenario.steps if steps is None else steps
-    report = simulate(coeffs, grid, t_max, run_steps)
+    report = simulate(coeffs, grid, t_max, steps)
 
     manifest = runio.RunManifest(
         command="pbe",
         config={"theta": scenario.theta_tag, "config": obj["config"], "desk": desk,
                 "N": grid.N, "h": grid.h, "t_max": t_max,
-                "steps": report.settings["steps"] if run_steps is None else run_steps,
+                "steps": report.settings["steps"] if steps is None else steps,
                 "sigma_c": coeffs.sigma_c},
         out_dir=str(obj["out"]), seed=obj["seed"],
     )

@@ -57,6 +57,9 @@ class LatexCoefficients:
 
     ``sigma_c`` is the width of the Gaussian standing in for the nucleation
     point mass; it must stay well below the nucleation volume ``lam_c``.
+    Every value is finite and positive, but ``lam_n`` and ``lam_s_m`` may
+    be zero and ``Phi_s`` stays below 1 (the domain of
+    :class:`nondim.models.LatexParams`).
     """
 
     lam_a_m: float
@@ -87,15 +90,16 @@ class LatexCoefficients:
         # lam_n and lam_s_m may be zero together (the nucleation off-switch;
         # they are tied by the moment identity lam_s_m = lam_n * lam_c).
         for f in fields(self):
-            if f.name in ("Phi_s", "Psi_bar", "Psi_r"):
-                continue
             value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value!r}")
             if f.name in ("lam_n", "lam_s_m"):
                 if value < 0:
-                    raise DomainError(f"{f.name} must be >= 0")
-                continue
-            if not value > 0:
-                raise DomainError(f"{f.name} must be > 0")
+                    raise DomainError(f"{f.name} must be >= 0, got {value!r}")
+            elif not value > 0:
+                raise DomainError(f"{f.name} must be > 0, got {value!r}")
+        if not self.Phi_s < 1:
+            raise DomainError(f"Phi_s must be < 1, got {self.Phi_s!r}")
         if self.lam_c / self.sigma_c < 10.0:
             raise DomainError("lam_c must dominate sigma_c (ratio >= 10)")
 
@@ -121,8 +125,8 @@ class Grid:
     def __post_init__(self):
         if self.N < MIN_GRID_N:
             raise DomainError(f"grid needs N >= {MIN_GRID_N} (five-point stencils)")
-        if not self.h > 0:
-            raise DomainError("h must be > 0")
+        if not 0 < self.h < math.inf:
+            raise DomainError(f"grid spacing h must be > 0 and finite, got {self.h!r}")
 
     @classmethod
     def from_vmax(cls, N: int, v_max: float) -> "Grid":
@@ -474,8 +478,8 @@ def simulate(
     upper grid boundary, where the truncated aggregation integral stops
     being a valid approximation.
     """
-    if not t_max > 0:
-        raise DomainError("t_max must be > 0")
+    if not 0 < t_max < math.inf:
+        raise DomainError(f"t_max must be > 0 and finite, got {t_max!r}")
     if steps is None:
         sample_times = t_max * np.arange(SAMPLES + 1) / SAMPLES
         sample_times[-1] = t_max  # t_max * SAMPLES / SAMPLES may round off it

@@ -165,14 +165,15 @@ def load_lambda_config(path) -> LatexScenario:
         sigma_c: float        # optional, defaults to lambdas[c] / 50
         grid: {N: int, v_max: float}
         t_max: float
-        steps: int            # optional; 0 or absent: None (adaptive steps)
 
-    Returns a :class:`LatexScenario` tagged ``"explicit"``.  A missing,
-    unknown or non-numeric key, a ``grid.N`` or ``steps`` that is not an
-    integer, a ``grid.N`` below 8, a ``grid.v_max`` that is not positive
-    and finite, or a negative ``steps`` raises :class:`ConfigError` naming
-    it; other values outside the model's domain, ``sigma_c <= 0`` among
-    them, raise :class:`DomainError`.
+    Returns a :class:`LatexScenario` tagged ``"explicit"``; the file fixes
+    no step count, which is the caller's to give.  A missing, unknown or
+    non-numeric key, a ``grid.N`` that is not an integer or is below 8, or
+    a ``grid.v_max`` that is not positive and finite raises
+    :class:`ConfigError` naming it; coefficients outside the model's
+    domain, non-finite ones and ``sigma_c <= 0`` among them, raise
+    :class:`DomainError`, and so does a ``t_max`` outside (0, inf) once
+    simulate() is given it.
     """
     try:
         with open(path) as fh:
@@ -180,7 +181,7 @@ def load_lambda_config(path) -> LatexScenario:
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     _check_keys(path, data, "", ("lambdas", "constants", "grid", "t_max"),
-                ("sigma_c", "steps"))
+                ("sigma_c",))
     lambdas = _section(path, data, "lambdas", LATEX_LABELS)
     constants = _section(path, data, "constants", ("Phi_s", "Psi_bar", "Psi_r"))
     grid_spec = _section(path, data, "grid", ("N", "v_max"))
@@ -194,10 +195,7 @@ def load_lambda_config(path) -> LatexScenario:
     coeffs = LatexCoefficients.from_labels(lambdas, LatexConstants(**constants), sigma_c)
     grid = Grid.from_vmax(n, v_max)
     t_max = _number(path, "t_max", data["t_max"])
-    steps = _integer(path, "steps", data.get("steps", 0))
-    if steps < 0:
-        raise ConfigError(f"{path}: steps must be >= 0 (0 or absent: adaptive steps), got {steps}")
-    return LatexScenario("explicit", coeffs, grid, t_max, steps or None)
+    return LatexScenario("explicit", coeffs, grid, t_max)
 
 
 # ---------------------------------------------------------------------------

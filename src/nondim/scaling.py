@@ -234,14 +234,28 @@ def solve_subset(problem: ScalingProblem, subset) -> ScalingSolution:
         raise DomainError(f"subset must hold {n_x} distinct indices")
     if any(c < 0 or c >= n_d for c in subset):
         raise DomainError(f"subset indices must lie in [0, {n_d - 1}]")
-    A = problem.exponent_matrix()[list(subset)]
-    rhs = (problem.targets() - problem.log_kappas())[list(subset)]
-    det = float(np.linalg.det(A))
-    if abs(det) <= SINGULARITY_EPS:
-        raise UnsolvableSubsetError(subset, det)
-    rho = np.linalg.solve(A, rhs)
+    dets, solvable, rhos = _solve_subsets(
+        problem.exponent_matrix(), problem.targets() - problem.log_kappas(),
+        np.array([subset]),
+    )
+    if not solvable[0]:
+        raise UnsolvableSubsetError(subset, float(dets[0]))
     tag = "subset:" + ",".join(str(c) for c in subset)
-    return _solution(problem, rho, "euclid", tag)
+    return _solution(problem, rhos[0], "euclid", tag)
+
+
+def _solve_subsets(A: np.ndarray, forced: np.ndarray, idx: np.ndarray):
+    """Solve a batch of subsets: ``idx`` holds one subset of rows per line.
+
+    Returns each subset matrix's determinant, the mask of those with
+    |det| > :data:`SINGULARITY_EPS`, and the factors (log10) of the masked
+    subsets, from ``A[subset] rho = forced[subset]``.
+    """
+    mats = A[idx]  # (B, N_x, N_x)
+    dets = np.linalg.det(mats)
+    solvable = np.abs(dets) > SINGULARITY_EPS
+    rhos = np.linalg.solve(mats[solvable], forced[idx[solvable]][..., None])[..., 0]
+    return dets, solvable, rhos
 
 
 def anneal_minimize(
@@ -384,10 +398,7 @@ def enumerate_traditional(problem: ScalingProblem, cap: int = 10**6) -> Enumerat
         idx = np.array(list(itertools.islice(combos, ENUMERATION_CHUNK)), dtype=int)  # (B, N_x)
         if idx.size == 0:
             break
-        mats = A[idx]  # (B, N_x, N_x)
-        solvable = np.abs(np.linalg.det(mats)) > SINGULARITY_EPS
-        rhs = forced[idx[solvable]]
-        rhos = np.linalg.solve(mats[solvable], rhs[..., None])[..., 0]
+        _, solvable, rhos = _solve_subsets(A, forced, idx)
         res = residuals(rhos)
         parts.append((idx[solvable], rhos, cost(res), _ratio(res + targets)))
 

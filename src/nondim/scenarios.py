@@ -39,16 +39,18 @@ DESK_T_HORIZON = 250.0
 DESK_N = 200
 DESK_SIGMA_RULE = 10.0
 
+#: Fixed RK4 step count of both runs of :func:`matched_pair`.
+MATCHED_STEPS = 16000
+
 
 @dataclass(frozen=True)
 class LatexScenario:
-    """Everything simulate() needs, tagged with the scaling it came from."""
+    """simulate()'s inputs but the step count, tagged with their scaling."""
 
     theta_tag: str
     coeffs: LatexCoefficients
     grid: Grid
     t_max: float
-    steps: int | None
 
 
 def latex_scenario(
@@ -57,7 +59,6 @@ def latex_scenario(
     v_window: float | None = None,
     t_horizon: float | None = None,
     sigma_rule: float | None = None,
-    steps: int | None = None,
     desk: bool = True,
 ) -> LatexScenario:
     """Build a ready-to-run scenario for 'eucl' (optimal) or 'test' (poorly scaled).
@@ -65,9 +66,8 @@ def latex_scenario(
     The physical window (v_window in L, t_horizon in s) is converted into
     the chosen scaling's own units, so 'eucl' and 'test' scenarios with the
     same window describe the same physical experiment.  Unset values fall
-    back to the desk-scale (default) or full-scale defaults.  Unset steps
-    stay None: simulate() then takes each step from the state's stability
-    limit (:func:`nondim.pbe.stable_step`).
+    back to the desk-scale (default) or full-scale defaults.  The step
+    count is simulate()'s own argument.
     """
     problem, constants = build_latex()
     if theta == "eucl":
@@ -90,11 +90,11 @@ def latex_scenario(
     )
     nu0, t0 = solution.theta[0], solution.theta[1]
     grid = Grid.from_vmax(n_nodes, v_window / nu0)
-    return LatexScenario(theta, coeffs, grid, t_horizon / t0, steps)
+    return LatexScenario(theta, coeffs, grid, t_horizon / t0)
 
 
 def matched_pair() -> tuple[LatexScenario, LatexScenario]:
-    """The well/poorly-scaled contrast pair at matched (N, steps).
+    """The well/poorly-scaled contrast pair, to run at :data:`MATCHED_STEPS`.
 
     Both scenarios discretize the same physical experiment with the same
     node count and step count; only the scaling differs.  The advective
@@ -102,6 +102,5 @@ def matched_pair() -> tuple[LatexScenario, LatexScenario]:
     This is the smallest matched pair whose poorly-scaled grid can still
     see the nucleation site.
     """
-    kw = dict(n_nodes=300, steps=16000, v_window=0.7e-16,
-              t_horizon=313.0, sigma_rule=DESK_SIGMA_RULE)
+    kw = dict(n_nodes=300, v_window=0.7e-16, t_horizon=313.0, sigma_rule=DESK_SIGMA_RULE)
     return latex_scenario("eucl", **kw), latex_scenario("test", **kw)

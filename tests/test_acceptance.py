@@ -40,7 +40,7 @@ from nondim.scaling import (
     solve_euclidean,
     solve_subset,
 )
-from nondim.scenarios import latex_scenario, matched_pair
+from nondim.scenarios import MATCHED_STEPS, latex_scenario, matched_pair
 
 from test_pbe_dynamics import auxiliary_oracle_rhs
 from test_pbe_kernels import unit_coeffs
@@ -186,15 +186,15 @@ def test_criterion_7b_scaling_contrast():
     eucl, test = matched_pair()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rep_e = simulate(eucl.coeffs, eucl.grid, eucl.t_max, eucl.steps)
-        rep_t = simulate(test.coeffs, test.grid, test.t_max, test.steps)
+        rep_e = simulate(eucl.coeffs, eucl.grid, eucl.t_max, MATCHED_STEPS)
+        rep_t = simulate(test.coeffs, test.grid, test.t_max, MATCHED_STEPS)
     max_m_e = max(float(rep_e.final_m.max()), 0.0)
     peak_t = max(float(np.max(np.abs(rep_t.final_m))), 1e-300)
     ok = (rep_t.max_eps_m > rep_e.max_eps_m
           and rep_t.min_m < -1e-3 * peak_t          # materially negative
           and rep_e.min_m >= -1e-8 * max_m_e)       # while optimal is not
     report("7b", ok,
-           f"matched (N={eucl.grid.N}, M={eucl.steps}): eps_m test "
+           f"matched (N={eucl.grid.N}, M={MATCHED_STEPS}): eps_m test "
            f"{rep_t.max_eps_m:.3e} > eucl {rep_e.max_eps_m:.3e}; test min m "
            f"{rep_t.min_m / peak_t:.2e} of peak vs eucl {rep_e.min_m:.2e}")
 
@@ -203,8 +203,8 @@ def test_criterion_7c_refinement_monotonicity():
     # Joint refinement: the step count doubles with the grid.
     errors = []
     for n, steps in ((100, 4197), (200, 8395), (400, 16790)):
-        level = latex_scenario("eucl", n_nodes=n, t_horizon=200.0, steps=steps)
-        rep = simulate(level.coeffs, level.grid, level.t_max, level.steps)
+        level = latex_scenario("eucl", n_nodes=n, t_horizon=200.0)
+        rep = simulate(level.coeffs, level.grid, level.t_max, steps)
         errors.append(rep.max_eps_m)
     ok = errors[0] > errors[1] > errors[2]
     report("7c", ok,

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from nondim.cli import main
+from nondim.scenarios import DESK_N, latex_scenario
 
 
 def read_csv(path):
@@ -179,7 +180,6 @@ def no_nucleation_scenario():
         + "sigma_c: 0.02\n"
         + "grid: {N: 16, v_max: 4.0}\n"
         + "t_max: 0.2\n"
-        + "steps: 100\n"
     )
 
 
@@ -190,7 +190,8 @@ class TestPbe:
         config = tmp_path / "custom.yaml"
         config.write_text(no_nucleation_scenario())
         result = runner.invoke(
-            main, ["--out", str(tmp_path), "--config", str(config), "pbe"]
+            main, ["--out", str(tmp_path), "--config", str(config), "pbe",
+                   "--steps", "100"]
         )
         assert result.exit_code == 0, result.output
         _, rows = read_csv(tmp_path / "pbe_distributions.csv")
@@ -214,13 +215,19 @@ class TestPbe:
         ("N: 16", "N: sixteen", "grid.N"),
         ("t_max: 0.2", "t_max: [0.2]", "t_max"),
         ("N: 16", "N: 16.7", "grid.N"),
-        ("steps: 100", "steps: 100.5", "steps"),
         ("t_max: 0.2", "t_max: -0.2", "t_max"),
+        ("t_max: 0.2", "t_max: .inf", "t_max must be > 0 and finite"),
         ("N: 16", "N: 4", "grid.N"),
         ("v_max: 4.0", "v_max: 0.0", "grid.v_max"),
-        ("steps: 100", "steps: -5", "steps must be >= 0"),
+        ("v_max: 4.0", "v_max: .inf", "grid.v_max"),
         ("sigma_c: 0.02", "sigma_c: 0.0", "sigma_c"),
-        ("steps: 100", "stpes: 10", "unknown stpes"),
+        ("  a_w: 1.0", "  a_w: .inf", "lam_a_w must be finite"),
+        ("Psi_bar: 1.0", "Psi_bar: .nan", "Psi_bar must be finite"),
+        ("Psi_r: 1.05", "Psi_r: 0.0", "Psi_r must be > 0"),
+        ("Phi_s: 1.0e-3", "Phi_s: -1.0", "Phi_s must be > 0"),
+        ("Phi_s: 1.0e-3", "Phi_s: 1.0", "Phi_s must be < 1"),
+        ("t_max: 0.2", "t_max: 0.2\nstpes: 10", "unknown stpes"),
+        ("t_max: 0.2", "t_max: 0.2\nsteps: 100", "unknown steps"),
         ("sigma_c: 0.02", "sigma-c: 0.5", "unknown sigma-c"),
         ("t_max: 0.2", "", "missing t_max"),
     ])
@@ -255,6 +262,7 @@ class TestPbe:
         assert not (tmp_path / "pbe_summary.json").exists()
 
     def test_steps_overrides_scenario_file(self, runner, tmp_path):
+        # The file fixes no step count; --steps is the one way to give it.
         config = tmp_path / "custom.yaml"
         config.write_text(no_nucleation_scenario())
         result = runner.invoke(
@@ -272,10 +280,11 @@ class TestPbe:
         config.write_text(
             no_nucleation_scenario().replace("  a_m: 1.0", "  a_m: 1.0e300")
             .replace("  n: 0.0", "  n: 1.0").replace("  s_m: 0.0", "  s_m: 1.0")
-            .replace("steps: 100", "steps: 50").replace("t_max: 0.2", "t_max: 0.5")
+            .replace("t_max: 0.2", "t_max: 0.5")
         )
         result = runner.invoke(
-            main, ["--out", str(tmp_path), "--config", str(config), "pbe"]
+            main, ["--out", str(tmp_path), "--config", str(config), "pbe",
+                   "--steps", "50"]
         )
         assert result.exit_code == 5, result.output
         assert "non-finite" in result.output
@@ -288,13 +297,40 @@ class TestPbe:
         assert result.exit_code == 64
         assert "t_max" in result.output
 
+    @pytest.mark.parametrize("option, named", [
+        ("--t-horizon", "t_max must be > 0 and finite"),
+        ("--v-window", "grid spacing h must be > 0 and finite"),
+    ])
+    def test_non_finite_window_option_exits_64(self, runner, tmp_path, option, named):
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "pbe", "--theta", "eucl", "--desk",
+                   option, "inf"]
+        )
+        assert result.exit_code == 64, result.output
+        assert named in result.output
+        assert not (tmp_path / "pbe_summary.json").exists()
+
+    def test_bare_theta_test_runs_the_desk_window(self, runner, tmp_path):
+        # The poorly-scaled desk run nucleates and oscillates below zero;
+        # only the optimal scaling exits 4 for that.
+        result = runner.invoke(main, ["--out", str(tmp_path), "pbe", "--theta", "test"])
+        assert result.exit_code == 0, result.output
+        with open(tmp_path / "pbe_summary.json") as fh:
+            summary = json.load(fh)
+        config = summary["manifest"]["config"]
+        desk = latex_scenario("test")
+        assert (config["N"], config["h"], config["t_max"]) == (
+            DESK_N, desk.grid.h, desk.t_max)
+        assert summary["max_m"] > 0
+        assert summary["negative_minima"] is True
+
     def test_decay_limited_scenario_without_steps_stays_finite(self, runner, tmp_path):
         # lam_mu_m * t_max / 100 = 6 lies beyond RK4's real-axis limit 2.785,
         # so steps taken from transport and the sample spacing alone blow up
         # (exit 5); the decay limit keeps the run finite.
         config = tmp_path / "decay.yaml"
         config.write_text(
-            no_nucleation_scenario().replace("steps: 100\n", "")
+            no_nucleation_scenario()
             .replace("  n: 0.0", "  n: 1.0").replace("  s_m: 0.0", "  s_m: 1.0")
             .replace("  mu_m: 1.0", "  mu_m: 3000.0")
         )

@@ -122,7 +122,7 @@ class TestRhsStructure:
 
 class TestSimulate:
     def test_bitwise_deterministic(self):
-        scenario = latex_scenario("eucl", n_nodes=32, steps=150)
+        scenario = latex_scenario("eucl", n_nodes=32)
         a = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 150)
         b = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 150)
         assert np.array_equal(a.final_m, b.final_m)
@@ -159,8 +159,7 @@ class TestSimulate:
 
 class TestAdaptiveSteps:
     def test_lands_on_uniform_samples_with_four_rhs_calls_per_step(self, monkeypatch):
-        scenario = latex_scenario("eucl")  # desk defaults, no step count
-        assert scenario.steps is None
+        scenario = latex_scenario("eucl")  # desk defaults
         calls = []
 
         def counted(ws, y):
@@ -276,7 +275,7 @@ class TestErrorSeries:
         assert report.max_eps_w < 1e-3
 
     def test_recompute_matches_report(self):
-        scenario = latex_scenario("eucl", n_nodes=32, steps=200)
+        scenario = latex_scenario("eucl", n_nodes=32)
         report = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 200)
         eps_m, eps_w = error_series(report)
         np.testing.assert_array_equal(eps_m, report.eps_m)

@@ -194,14 +194,25 @@ class TestEnumeration:
             enumerate_traditional(problem)
 
     def test_batch_solutions_match_direct_solver(self):
-        result = enumerate_traditional(toy_problem())
+        # Oracle: each subset's own square system, solved on its own, whose
+        # forced coefficients land on 1.
+        problem = toy_problem()
+        A, log_kappas = problem.exponent_matrix(), problem.log_kappas()
+        result = enumerate_traditional(problem)
+        assert result.solvable_count == 3
         for subset, rho, rat in zip(result.subsets, result.rho, result.ratio):
-            direct = solve_subset(toy_problem(), subset)
-            assert 10.0**rho == pytest.approx(direct.theta, rel=1e-12)
-            assert rat == pytest.approx(direct.ratio, rel=1e-12)
+            rows = list(subset)
+            direct = np.linalg.solve(A[rows], -log_kappas[rows])
+            lambdas = eval_coefficients(problem, 10.0**direct)
+            assert lambdas[rows] == pytest.approx(1.0, rel=1e-12)
+            assert 10.0**rho == pytest.approx(10.0**direct, rel=1e-12)
+            assert rat == pytest.approx(lambdas.max() / lambdas.min(), rel=1e-12)
+            single = solve_subset(problem, subset)
+            assert single.theta == pytest.approx(10.0**direct, rel=1e-12)
+            assert single.lambdas == pytest.approx(lambdas, rel=1e-12)
         best_subset, best = result.best
         assert best.lambdas == pytest.approx(
-            solve_subset(toy_problem(), best_subset).lambdas, rel=1e-12)
+            solve_subset(problem, best_subset).lambdas, rel=1e-12)
         assert best.ratio == result.ratio[0]
 
     @pytest.mark.parametrize("build, chunks", [
