@@ -6,7 +6,11 @@ Exit codes are stable contracts:
   flow points or negative minima under a poorly-scaled preset)
 * 2 — degenerate exponent structure (rank reported)
 * 3 — enumeration size exceeds the cap
-* 4 — non-negativity guard violated under the optimally-scaled preset
+* 4 — non-negativity guard violated under the optimally-scaled preset:
+  ``pbe --theta eucl`` with min m or min w over the run below
+  -:data:`~nondim.pbe.NONNEG_TOL` times that distribution's final peak.
+  This is not the rule of the summary's ``settings.first_negative``,
+  which compares each step against the running peak.
 * 5 — solver state stopped being finite
 * 64 — malformed configuration or command line
 
@@ -177,8 +181,8 @@ def enumerate_cmd(obj, preset, q, cap):
 
 
 @main.command()
-@click.option("--method", type=click.Choice(["euclid", "anneal-max", "anneal-eucl", "unit"]),
-              default="euclid", help="Scaling choice; 'unit' runs dimensionally.")
+@click.option("--method", type=click.Choice(["euclid", "anneal-max", "anneal-eucl"]),
+              default="euclid", help="Scaling choice; --theta 1 1 runs dimensionally.")
 @click.option("--theta", type=float, nargs=2, default=None,
               help="Explicit (t_c, x_c) overriding --method.")
 @click.option("--steps", type=int, default=2000)
@@ -194,8 +198,6 @@ def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtri
     problem = models.build_projectile()
     if theta:
         theta = np.asarray(theta, dtype=float)
-    elif method == "unit":
-        theta = np.ones(2)
     else:
         theta = _solve(problem, method, seed=obj["seed"]).theta
     lambdas = eval_coefficients(problem, theta)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,11 +37,12 @@ def rk4_integrate(
 ) -> Trajectory:
     """Classical fourth-order Runge-Kutta with constant step (t1-t0)/steps.
 
-    The trajectory includes both endpoints.  A non-finite state aborts with
-    the offending step index and state snapshot attached.
+    The trajectory includes both endpoints.  The interval must be finite
+    with t0 < t1.  A non-finite state aborts with the offending step index
+    and state snapshot attached.
     """
-    if not t1 > t0:
-        raise DomainError("t1 must exceed t0")
+    if not -math.inf < t0 < t1 < math.inf:
+        raise DomainError(f"need finite t0 < t1, got t0={t0}, t1={t1}")
     if steps < 1:
         raise DomainError("steps must be >= 1")
     y = np.array(y0, dtype=float)
@@ -93,15 +95,17 @@ class FlowField:
 def flow_field(lambdas, w1_range, w2_range, grid_counts) -> FlowField:
     """Sample (w1', w2') on a lattice spanning the given ranges.
 
-    Points where the rate is singular are reported, not silently skipped;
-    their tangent entries are NaN.
+    Both ranges must be finite and nonempty.  Points where the rate is
+    singular are reported, not silently skipped; their tangent entries are
+    NaN.
     """
     (w1_lo, w1_hi), (w2_lo, w2_hi) = w1_range, w2_range
     n1, n2 = grid_counts
     if n1 < 2 or n2 < 2:
         raise DomainError("grid counts must be >= 2")
-    if not (w1_hi > w1_lo and w2_hi > w2_lo):
-        raise DomainError("ranges must be nonempty")
+    if not (-math.inf < w1_lo < w1_hi < math.inf and -math.inf < w2_lo < w2_hi < math.inf):
+        raise DomainError(f"ranges must be finite and nonempty, got w1 {w1_range}, "
+                          f"w2 {w2_range}")
     rhs = projectile_system(lambdas)
     w1 = np.linspace(w1_lo, w1_hi, n1)
     w2 = np.linspace(w2_lo, w2_hi, n2)

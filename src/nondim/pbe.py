@@ -132,10 +132,6 @@ class Grid:
     def from_vmax(cls, N: int, v_max: float) -> "Grid":
         return cls(N=N, h=v_max / N)
 
-    @property
-    def v_max(self) -> float:
-        return self.N * self.h
-
     def nodes(self) -> np.ndarray:
         return self.h * np.arange(self.N + 1)
 
@@ -208,29 +204,14 @@ def simpson_weights(upto: int, h: float) -> np.ndarray:
     if upto < 2:
         raise DomainError("quadrature needs at least 2 subintervals")
     w = np.zeros(upto + 1)
-    if upto % 2 == 0:
-        w[0] = w[upto] = h / 3.0
-        w[1:upto:2] = 4.0 * h / 3.0
-        w[2:upto:2] = 2.0 * h / 3.0
-    else:
-        head = upto - 3
-        if head >= 2:
-            w[0] = w[head] = h / 3.0
-            w[1:head:2] = 4.0 * h / 3.0
-            w[2:head:2] = 2.0 * h / 3.0
-        w[head] += 3.0 * h / 8.0
-        w[head + 1] += 9.0 * h / 8.0
-        w[head + 2] += 9.0 * h / 8.0
-        w[upto] += 3.0 * h / 8.0
+    head = upto - 3 * (upto % 2)
+    if head >= 2:
+        w[0] = w[head] = h / 3.0
+        w[1:head:2] = 4.0 * h / 3.0
+        w[2:head:2] = 2.0 * h / 3.0
+    if head < upto:
+        w[head:] += np.array([3.0, 9.0, 9.0, 3.0]) * h / 8.0
     return w
-
-
-def simpson_integral(values, h: float, upto: int | None = None) -> float:
-    """Integral of grid samples over [0, phi_upto] at fourth order."""
-    values = np.asarray(values, dtype=float)
-    if upto is None:
-        upto = values.size - 1
-    return float(simpson_weights(upto, h) @ values[: upto + 1])
 
 
 class GmocWorkspace:

@@ -15,7 +15,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from importlib import metadata
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .models import LATEX_LABELS, LatexConstants
 from .pbe import MIN_GRID_N, Grid, LatexCoefficients, SimulationReport
 from .scaling import EnumerationResult, Monomial, ScalingProblem, ScalingSolution
-from .scenarios import FULL_SIGMA_RULE, LatexScenario
+from .scenarios import FULL, LatexScenario
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -49,23 +49,10 @@ class RunManifest:
     config: dict
     out_dir: str
     seed: int
-    version: str = ""
-
-    def __post_init__(self):
-        if not self.version:
-            object.__setattr__(self, "version", _version())
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "version": self.version,
-        }
+    version: str = field(default_factory=_version)
 
     def header_line(self) -> str:
-        return "# manifest: " + json.dumps(self.as_dict(), sort_keys=True)
+        return "# manifest: " + json.dumps(asdict(self), sort_keys=True)
 
 
 def _slug(name: str) -> str:
@@ -74,6 +61,15 @@ def _slug(name: str) -> str:
 
 # ---------------------------------------------------------------------------
 # configuration loading
+
+
+def _read_yaml(path, kind: str):
+    """The YAML document at ``path``; :class:`ConfigError` if it will not read."""
+    try:
+        with open(path) as fh:
+            return yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
 def load_problem(path) -> ScalingProblem:
@@ -89,11 +85,7 @@ def load_problem(path) -> ScalingProblem:
     naming it; values outside the problem's domain raise
     :class:`DomainError`.
     """
-    try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
-    except (OSError, yaml.YAMLError) as exc:
-        raise ConfigError(f"cannot read problem file {path}: {exc}") from exc
+    data = _read_yaml(path, "problem")
     _check_keys(path, data, "", ("factors", "monomials"))
     factors = _list(path, "factors", data["factors"])
     monomials = []
@@ -162,7 +154,7 @@ def load_lambda_config(path) -> LatexScenario:
 
         lambdas: {a_m: float, ..., p_mat: float}   # the 19 by label
         constants: {Phi_s: float, Psi_bar: float, Psi_r: float}
-        sigma_c: float        # optional, defaults to lambdas[c] / 50
+        sigma_c: float        # optional, defaults to lambdas[c] / FULL["sigma_rule"]
         grid: {N: int, v_max: float}
         t_max: float
 
@@ -175,11 +167,7 @@ def load_lambda_config(path) -> LatexScenario:
     :class:`DomainError`, and so does a ``t_max`` outside (0, inf) once
     simulate() is given it.
     """
-    try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
-    except (OSError, yaml.YAMLError) as exc:
-        raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
+    data = _read_yaml(path, "scenario")
     _check_keys(path, data, "", ("lambdas", "constants", "grid", "t_max"),
                 ("sigma_c",))
     lambdas = _section(path, data, "lambdas", LATEX_LABELS)
@@ -191,7 +179,7 @@ def load_lambda_config(path) -> LatexScenario:
     v_max = grid_spec["v_max"]
     if not 0.0 < v_max < math.inf:
         raise ConfigError(f"{path}: grid.v_max must be > 0 and finite, got {v_max!r}")
-    sigma_c = _number(path, "sigma_c", data.get("sigma_c", lambdas["c"] / FULL_SIGMA_RULE))
+    sigma_c = _number(path, "sigma_c", data.get("sigma_c", lambdas["c"] / FULL["sigma_rule"]))
     coeffs = LatexCoefficients.from_labels(lambdas, LatexConstants(**constants), sigma_c)
     grid = Grid.from_vmax(n, v_max)
     t_max = _number(path, "t_max", data["t_max"])
@@ -307,7 +295,7 @@ def write_summary_json(path, payload: dict, manifest: RunManifest) -> None:
     """Run summary with the manifest embedded; keys sorted for stability."""
     document = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
-        "manifest": manifest.as_dict(),
+        "manifest": asdict(manifest),
         **payload,
     }
     with open(path, "w") as fh:

@@ -16,6 +16,11 @@ On coarser grids the lambda_c/50 source falls below grid resolution and
 the non-monotone fourth-order transport scheme answers with order-one
 oscillations, so a literal parameter-for-parameter shrink has no
 non-negative regime.
+
+Each window is one record, :data:`FULL` or :data:`DESK`, holding the node
+count, volume window, time horizon and Gaussian width divisor
+(sigma_c = lambda_c / sigma_rule); latex_scenario() takes from it every
+value it is not given.
 """
 
 from __future__ import annotations
@@ -27,17 +32,10 @@ from .models import LATEX_TEST_SUBSET, build_latex
 from .pbe import Grid, LatexCoefficients
 from .scaling import solve_euclidean, solve_subset
 
-#: Physical experiment window (volumes in L, time in s).
-FULL_V_WINDOW = 1.0e-16
-FULL_T_HORIZON = 450.0
-FULL_N = 1000
-FULL_SIGMA_RULE = 50.0
-
-#: Desk-scale window (see module docstring).
-DESK_V_WINDOW = 0.5e-16
-DESK_T_HORIZON = 250.0
-DESK_N = 200
-DESK_SIGMA_RULE = 10.0
+#: The paper's full-scale window and the desk-scale one (volumes in L, time
+#: in s; see the module docstring).
+FULL = dict(n_nodes=1000, v_window=1.0e-16, t_horizon=450.0, sigma_rule=50.0)
+DESK = dict(n_nodes=200, v_window=0.5e-16, t_horizon=250.0, sigma_rule=10.0)
 
 #: Fixed RK4 step count of both runs of :func:`matched_pair`.
 MATCHED_STEPS = 16000
@@ -65,8 +63,8 @@ def latex_scenario(
 
     The physical window (v_window in L, t_horizon in s) is converted into
     the chosen scaling's own units, so 'eucl' and 'test' scenarios with the
-    same window describe the same physical experiment.  Unset values fall
-    back to the desk-scale (default) or full-scale defaults.  The step
+    same window describe the same physical experiment.  Unset values come
+    from the :data:`DESK` (default) or :data:`FULL` record.  The step
     count is simulate()'s own argument.
     """
     problem, constants = build_latex()
@@ -76,21 +74,18 @@ def latex_scenario(
         solution = solve_subset(problem, LATEX_TEST_SUBSET)
     else:
         raise ConfigError(f"unknown theta selector {theta!r} (want 'eucl' or 'test')")
-    if n_nodes is None:
-        n_nodes = DESK_N if desk else FULL_N
-    if v_window is None:
-        v_window = DESK_V_WINDOW if desk else FULL_V_WINDOW
-    if t_horizon is None:
-        t_horizon = DESK_T_HORIZON if desk else FULL_T_HORIZON
-    if sigma_rule is None:
-        sigma_rule = DESK_SIGMA_RULE if desk else FULL_SIGMA_RULE
+    given = dict(n_nodes=n_nodes, v_window=v_window, t_horizon=t_horizon,
+                 sigma_rule=sigma_rule)
+    defaults = DESK if desk else FULL
+    window = {key: defaults[key] if value is None else value
+              for key, value in given.items()}
     lambdas = dict(zip(problem.labels, solution.lambdas))
     coeffs = LatexCoefficients.from_labels(
-        lambdas, constants, sigma_c=lambdas["c"] / sigma_rule
+        lambdas, constants, sigma_c=lambdas["c"] / window["sigma_rule"]
     )
     nu0, t0 = solution.theta[0], solution.theta[1]
-    grid = Grid.from_vmax(n_nodes, v_window / nu0)
-    return LatexScenario(theta, coeffs, grid, t_horizon / t0)
+    grid = Grid.from_vmax(window["n_nodes"], window["v_window"] / nu0)
+    return LatexScenario(theta, coeffs, grid, window["t_horizon"] / t0)
 
 
 def matched_pair() -> tuple[LatexScenario, LatexScenario]:
@@ -102,5 +97,5 @@ def matched_pair() -> tuple[LatexScenario, LatexScenario]:
     This is the smallest matched pair whose poorly-scaled grid can still
     see the nucleation site.
     """
-    kw = dict(n_nodes=300, v_window=0.7e-16, t_horizon=313.0, sigma_rule=DESK_SIGMA_RULE)
+    kw = dict(n_nodes=300, v_window=0.7e-16, t_horizon=313.0, sigma_rule=DESK["sigma_rule"])
     return latex_scenario("eucl", **kw), latex_scenario("test", **kw)

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from nondim.cli import main
-from nondim.scenarios import DESK_N, latex_scenario
+from nondim.scenarios import DESK, latex_scenario
 
 
 def read_csv(path):
@@ -151,19 +151,37 @@ class TestProjectile:
         assert len(rows) == 401
 
     def test_singular_flow_points_listed_but_exit_zero(self, runner, tmp_path):
+        # lambda2 = 1.568e-7 * x_c = 0.49999999999999994, so the pole
+        # 1 + lambda2 * w1 == 0 falls exactly on the lattice column
+        # w1 = -2.0000000000000004, once for each of the three w2 rows.
         result = runner.invoke(
             main, ["--out", str(tmp_path), "projectile", "--steps", "50",
-                   "--theta", "1.0", "1.0",
-                   "--flow-range", "-2.0", "0.0", "-1.0", "1.0",
-                   "--flow-grid", "5", "3"]
+                   "--theta", "1.0", "3189050.0",
+                   "--flow-range", "-2.0000000000000004", "0.0", "-1.0", "1.0",
+                   "--flow-grid", "2", "3"]
         )
         assert result.exit_code == 0, result.output
         with open(tmp_path / "projectile_summary.json") as fh:
             summary = json.load(fh)
-        # theta = (1,1) gives lambda2 = 1/R, pole at w1 = -R: off-lattice,
-        # so this lattice has no singular points; force one with the pole
-        # inside by construction instead.
-        assert summary["singular_flow_points"] == []
+        assert summary["singular_flow_points"] == [
+            [-2.0000000000000004, w2] for w2 in (-1.0, 0.0, 1.0)]
+        _, rows = read_csv(tmp_path / "projectile_flow.csv")
+        nan_rows = [r for r in rows if math.isnan(float(r["dw1"]))]
+        assert len(nan_rows) == 3
+        assert all(math.isnan(float(r["dw2"])) for r in nan_rows)
+
+    @pytest.mark.parametrize("args", [
+        ["--t-max", "inf", "--steps", "10"],
+        ["--t-max", "nan"],
+        ["--flow-range", "0", "inf", "-2", "2"],
+        ["--flow-range", "0", "nan", "-2", "2"],
+    ], ids=["t-max-inf", "t-max-nan", "flow-range-inf", "flow-range-nan"])
+    def test_non_finite_input_exits_64_before_writing(self, runner, tmp_path, args):
+        result = runner.invoke(main, ["--out", str(tmp_path), "projectile", *args])
+        assert result.exit_code == 64, result.output
+        assert "finite" in result.output
+        assert not (tmp_path / "projectile_summary.json").exists()
+        assert not list(tmp_path.iterdir())
 
 
 def no_nucleation_scenario():
@@ -320,7 +338,7 @@ class TestPbe:
         config = summary["manifest"]["config"]
         desk = latex_scenario("test")
         assert (config["N"], config["h"], config["t_max"]) == (
-            DESK_N, desk.grid.h, desk.t_max)
+            DESK["n_nodes"], desk.grid.h, desk.t_max)
         assert summary["max_m"] > 0
         assert summary["negative_minima"] is True
 
@@ -349,15 +367,17 @@ class TestPbe:
 
     def test_eucl_desk_small_grid_guard_failure_exits_4(self, runner, tmp_path):
         # An under-resolved grid breaks non-negativity under the optimal
-        # scaling, which is exactly what the guard exists to catch.
+        # scaling, which is exactly what the guard exists to catch: min m
+        # reaches -2.31e-6 against a final peak of 1.52e-3.
         result = runner.invoke(
             main, ["--out", str(tmp_path), "pbe", "--theta", "eucl",
                    "--nodes", "64", "--t-horizon", "120.0", "--steps", "3000"]
         )
-        assert result.exit_code in (0, 4)
+        assert result.exit_code == 4, result.output
         with open(tmp_path / "pbe_summary.json") as fh:
             summary = json.load(fh)
-        assert (result.exit_code == 4) == summary["negative_minima"]
+        assert summary["negative_minima"] is True
+        assert summary["settings"]["first_negative"] is not None
 
 
 class TestExitCodes:

@@ -40,6 +40,11 @@ class TestRk4:
         with pytest.raises(DomainError):
             rk4_integrate(lambda t, y: y, [1.0], 1.0, 1.0, 10)
 
+    @pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_non_finite_interval(self, t0, t1):
+        with pytest.raises(DomainError, match="finite"):
+            rk4_integrate(lambda t, y: y, [1.0], t0, t1, 10)
+
 
 class TestProjectileSystem:
     def test_singular_denominator_raises(self):
@@ -97,3 +102,10 @@ class TestFlowField:
     def test_range_validation(self):
         with pytest.raises(DomainError):
             flow_field([1.0, 1.0, 1.0], (1.0, 0.0), (0.0, 1.0), (3, 3))
+
+    @pytest.mark.parametrize("w1, w2", [((0.0, math.inf), (0.0, 1.0)),
+                                        ((0.0, 1.0), (-math.inf, 1.0))],
+                             ids=["w1-inf", "w2-inf"])
+    def test_non_finite_range(self, w1, w2):
+        with pytest.raises(DomainError, match="finite"):
+            flow_field([1.0, 1.0, 1.0], w1, w2, (3, 3))

@@ -13,7 +13,6 @@ from nondim.pbe import (
     LatexCoefficients,
     fd4_derivative,
     gaussian_delta,
-    simpson_integral,
     simpson_weights,
 )
 from nondim.runio import load_lambda_config
@@ -57,9 +56,24 @@ class TestSimpson:
     def test_exact_on_cubics_for_both_parities(self, upto):
         h = 0.7
         x = h * np.arange(upto + 1)
-        value = simpson_integral(x**3 - 2.0 * x + 1.0, h, upto)
+        value = simpson_weights(upto, h) @ (x**3 - 2.0 * x + 1.0)
         exact = (upto * h) ** 4 / 4 - (upto * h) ** 2 + upto * h
         assert value == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("h", [0.7, 1.0 / 3.0])
+    def test_odd_count_weights_exactly(self, h):
+        # Simpson on the first upto - 3 subintervals, the 3/8 rule on the
+        # last three, the two sharing node upto - 3.
+        third, four_thirds, two_thirds = h / 3.0, 4.0 * h / 3.0, 2.0 * h / 3.0
+        three_eighths, nine_eighths = 3.0 * h / 8.0, 9.0 * h / 8.0
+        tail = [nine_eighths, nine_eighths, three_eighths]
+        expected = {
+            3: [three_eighths] + tail,
+            5: [third, four_thirds, third + three_eighths] + tail,
+            7: [third, four_thirds, two_thirds, four_thirds, third + three_eighths] + tail,
+        }
+        for upto, weights in expected.items():
+            np.testing.assert_array_equal(simpson_weights(upto, h), weights)
 
     def test_weights_sum_to_interval_length(self):
         for upto in (2, 3, 6, 9):
@@ -68,7 +82,7 @@ class TestSimpson:
     def test_fourth_order_convergence(self):
         def err(n):
             h = 1.0 / n
-            return abs(simpson_integral(np.exp(h * np.arange(n + 1)), h) - (math.e - 1))
+            return abs(simpson_weights(n, h) @ np.exp(h * np.arange(n + 1)) - (math.e - 1))
 
         assert math.log2(err(41) / err(81)) > 3.7
 
@@ -81,13 +95,13 @@ class TestGaussianDelta:
     def test_unit_mass(self):
         h = 0.01
         v = h * np.arange(2001)
-        mass = simpson_integral(gaussian_delta(v, 10.0, 0.5), h)
+        mass = simpson_weights(2000, h) @ gaussian_delta(v, 10.0, 0.5)
         assert mass == pytest.approx(1.0, rel=1e-10)
 
     def test_mean_recovers_nucleation_volume(self):
         h = 0.01
         v = h * np.arange(2001)
-        mean = simpson_integral(v * gaussian_delta(v, 10.0, 0.5), h)
+        mean = simpson_weights(2000, h) @ (v * gaussian_delta(v, 10.0, 0.5))
         assert mean == pytest.approx(10.0, rel=1e-10)
 
     def test_width_must_be_positive(self):
@@ -168,8 +182,9 @@ class TestAggregation:
         z = (phi - a) / (b - a)
         dist = np.where((z > 0.0) & (z < 1.0), np.sin(np.pi * z) ** 4, 0.0)
         gain, loss = GmocWorkspace(unit_coeffs(), grid).aggregation(dist, 1.0)
-        net = simpson_integral(np.concatenate(([0.0], phi[1:] * (gain - loss))), grid.h)
-        lost = simpson_integral(np.concatenate(([0.0], phi[1:] * loss)), grid.h)
+        weights = simpson_weights(n, grid.h)
+        net = weights @ np.concatenate(([0.0], phi[1:] * (gain - loss)))
+        lost = weights @ np.concatenate(([0.0], phi[1:] * loss))
         assert abs(net) <= 1e-5 * lost
 
     def test_first_node_has_no_gain(self):
