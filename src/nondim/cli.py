@@ -7,10 +7,12 @@ Exit codes are stable contracts:
 * 2 — degenerate exponent structure (rank reported)
 * 3 — enumeration size exceeds the cap
 * 4 — non-negativity guard violated under the optimally-scaled preset:
-  ``pbe --theta eucl`` with min m or min w over the run below
-  -:data:`~nondim.pbe.NONNEG_TOL` times that distribution's final peak.
-  This is not the rule of the summary's ``settings.first_negative``,
-  which compares each step against the running peak.
+  ``pbe --theta eucl`` whose report holds
+  :attr:`~nondim.pbe.SimulationReport.negative_minima` (min m or min w
+  over the run below -:data:`~nondim.pbe.NONNEG_TOL` times that
+  distribution's final peak).  The summary's ``settings.first_negative``
+  applies another rule, each step against the running peak; both live
+  in :func:`nondim.pbe.simulate`.
 * 5 — solver state stopped being finite
 * 64 — malformed configuration or command line
 
@@ -19,6 +21,7 @@ Exit codes are stable contracts:
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -35,7 +38,7 @@ from .errors import (
     NonFiniteEvaluationError,
 )
 from .odes import flow_field, projectile_system, rk4_integrate
-from .pbe import NONNEG_TOL, simulate
+from .pbe import simulate
 from .scaling import (
     AnnealConfig,
     ScalingProblem,
@@ -164,19 +167,14 @@ def enumerate_cmd(obj, preset, q, cap):
     )
     path = obj["out"] / "enumeration.csv"
     runio.write_enumeration_csv(path, problem, result, manifest)
-    best_subset, best = result.best
-    worst_subset, worst = result.worst
     click.echo(f"candidate subsets : {result.total_subsets}")
     click.echo(f"solvable subsets  : {result.solvable_count}")
     click.echo(f"fraction r > 1e10 : {result.fraction_with_ratio_above(1e10):.4f}")
-    click.echo(f"best  r = {best.ratio:.6e}  subset "
-               + ",".join(problem.labels[c] for c in best_subset))
-    click.echo("       theta_m = "
-               + " ".join(f"{v:.6e}" for v in best.theta))
-    click.echo(f"worst r = {worst.ratio:.6e}  subset "
-               + ",".join(problem.labels[c] for c in worst_subset))
-    click.echo("       theta_M = "
-               + " ".join(f"{v:.6e}" for v in worst.theta))
+    for row, name, tag in ((0, "best ", "m"), (-1, "worst", "M")):
+        click.echo(f"{name} r = {result.ratio[row]:.6e}  subset "
+                   + ",".join(problem.labels[c] for c in result.subsets[row]))
+        click.echo(f"       theta_{tag} = "
+                   + " ".join(f"{v:.6e}" for v in 10.0 ** result.rho[row]))
     click.echo(f"wrote {path}")
 
 
@@ -195,8 +193,13 @@ def enumerate_cmd(obj, preset, q, cap):
 @click.pass_obj
 def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtrip):
     """Integrate the scaled throw and sample its phase-plane flow."""
+    if obj["config"] is not None:
+        raise ConfigError("projectile reads no --config file; drop --config")
+    if not 0.0 < t_max < math.inf:
+        raise DomainError(f"--t-max must be > 0 and finite, got {t_max!r}")
     problem = models.build_projectile()
     if theta:
+        method = None  # the manifest records that no solve chose theta
         theta = np.asarray(theta, dtype=float)
     else:
         theta = _solve(problem, method, seed=obj["seed"]).theta
@@ -299,16 +302,11 @@ def pbe(ctx, theta_sel, desk, nodes, steps, v_window, t_horizon, sigma_rule):
     runio.write_distributions_csv(out / "pbe_distributions.csv", grid, report, manifest)
     runio.write_diagnostics_csv(out / "pbe_diagnostics.csv", report, manifest)
 
-    max_m = float(max(report.final_m.max(), 0.0))
-    max_w = float(max(report.final_w.max(), 0.0))
-    negative_minima = (
-        report.min_m < -NONNEG_TOL * max_m or report.min_w < -NONNEG_TOL * max_w
-    )
     summary = {
         "theta": scenario.theta_tag,
         "min_m": report.min_m, "min_w": report.min_w,
-        "max_m": max_m, "max_w": max_w,
-        "negative_minima": bool(negative_minima),
+        "max_m": report.max_m, "max_w": report.max_w,
+        "negative_minima": report.negative_minima,
         "max_eps_m": report.max_eps_m, "max_eps_w": report.max_eps_w,
         "aborted": report.aborted,
         "settings": report.settings,
@@ -318,11 +316,11 @@ def pbe(ctx, theta_sel, desk, nodes, steps, v_window, t_horizon, sigma_rule):
     click.echo(f"max eps_m = {report.max_eps_m}  max eps_w = {report.max_eps_w}")
     if report.aborted:
         click.echo(f"early stop: {report.aborted}")
-    if negative_minima:
+    if report.negative_minima:
         click.echo("negative minima beyond tolerance")
     for name in ("pbe_distributions.csv", "pbe_diagnostics.csv", "pbe_summary.json"):
         click.echo(f"wrote {out / name}")
-    if negative_minima and scenario.theta_tag == "eucl":
+    if report.negative_minima and scenario.theta_tag == "eucl":
         sys.exit(EXIT_NONNEG)
 
 

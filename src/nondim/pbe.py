@@ -22,8 +22,7 @@ develops the negative oscillations the diagnostics here are built to expose.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,11 +31,14 @@ from .models import LatexConstants
 from .odes import rk4_step
 
 TRUNCATION_TOLERANCE = 1e-6
-#: A distribution is negative where it falls below -NONNEG_TOL times its
-#: running peak (the first such step is reported).
+#: A distribution is negative where it falls below -NONNEG_TOL times a peak:
+#: its final one for the report's verdict, its running one for the first
+#: negative step (see SimulationReport).
 NONNEG_TOL = 1e-8
 #: Adaptive runs sample at SAMPLES + 1 uniform times; see simulate() for fixed ones.
 SAMPLES = 100
+#: The sampled series of a run, in the order :func:`_sample` returns them.
+SERIES = ("V_mat", "V_cm", "V_cw", "Psi", "V_pol2", "F_m", "F_w")
 #: Stability limits of classical RK4 with fd4 transport: tau * max|g| / h
 #: (2 sqrt 2 over the peak 1.372 of the central stencil's symbol; the
 #: eigenvalues of the whole operator, boundary rows included, give 2.10 to
@@ -385,9 +387,18 @@ def _diagnose_nonfinite(dm, dw, aux) -> str:
     return "non-finite right-hand side: " + "; ".join(bad)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationReport:
-    """Sampled series, diagnostics, and final distributions of one run."""
+    """Sampled series, diagnostics, and final distributions of one run.
+
+    ``eps_m`` and ``eps_w`` are the :func:`error_series` of the two phases.
+    ``negative_minima`` is the verdict behind exit code 4: min m or min w
+    over the run (``min_m``, ``min_w``) below -NONNEG_TOL times that
+    distribution's final peak (``max_m``, ``max_w``, clamped at 0).
+    ``settings["first_negative"]`` applies a different rule: the first step
+    whose minimum falls below -NONNEG_TOL times the running peak.
+    ``aborted`` says why the run stopped early, or is None.
+    """
 
     times: np.ndarray
     V_mat: np.ndarray
@@ -397,14 +408,17 @@ class SimulationReport:
     V_pol2: np.ndarray
     F_m: np.ndarray
     F_w: np.ndarray
+    eps_m: np.ndarray | None
+    eps_w: np.ndarray | None
     min_m: float
     min_w: float
+    max_m: float
+    max_w: float
+    negative_minima: bool
     final_m: np.ndarray
     final_w: np.ndarray
     settings: dict
-    aborted: str | None = None
-    eps_m: np.ndarray | None = field(default=None)
-    eps_w: np.ndarray | None = field(default=None)
+    aborted: str | None
 
     @property
     def max_eps_m(self) -> float | None:
@@ -454,8 +468,8 @@ def simulate(
     Without, each step is :func:`stable_step` of the current state, cut to
     land exactly on the SAMPLES + 1 sample times t_max * i / SAMPLES.
 
-    Deterministic for identical inputs.  The run stops early (with a
-    warning recorded in the report) if the distribution support reaches the
+    Deterministic for identical inputs.  The run stops early, and says why
+    in the report's ``aborted``, if the distribution support reaches the
     upper grid boundary, where the truncated aggregation integral stops
     being a valid approximation.
     """
@@ -488,8 +502,11 @@ def simulate(
         target = sample_times[len(samples)]
         if steps is None:
             tau = min(stable_step(ws, y), target - t)
+            # A step cut to the target lands on it even where t + tau rounds below.
+            lands = tau == target - t or t + tau >= target
         else:
             tau = fixed_tau
+            lands = taken + 1 == sample_steps[len(samples)]
         y = rk4_step(rhs, t, y, tau)
         taken += 1
         if not np.all(np.isfinite(y)):
@@ -497,11 +514,6 @@ def simulate(
                 f"state overflow after step {taken}", step=taken, state=y
             )
         tau_min, tau_max = min(tau_min, tau), max(tau_max, tau)
-        if steps is None:
-            # A step cut to the target lands on it even where t + tau rounds below.
-            lands = tau == target - t or t + tau >= target
-        else:
-            lands = taken == sample_steps[len(samples)]
         t = target if lands else t + tau
         if lands:
             samples.append(_sample(ws, y))
@@ -521,18 +533,20 @@ def simulate(
                 f"support reached the grid boundary at step {taken}: "
                 f"m_N = {m[n]:.3e} vs max(m) = {high[0]:.3e}"
             )
-            warnings.warn(aborted, RuntimeWarning, stacklevel=2)
             break
 
-    series = np.array(samples)  # (S, 7)
-    final, _ = split_state(y, n)
-    report = SimulationReport(
-        times=sample_times[: len(samples)],
-        V_mat=series[:, 0], V_cm=series[:, 1], V_cw=series[:, 2],
-        Psi=series[:, 3], V_pol2=series[:, 4],
-        F_m=series[:, 5], F_w=series[:, 6],
-        min_m=float(minima[0]), min_w=float(minima[1]),
-        final_m=final[0].copy(), final_w=final[1].copy(),
+    times = sample_times[: len(samples)]
+    series = dict(zip(SERIES, np.array(samples).T))
+    final_m, final_w = split_state(y, n)[0].copy()
+    min_m, min_w = float(minima[0]), float(minima[1])
+    max_m, max_w = float(max(final_m.max(), 0.0)), float(max(final_w.max(), 0.0))
+    return SimulationReport(
+        times=times, **series,
+        eps_m=error_series(times, series["V_cm"], series["F_m"]),
+        eps_w=error_series(times, series["V_cw"], series["F_w"]),
+        min_m=min_m, min_w=min_w, max_m=max_m, max_w=max_w,
+        negative_minima=min_m < -NONNEG_TOL * max_m or min_w < -NONNEG_TOL * max_w,
+        final_m=final_m, final_w=final_w,
         settings={
             "N": n, "h": grid.h, "t_max": t_max, "steps": taken,
             "sigma_c": coeffs.sigma_c, "lam_c": coeffs.lam_c,
@@ -541,8 +555,6 @@ def simulate(
         },
         aborted=aborted,
     )
-    report.eps_m, report.eps_w = error_series(report)
-    return report
 
 
 def _sample(ws: GmocWorkspace, y: np.ndarray) -> list[float]:
@@ -569,14 +581,12 @@ def _time_integral(times: np.ndarray, values: np.ndarray) -> float:
     return total
 
 
-def error_series(report: SimulationReport) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Moment-consistency errors for both phases.
+def error_series(times: np.ndarray, v_c: np.ndarray, f: np.ndarray) -> np.ndarray | None:
+    """Moment-consistency error of one phase sampled at ``times``.
 
-    eps(t) = |V_c(t) - F(t)| normalized by the L2 norm in time of V_c.  A
-    zero denominator (nothing ever nucleated) reports the series as absent.
+    eps(t) = |V_c(t) - F(t)| normalized by the L2 norm in time of the
+    cluster volume V_c.  A zero denominator (nothing ever nucleated) gives
+    None, the series' absence.
     """
-    out = []
-    for v_c, f in ((report.V_cm, report.F_m), (report.V_cw, report.F_w)):
-        denom = math.sqrt(_time_integral(report.times, v_c**2))
-        out.append(None if denom == 0.0 else np.abs(v_c - f) / denom)
-    return out[0], out[1]
+    denom = math.sqrt(_time_integral(times, v_c**2))
+    return None if denom == 0.0 else np.abs(v_c - f) / denom

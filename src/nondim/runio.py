@@ -15,16 +15,16 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from importlib import metadata
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import yaml
 
+from . import __version__
 from .errors import ConfigError
 from .models import LATEX_LABELS, LatexConstants
-from .pbe import MIN_GRID_N, Grid, LatexCoefficients, SimulationReport
+from .pbe import MIN_GRID_N, SERIES, Grid, LatexCoefficients, SimulationReport
 from .scaling import EnumerationResult, Monomial, ScalingProblem, ScalingSolution
 from .scenarios import FULL, LatexScenario
 
@@ -32,13 +32,6 @@ SUMMARY_SCHEMA_VERSION = 1
 
 #: Values of a CSV column formatted at a time.
 CSV_CHUNK = 1024
-
-
-def _version() -> str:
-    try:
-        return metadata.version("nondim")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,7 @@ class RunManifest:
     config: dict
     out_dir: str
     seed: int
-    version: str = field(default_factory=_version)
+    version: str = __version__
 
     def header_line(self) -> str:
         return "# manifest: " + json.dumps(asdict(self), sort_keys=True)
@@ -278,16 +271,13 @@ def write_distributions_csv(path, grid, report: SimulationReport, manifest: RunM
 
 
 def write_diagnostics_csv(path, report: SimulationReport, manifest: RunManifest) -> None:
-    """Sampled auxiliary scalars, first moments, and error series."""
+    """Sampled series (:data:`~nondim.pbe.SERIES`) and error series, nan
+    where an error series is absent."""
     nan = np.full(len(report.times), np.nan)
     _write_csv(
-        path, manifest,
-        ["t", "V_mat", "V_cm", "V_cw", "Psi", "V_pol2",
-         "F_m", "F_w", "eps_m", "eps_w"],
-        [report.times, report.V_mat, report.V_cm, report.V_cw,
-         report.Psi, report.V_pol2, report.F_m, report.F_w,
-         nan if report.eps_m is None else report.eps_m,
-         nan if report.eps_w is None else report.eps_w],
+        path, manifest, ["t", *SERIES, "eps_m", "eps_w"],
+        [report.times, *(getattr(report, name) for name in SERIES),
+         *(nan if eps is None else eps for eps in (report.eps_m, report.eps_w))],
     )
 
 

@@ -326,16 +326,16 @@ def anneal_minimize(
     return _solution(problem, best_rho, kind, f"anneal-{kind}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnumerationResult:
     """All solvable traditional-scaling subsets, sorted ascending by ratio.
 
     Row ``i`` of ``subsets`` (0-based coefficient indices), ``rho``
     (log10 of the factors), ``cost`` and ``ratio`` describes one subset;
-    equal ratios keep the subsets in lexicographic order.
+    equal ratios keep the subsets in lexicographic order, so row 0 is the
+    best subset and row -1 the worst.
     """
 
-    problem: ScalingProblem
     subsets: np.ndarray
     rho: np.ndarray
     cost: np.ndarray
@@ -345,26 +345,6 @@ class EnumerationResult:
     @property
     def solvable_count(self) -> int:
         return len(self.ratio)
-
-    def _row(self, i: int) -> tuple[tuple[int, ...], ScalingSolution]:
-        subset = tuple(int(c) for c in self.subsets[i])
-        rho = self.rho[i]
-        return subset, ScalingSolution(
-            theta=10.0**rho,
-            lambdas=10.0 ** (_log_residuals(self.problem)(rho) + self.problem.targets()),
-            cost=float(self.cost[i]),
-            ratio=float(self.ratio[i]),
-            method_tag="subset:" + ",".join(str(c) for c in subset),
-        )
-
-    @property
-    def best(self) -> tuple[tuple[int, ...], ScalingSolution]:
-        """The subset whose coefficient ratio is smallest."""
-        return self._row(0)
-
-    @property
-    def worst(self) -> tuple[tuple[int, ...], ScalingSolution]:
-        return self._row(-1)
 
     def fraction_with_ratio_above(self, threshold: float) -> float:
         return float(np.mean(self.ratio > threshold))
@@ -407,6 +387,6 @@ def enumerate_traditional(problem: ScalingProblem, cap: int = 10**6) -> Enumerat
     # breaks ties by subset.
     order = np.argsort(ratios, kind="stable")
     return EnumerationResult(
-        problem=problem, subsets=subsets[order], rho=rhos[order],
-        cost=costs[order], ratio=ratios[order], total_subsets=count,
+        subsets=subsets[order], rho=rhos[order], cost=costs[order],
+        ratio=ratios[order], total_subsets=count,
     )

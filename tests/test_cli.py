@@ -5,6 +5,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+import nondim
 from nondim.cli import main
 from nondim.scenarios import DESK, latex_scenario
 
@@ -43,6 +44,14 @@ class TestScale:
         row = rows[0]
         assert float(row["theta_t_c"]) == pytest.approx(math.sqrt(6.3781e6 / 9.8), rel=1e-10)
         assert float(row["lambda_lambda1"]) == pytest.approx(6.813, rel=1e-3)
+
+    def test_manifest_version_is_the_package_version(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "scale", "--preset", "projectile"]
+        )
+        assert result.exit_code == 0, result.output
+        manifest, _ = read_csv(tmp_path / "scale_solution.csv")
+        assert manifest["version"] == nondim.__version__
 
     def test_ldg_reaches_target_coefficients(self, runner, tmp_path):
         result = runner.invoke(
@@ -170,18 +179,38 @@ class TestProjectile:
         assert len(nan_rows) == 3
         assert all(math.isnan(float(r["dw2"])) for r in nan_rows)
 
-    @pytest.mark.parametrize("args", [
-        ["--t-max", "inf", "--steps", "10"],
-        ["--t-max", "nan"],
-        ["--flow-range", "0", "inf", "-2", "2"],
-        ["--flow-range", "0", "nan", "-2", "2"],
-    ], ids=["t-max-inf", "t-max-nan", "flow-range-inf", "flow-range-nan"])
-    def test_non_finite_input_exits_64_before_writing(self, runner, tmp_path, args):
-        result = runner.invoke(main, ["--out", str(tmp_path), "projectile", *args])
+    @pytest.mark.parametrize("args, message", [
+        (["projectile", "--t-max", "inf", "--steps", "10"],
+         "--t-max must be > 0 and finite, got inf"),
+        (["projectile", "--t-max", "nan"], "--t-max must be > 0 and finite, got nan"),
+        (["projectile", "--t-max", "-1"], "--t-max must be > 0 and finite, got -1.0"),
+        (["projectile", "--flow-range", "0", "inf", "-2", "2"],
+         "ranges must be finite and nonempty"),
+        (["projectile", "--flow-range", "0", "nan", "-2", "2"],
+         "ranges must be finite and nonempty"),
+        (["--config", "/nonexistent.yaml", "projectile"],
+         "projectile reads no --config file"),
+    ], ids=["t-max-inf", "t-max-nan", "t-max-negative", "flow-range-inf",
+            "flow-range-nan", "group-config"])
+    def test_non_finite_input_exits_64_before_writing(self, runner, tmp_path, args, message):
+        result = runner.invoke(main, ["--out", str(tmp_path), *args])
         assert result.exit_code == 64, result.output
-        assert "finite" in result.output
-        assert not (tmp_path / "projectile_summary.json").exists()
+        assert f"error: {message}" in result.output
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args, method", [
+        ([], "euclid"),
+        (["--theta", "1", "1"], None),
+    ], ids=["method", "theta"])
+    def test_manifest_records_how_theta_was_chosen(self, runner, tmp_path, args, method):
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "projectile", "--steps", "50", *args])
+        assert result.exit_code == 0, result.output
+        for name in ("projectile_trajectory.csv", "projectile_flow.csv"):
+            manifest, _ = read_csv(tmp_path / name)
+            assert manifest["config"]["method"] == method
+        with open(tmp_path / "projectile_summary.json") as fh:
+            assert json.load(fh)["manifest"]["config"]["method"] == method
 
 
 def no_nucleation_scenario():

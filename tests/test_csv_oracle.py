@@ -77,7 +77,7 @@ def test_enumeration_csv(tmp_path, n):
     rng = np.random.default_rng(n)
     prob = problem()
     result = EnumerationResult(
-        problem=prob, subsets=rng.integers(0, 3, size=(n, 2)),
+        subsets=rng.integers(0, 3, size=(n, 2)),
         rho=rng.uniform(-400, 400, size=(n, 2)), cost=values(rng, n),
         ratio=values(rng, n), total_subsets=3,
     )

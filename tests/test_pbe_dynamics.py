@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,14 +132,16 @@ class TestSimulate:
         assert np.array_equal(a.V_cm, b.V_cm)
         assert a.min_m == b.min_m
 
-    def test_truncation_guard_warns_and_stops_early(self):
+    def test_truncation_guard_stops_early_without_warning(self):
         # A grid far smaller than where the dynamics want to go: mass
-        # reaches the last node and the run must stop with a warning.
+        # reaches the last node and the run must stop, saying so in the
+        # report alone.
         scenario = latex_scenario("eucl", n_nodes=16, v_window=0.05e-16,
                                   t_horizon=250.0)
-        with pytest.warns(RuntimeWarning, match="support reached the grid boundary"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
-        assert report.aborted is not None
+        assert report.aborted.startswith("support reached the grid boundary at step ")
         assert report.times[-1] < scenario.t_max
 
     def test_overflowing_dynamics_raise_nonfinite(self):
@@ -277,6 +281,7 @@ class TestErrorSeries:
     def test_recompute_matches_report(self):
         scenario = latex_scenario("eucl", n_nodes=32)
         report = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 200)
-        eps_m, eps_w = error_series(report)
-        np.testing.assert_array_equal(eps_m, report.eps_m)
-        np.testing.assert_array_equal(eps_w, report.eps_w)
+        np.testing.assert_array_equal(
+            error_series(report.times, report.V_cm, report.F_m), report.eps_m)
+        np.testing.assert_array_equal(
+            error_series(report.times, report.V_cw, report.F_w), report.eps_w)

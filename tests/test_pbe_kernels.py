@@ -19,15 +19,35 @@ from nondim.runio import load_lambda_config
 
 
 def unit_coeffs(**overrides):
-    values = dict.fromkeys(
-        ("lam_a_m", "lam_a_w", "lam_d", "lam_p", "lam_n", "lam_c",
-         "lam_mu_m", "lam_mu_w", "lam_dm_mat", "lam_dw_mat", "lam_s_m",
-         "lam_s_mat", "lam_pol1_pol2", "lam_pol1_mat", "lam_p_m", "lam_p_w",
-         "lam_p_pol2", "lam_p_pol1", "lam_p_mat"), 1.0,
-    )
+    values = {f"lam_{label}": 1.0 for label in LATEX_LABELS}
     values.update(Phi_s=1e-3, Psi_bar=1.0, Psi_r=1.05, sigma_c=0.02)
     values.update(overrides)
     return LatexCoefficients(**values)
+
+
+def direct_aggregation(grid, dist, pref):
+    """(gain, loss) at nodes 1..N as direct sums, the reference for
+    :meth:`GmocWorkspace.aggregation`.
+
+    The gain at node k sums over its own Simpson row on [0, phi_k] (the 3/8
+    rule closing an odd row) with the open-interval endpoints j = 0 and
+    j = k dropped; the loss sums over the full grid without the origin.
+    Every node adds its terms one at a time in order of j, as a loop over j
+    inside a loop over k would; the loop over k is vectorized.
+    """
+    n, h = grid.N, grid.h
+    phi = grid.nodes()
+    c = np.array([0.0] + [p ** (-1 / 3) for p in phi[1:]])
+    rows = np.zeros((n + 1, n + 1))  # row k: the Simpson weights on [0, phi_k]
+    for k in range(2, n + 1):
+        rows[k, :k + 1] = simpson_weights(k, h)
+    full_w = rows[n]
+    gain, loss = np.zeros(n + 1), np.zeros(n + 1)
+    for j in range(1, n + 1):
+        loss[1:] += full_w[j] * pref * (c[1:] + c[j]) * dist[j]
+        k = np.arange(j + 1, n + 1)
+        gain[k] += rows[k, j] * pref * (c[k - j] + c[j]) * dist[k - j] * dist[j]
+    return 0.5 * gain[1:], dist[1:] * loss[1:]
 
 
 class TestFd4:
@@ -123,26 +143,7 @@ class TestAggregation:
         psi = float(rng.uniform(0.1, 1.5))
         pref = coeffs.lam_a_m * (psi + 1.0) ** (14.0 / 3.0)
         gain, loss = GmocWorkspace(coeffs, grid).aggregation(dist, pref)
-
-        phi = grid.nodes()
-        full_w = simpson_weights(n, h)
-        expected_gain = np.zeros(n)
-        expected_loss = np.zeros(n)
-        for k in range(1, n + 1):
-            acc = 0.0
-            for j in range(1, n + 1):
-                acc += full_w[j] * pref * (
-                    phi[k] ** (-1 / 3) + phi[j] ** (-1 / 3)
-                ) * dist[j]
-            expected_loss[k - 1] = dist[k] * acc
-            if k >= 2:
-                row = simpson_weights(k, h)
-                acc = 0.0
-                for j in range(1, k):
-                    acc += row[j] * pref * (
-                        phi[k - j] ** (-1 / 3) + phi[j] ** (-1 / 3)
-                    ) * dist[k - j] * dist[j]
-                expected_gain[k - 1] = 0.5 * acc
+        expected_gain, expected_loss = direct_aggregation(grid, dist, pref)
         assert gain == pytest.approx(expected_gain, rel=1e-12, abs=1e-12)
         assert loss == pytest.approx(expected_loss, rel=1e-12, abs=1e-12)
 
@@ -156,16 +157,7 @@ class TestAggregation:
         dist = 10.0 ** (-250.0 * np.arange(n + 1) / n)
         pref = 1.7
         gain, _ = GmocWorkspace(unit_coeffs(), grid).aggregation(dist, pref)
-
-        phi = grid.nodes()
-        expected = np.zeros(n)
-        for k in range(2, n + 1):
-            j = np.arange(1, k)
-            row = simpson_weights(k, h)[1:k]
-            expected[k - 1] = 0.5 * pref * np.sum(
-                row * (phi[k - j] ** (-1 / 3) + phi[j] ** (-1 / 3))
-                * dist[k - j] * dist[j]
-            )
+        expected, _ = direct_aggregation(grid, dist, pref)
         assert gain[0] == 0.0
         assert np.max(np.abs(gain[1:] / expected[1:] - 1.0)) <= 1e-12
 

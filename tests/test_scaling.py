@@ -210,10 +210,6 @@ class TestEnumeration:
             single = solve_subset(problem, subset)
             assert single.theta == pytest.approx(10.0**direct, rel=1e-12)
             assert single.lambdas == pytest.approx(lambdas, rel=1e-12)
-        best_subset, best = result.best
-        assert best.lambdas == pytest.approx(
-            solve_subset(problem, best_subset).lambdas, rel=1e-12)
-        assert best.ratio == result.ratio[0]
 
     @pytest.mark.parametrize("build, chunks", [
         (build_schrodinger, (1, 3)),

@@ -9,6 +9,8 @@ cost re-evaluated at its factors and max(lambda) / min(lambda) of its
 coefficients.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from nondim.scaling import (
     ScalingProblem,
     anneal_minimize,
     enumerate_traditional,
+    eval_coefficients,
     evaluate_cost,
     solve_euclidean,
     solve_subset,
@@ -118,6 +121,9 @@ class TestReportedFigures:
         assert_self_consistent(problem, sol, kind)
 
     def test_enumeration_best_and_worst(self, pair, enumerations):
-        problem = pair[0]
-        for _, sol in (enumerations[0].best, enumerations[0].worst):
+        problem, survey = pair[0], enumerations[0]
+        for row in (0, -1):
+            theta = 10.0 ** survey.rho[row]
+            sol = SimpleNamespace(theta=theta, lambdas=eval_coefficients(problem, theta),
+                                  cost=survey.cost[row], ratio=survey.ratio[row])
             assert_self_consistent(problem, sol, "euclid")
