@@ -397,7 +397,10 @@ class SimulationReport:
     distribution's final peak (``max_m``, ``max_w``, clamped at 0).
     ``settings["first_negative"]`` applies a different rule: the first step
     whose minimum falls below -NONNEG_TOL times the running peak.
-    ``aborted`` says why the run stopped early, or is None.
+    ``settings["lam_c_over_h"]`` and ``settings["sigma_c_over_h"]`` give
+    the nucleation Gaussian's centre and width in grid spacings; a centre
+    above N lies outside the volume window.  ``aborted`` says why the run
+    stopped early, or is None.
     """
 
     times: np.ndarray
@@ -550,6 +553,7 @@ def simulate(
         settings={
             "N": n, "h": grid.h, "t_max": t_max, "steps": taken,
             "sigma_c": coeffs.sigma_c, "lam_c": coeffs.lam_c,
+            "lam_c_over_h": coeffs.lam_c / grid.h, "sigma_c_over_h": coeffs.sigma_c / grid.h,
             "tau_min": float(tau_min), "tau_max": float(tau_max),
             "first_negative": first_negative,
         },

@@ -15,6 +15,7 @@ import csv
 import itertools
 import json
 import math
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -75,8 +76,9 @@ def load_problem(path) -> ScalingProblem:
           - {label: str, kappa: float, exponents: [float, ...], target: 0.0}
 
     A missing, unknown or non-numeric key raises :class:`ConfigError`
-    naming it; values outside the problem's domain raise
-    :class:`DomainError`.
+    naming it; values outside the problem's domain, a non-finite kappa,
+    exponent or target among them, raise :class:`DomainError` naming the
+    monomial and the field.
     """
     data = _read_yaml(path, "problem")
     _check_keys(path, data, "", ("factors", "monomials"))
@@ -183,8 +185,22 @@ def load_lambda_config(path) -> LatexScenario:
 # artifact writers
 
 
+#: Characters that make ``csv.writer``'s default dialect quote a cell.
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _quote(cell: str) -> str:
+    """``cell`` as ``csv.writer``'s default dialect (QUOTE_MINIMAL) writes it:
+    quoted, with its quotes doubled, if it holds a :data:`_CSV_SPECIAL`
+    character, else as given."""
+    if _CSV_SPECIAL.search(cell) is None:
+        return cell
+    return '"' + cell.replace('"', '""') + '"'
+
+
 def _cells(column):
-    """A column's cells: ``repr(float(v))`` for a float array, strings as given.
+    """A column's cells: ``repr(float(v))`` for a float array, which never
+    needs quoting, and each string of any other iterable through :func:`_quote`.
 
     An array's distinct values, told apart by bit pattern (so ``-0.0`` and
     ``0.0`` stay distinct, and every nan of one pattern is formatted once),
@@ -192,7 +208,7 @@ def _cells(column):
     a time from that table.
     """
     if not isinstance(column, np.ndarray):
-        return column
+        return map(_quote, column)
     column = np.ascontiguousarray(column, dtype=float)
     bits, index = np.unique(column.view(np.uint64), return_inverse=True)
     text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
@@ -206,12 +222,14 @@ def _write_csv(path, manifest: RunManifest, header, columns) -> None:
     """Manifest line, header, then one row per entry of the columns.
 
     A column is a float array or an iterable of strings (see :func:`_cells`).
+    The header goes through ``csv.writer``; each row is its cells joined by
+    ``,`` and ended by ``\\r\\n``, which is what ``csv.writer`` writes for
+    them, since :func:`_cells` already quotes the cells that need it.
     """
     with open(path, "w", newline="") as fh:
         fh.write(manifest.header_line() + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*map(_cells, columns)))
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*map(_cells, columns)))
 
 
 def write_solution_csv(

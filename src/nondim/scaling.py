@@ -19,7 +19,6 @@ Solvers provided:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +48,9 @@ class Monomial:
     """One dimensionless coefficient: kappa * prod_j theta_j**exponents[j].
 
     ``target`` is the desired order of magnitude (base-10 log) for this
-    coefficient, 0 by default.
+    coefficient, 0 by default.  ``kappa`` must be positive and finite, and
+    the exponents and ``target`` finite; :class:`DomainError` names the
+    field that is not.
     """
 
     label: str
@@ -58,9 +59,15 @@ class Monomial:
     target: float = 0.0
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise DomainError(f"monomial {self.label!r}: kappa must be > 0")
+        if not 0 < self.kappa < math.inf:
+            raise DomainError(
+                f"monomial {self.label!r}: kappa must be > 0 and finite, got {self.kappa!r}")
         object.__setattr__(self, "exponents", tuple(float(a) for a in self.exponents))
+        fields = [(f"exponents[{j}]", a) for j, a in enumerate(self.exponents)]
+        for name, value in fields + [("target", self.target)]:
+            if not math.isfinite(value):
+                raise DomainError(
+                    f"monomial {self.label!r}: {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -350,14 +357,39 @@ class EnumerationResult:
         return float(np.mean(self.ratio > threshold))
 
 
+def subset_table(n: int, k: int) -> np.ndarray:
+    """All k-subsets of ``range(n)`` as a (C(n, k), k) table, one per row,
+    in the lexicographic order of :func:`itertools.combinations`.
+
+    Entries have the smallest unsigned dtype that holds n - 1.  The table
+    for size r holds the r-subsets of {k - r, ..., n - 1}, the last r
+    elements of every k-subset: those starting with i are i before the
+    last C(n - i - 1, r - 1) rows of the table for size r - 1.  Each
+    table has C(n - k + r, r) <= C(n, k) rows, so no step builds one
+    larger than the result.
+    """
+    dtype = np.min_scalar_type(n - 1)
+    table = np.arange(k - 1, n, dtype=dtype)[:, None]
+    for r in range(2, k + 1):
+        blocks = []
+        for i in range(k - r, n - r + 1):
+            count = math.comb(n - i - 1, r - 1)
+            blocks.append(np.column_stack(
+                (np.full(count, i, dtype=dtype), table[len(table) - count:])))
+        table = np.concatenate(blocks)
+    return table
+
+
 def enumerate_traditional(problem: ScalingProblem, cap: int = 10**6) -> EnumerationResult:
     """Survey every choice of N_x coefficients forced to 1.
 
-    Iterates all C(N_d, N_x) subsets, discards the ones whose exponent
-    submatrix has |det| <= 1e-12, and sorts the solvable ones by the ratio
-    of their realized coefficients.  Subsets are solved in vectorized
-    batches of :data:`ENUMERATION_CHUNK`; the results do not depend on
-    batching.
+    Builds all C(N_d, N_x) subsets as one :func:`subset_table`, at most
+    cap x N_x x itemsize bytes (one byte per entry for up to 256
+    coefficients), discards the subsets whose exponent submatrix has
+    |det| <= 1e-12, and sorts the solvable ones by the ratio of their
+    realized coefficients.  Subsets are solved in vectorized slices of
+    :data:`ENUMERATION_CHUNK` rows of the table; the results do not depend
+    on the slicing.
     """
     n_x, n_d = problem.n_factors, problem.n_coefficients
     if n_d <= n_x:
@@ -371,20 +403,17 @@ def enumerate_traditional(problem: ScalingProblem, cap: int = 10**6) -> Enumerat
     forced = targets - problem.log_kappas()  # A rho on the chosen rows
     residuals = _log_residuals(problem)
     cost = _cost("euclid")
-    parts = [(np.empty((0, n_x), dtype=int), np.empty((0, n_x)), np.empty(0), np.empty(0))]
-
-    combos = itertools.combinations(range(n_d), n_x)
-    while True:
-        idx = np.array(list(itertools.islice(combos, ENUMERATION_CHUNK)), dtype=int)  # (B, N_x)
-        if idx.size == 0:
-            break
+    table = subset_table(n_d, n_x)
+    parts = []
+    for start in range(0, count, ENUMERATION_CHUNK):
+        idx = table[start:start + ENUMERATION_CHUNK]  # (B, N_x)
         _, solvable, rhos = _solve_subsets(A, forced, idx)
         res = residuals(rhos)
         parts.append((idx[solvable], rhos, cost(res), _ratio(res + targets)))
 
     subsets, rhos, costs, ratios = (np.concatenate(p) for p in zip(*parts))
-    # Combinations arrive in lexicographic order, so a stable sort by ratio
-    # breaks ties by subset.
+    # The table is in lexicographic order, so a stable sort by ratio breaks
+    # ties by subset.
     order = np.argsort(ratios, kind="stable")
     return EnumerationResult(
         subsets=subsets[order], rho=rhos[order], cost=costs[order],

@@ -145,6 +145,26 @@ class TestEnumerate:
         assert "75582" in result.output
 
 
+@pytest.mark.parametrize("command", [
+    ["scale"], ["enumerate"], ["scale", "--method", "anneal-max", "--max-evals", "100"],
+], ids=["scale", "enumerate", "anneal-max"])
+@pytest.mark.parametrize("old, new, field", [
+    ("kappa: 3.0", "kappa: .inf", "kappa"),
+    ("kappa: 3.0", "kappa: 1e400", "kappa"),
+    ("exponents: [1]}", "exponents: [.nan]}", "exponents[0]"),
+    ("exponents: [1]}", "exponents: [1], target: -.inf}", "target"),
+], ids=["inf-kappa", "overflowing-kappa", "nan-exponent", "inf-target"])
+def test_non_finite_problem_value_exits_64_before_writing(
+        runner, tmp_path, command, old, new, field):
+    config = tmp_path / "problem.yaml"
+    config.write_text(PROBLEM.replace(old, new, 1))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out", str(out), "--config", str(config), *command])
+    assert result.exit_code == 64, result.output
+    assert f"monomial 'l1': {field} must be" in result.output
+    assert not any(out.iterdir())
+
+
 class TestProjectile:
     def test_run_with_roundtrip(self, runner, tmp_path):
         result = runner.invoke(

@@ -5,7 +5,8 @@ rows built here one row at a time, with every number written as
 ``repr(float(v))``.  The values include nan, +-inf, 0.0, -0.0, the smallest
 subnormal and the largest double; one label holds a comma and a quote; the
 row counts straddle the writers' chunk, patched small; and one column
-repeats 0.0, -0.0 and nan over several chunks.
+repeats 0.0, -0.0 and nan over several chunks.  Labels and method tags
+drawn from csv's special characters check the writers' own quoting.
 """
 
 import csv
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nondim import runio
 from nondim.odes import FlowField
@@ -48,46 +50,71 @@ def expected(header, rows):
     return buf.getvalue().encode()
 
 
-def problem():
-    return ScalingProblem(("f a[x]", "g"), (
-        Monomial('l,"q', 1.0, (1.0, 0.0)),
-        Monomial("m", 2.0, (0.0, 1.0)),
-        Monomial("n", 3.0, (1.0, 1.0)),
+def problem(labels=('l,"q', "m", "n")):
+    return ScalingProblem(("f a[x]", "g"), tuple(
+        Monomial(label, kappa, exponents) for label, kappa, exponents in zip(
+            labels, (1.0, 2.0, 3.0), ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
     ))
 
 
-@pytest.mark.parametrize("n", ROW_COUNTS)
-def test_solution_csv(tmp_path, n):
-    rng = np.random.default_rng(n)
-    prob = problem()
+def solution_csv(path, prob, tags, rng):
+    """The solution CSV of one random solution per method tag, and its oracle."""
     solutions = [
         ScalingSolution(theta=values(rng, 2), lambdas=values(rng, 3),
-                        cost=float(c), ratio=float(r), method_tag=f'x,"{i}')
-        for i, (c, r) in enumerate(values(rng, n, 2))
+                        cost=float(c), ratio=float(r), method_tag=tag)
+        for tag, (c, r) in zip(tags, values(rng, len(tags), 2))
     ]
-    runio.write_solution_csv(tmp_path / "s.csv", prob, solutions, MANIFEST)
+    runio.write_solution_csv(path, prob, solutions, MANIFEST)
     header = ["method", "cost", "ratio", "theta_f_a", "theta_g",
-              'lambda_l,"q', "lambda_m", "lambda_n"]
+              *(f"lambda_{label}" for label in prob.labels)]
     rows = [[s.method_tag, s.cost, s.ratio, *s.theta, *s.lambdas] for s in solutions]
-    assert (tmp_path / "s.csv").read_bytes() == expected(header, rows)
+    return path.read_bytes(), expected(header, rows)
 
 
-@pytest.mark.parametrize("n", ROW_COUNTS)
-def test_enumeration_csv(tmp_path, n):
-    rng = np.random.default_rng(n)
-    prob = problem()
+def enumeration_csv(path, prob, n, rng):
+    """The enumeration CSV of ``n`` random rows, and its oracle."""
     result = EnumerationResult(
         subsets=rng.integers(0, 3, size=(n, 2)),
         rho=rng.uniform(-400, 400, size=(n, 2)), cost=values(rng, n),
         ratio=values(rng, n), total_subsets=3,
     )
     with np.errstate(over="ignore"):  # rho beyond 308 decades writes inf
-        runio.write_enumeration_csv(tmp_path / "e.csv", prob, result, MANIFEST)
+        runio.write_enumeration_csv(path, prob, result, MANIFEST)
         rows = [[";".join(prob.labels[c] for c in subset), ratio, cost, *10.0**rho]
                 for subset, ratio, cost, rho in zip(
                     result.subsets, result.ratio, result.cost, result.rho)]
     header = ["subset", "ratio", "cost", "theta_f_a", "theta_g"]
-    assert (tmp_path / "e.csv").read_bytes() == expected(header, rows)
+    return path.read_bytes(), expected(header, rows)
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_solution_csv(tmp_path, n):
+    tags = [f'x,"{i}' for i in range(n)]
+    written, expect = solution_csv(tmp_path / "s.csv", problem(), tags, np.random.default_rng(n))
+    assert written == expect
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_enumeration_csv(tmp_path, n):
+    written, expect = enumeration_csv(tmp_path / "e.csv", problem(), n, np.random.default_rng(n))
+    assert written == expect
+
+
+#: Cell text from csv's special characters, near misses and a non-ASCII letter.
+CELLS = st.text(alphabet='a,"\r\n ;\t\u00e9', max_size=8)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(labels=st.lists(CELLS, min_size=3, max_size=3),
+       tags=st.lists(CELLS, max_size=CHUNK + 1))
+def test_string_cells_are_quoted_as_csv_writer_quotes_them(tmp_path, labels, tags):
+    prob = problem(labels)
+    rng = np.random.default_rng(len(tags))
+    written, expect = solution_csv(tmp_path / "s.csv", prob, tags, rng)
+    assert written == expect
+    written, expect = enumeration_csv(tmp_path / "e.csv", prob, len(tags), rng)
+    assert written == expect
 
 
 @pytest.mark.parametrize("n", ROW_COUNTS)

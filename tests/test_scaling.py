@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from nondim.scaling import (
     evaluate_cost,
     solve_euclidean,
     solve_subset,
+    subset_table,
 )
 
 
@@ -210,6 +212,13 @@ class TestEnumeration:
             single = solve_subset(problem, subset)
             assert single.theta == pytest.approx(10.0**direct, rel=1e-12)
             assert single.lambdas == pytest.approx(lambdas, rel=1e-12)
+
+    def test_subset_table_is_combinations(self):
+        for n, k in [(n, k) for n in range(1, 13) for k in range(1, n + 1)] + [(19, 8)]:
+            table = subset_table(n, k)
+            reference = np.array(list(itertools.combinations(range(n), k)))
+            np.testing.assert_array_equal(table, reference, err_msg=f"C({n}, {k})")
+            assert table.dtype == np.min_scalar_type(n - 1)
 
     @pytest.mark.parametrize("build, chunks", [
         (build_schrodinger, (1, 3)),
