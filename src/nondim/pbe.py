@@ -12,7 +12,9 @@ weights of each product add to 2h in an odd row and depend only on the
 parity of the node in an even row.  One correlation of the full arrays and
 one of their odd-index halves, each computing just the N+1 (or N/2) outputs
 kept, give every row, plus an O(N) correction for the 3/8-rule tail of odd
-rows.  The grid workspace is O(N).
+rows.  The gain is summed at an exact power-of-two scale that lifts
+products which would underflow, so only values below about 1e-300 differ
+from an unscaled sum.  The grid workspace is O(N).
 
 The point-mass nucleation source is regularized as a narrow Gaussian of
 width ``sigma_c``; when the grid cannot resolve that width the solution
@@ -216,6 +218,13 @@ def simpson_weights(upto: int, h: float) -> np.ndarray:
     return w
 
 
+def _cache_aligned(size: int) -> np.ndarray:
+    """Zeros of length ``size`` that start on a 64-byte boundary."""
+    buf = np.zeros(size + 7)
+    start = -buf.ctypes.data % 64 // buf.itemsize
+    return buf[start:start + size]
+
+
 class GmocWorkspace:
     """Grid-dependent precomputations for the semi-discrete right-hand side."""
 
@@ -245,20 +254,39 @@ class GmocWorkspace:
         self.gain_parity = np.full(n + 1, 2.0 * grid.h / 3.0)
         self.gain_parity[1::2] = grid.h
         # The row of an odd k ends in the 3/8 rule on nodes k-3, k-2, k-1
-        # (and k).  tail_weights[i - 1] is the weight correction at j = k - i
-        # times the kernel factor phi_i^(-1/3) + phi_{k-i}^(-1/3), over the
-        # odd k >= 3.  The corrections are those of any odd k >= 5; at k = 3
-        # node k - 3 is the origin, where the term vanishes anyway.
+        # (and k).  tail_weights[i - 1] is half the weight correction at
+        # j = k - i (the 1/2 of the gain) times the kernel factor
+        # phi_i^(-1/3) + phi_{k-i}^(-1/3), over the odd k >= 3, and
+        # tail_index[i - 1] holds those k - i.  The corrections are those of
+        # any odd k >= 5; at k = 3 node k - 3 is the origin, where the term
+        # vanishes anyway.
         odd = np.arange(3, n + 1, 2)
         parity = np.array([2.0 * grid.h / 3.0, 4.0 * grid.h / 3.0, 2.0 * grid.h / 3.0])
-        delta = simpson_weights(5, grid.h)[4:1:-1] - parity
+        delta = 0.5 * (simpson_weights(5, grid.h)[4:1:-1] - parity)
         self.tail_weights = np.array([
             delta[i - 1] * (inv_cbrt[i] + inv_cbrt[odd - i]) for i in (1, 2, 3)
         ])
+        self.tail_index = odd - np.array([[1], [2], [3]])
+        # For |d| <= P every intermediate of the gain stays below P^2 bound:
+        # the correlation sums (S + T at even k) below 2(N+1) max(c) P^2,
+        # then the parity weights (at most h) and the tail add.
+        corr = 2.0 * (n + 1) * inv_cbrt[1]
+        bound = max(corr, corr * grid.h + np.abs(self.tail_weights).sum(axis=0).max())
+        #: Binary exponent that sum(d^2) may reach once aggregation() has
+        #: scaled d: every intermediate of the gain then stays below 2^1000.
+        self.gain_headroom = 1000 - math.frexp(bound)[1]
         # Zero-padded operands of the truncated correlations: the padding
-        # stays zero, aggregation() writes c * d behind it.
+        # stays zero, aggregation() writes c * d (all of it, and its
+        # odd-index half) into the views behind it.
         self._pad = np.zeros(2 * n + 1)
         self._pad_odd = np.zeros(2 * ((n + 1) // 2) - 1)
+        self._cd = self._pad[n:]
+        self._cd_odd = self._pad_odd[(n + 1) // 2 - 1:]
+        # The other operands, the scaled d reversed and its odd-index half,
+        # start on a cache line: np.correlate's dot products run fastest
+        # there (at N = 1000 about a fifth faster than at other alignments).
+        self._r = _cache_aligned(n + 1)
+        self._r_odd = _cache_aligned((n + 1) // 2)
         self.moment0_weights = simpson_weights(n, grid.h)
         self.surface_integrand = nodes ** (2.0 / 3.0)
         self.surface_weights = self.moment0_weights * self.surface_integrand
@@ -282,22 +310,35 @@ class GmocWorkspace:
         odd-index halves, at a quarter of the cost.  Each output is its own
         direct sum (no FFT), so each node's rounding error stays relative to
         that node's own terms.
+
+        The gain is summed on d * 2^s, and prefactor * 2^(-2s) takes the
+        scale out.  s >= 0 is as large as keeps every intermediate below
+        about 2^1000 and prefactor * 2^(-2s) normal.  Scaling by a power of
+        two is exact, so an output differs from the unscaled sum only where
+        one of its products would fall below 2^-1022 unscaled; there it is
+        closer to the exact sum.  In practice only values below about 1e-300
+        change.
         """
         n = self.grid.N
-        d = dist.copy()
-        d[0] = 0.0
-        cd = np.multiply(self.inv_cbrt, d, out=self._pad[n:])
-        gain = np.correlate(self._pad, d[::-1])
-        half = d[1::2]
-        self._pad_odd[half.size - 1:] = cd[1::2]
-        gain[2::2] += np.correlate(self._pad_odd, half[::-1])[: n // 2]
+        # s keeps 2^(2s) sum(d^2) below 2^gain_headroom.  frexp gives a sum
+        # that underflowed to 0 the exponent 0, which still bounds it; an
+        # overflowed sum, or a NaN, leaves d unscaled.
+        squares = np.dot(dist, dist)
+        room = self.gain_headroom - math.frexp(squares)[1] if squares < math.inf else 0
+        s = max(0, min(room, math.frexp(prefactor)[1] + 1021) // 2)
+        r = np.multiply(dist[::-1], 2.0 ** s, out=self._r)
+        r[n] = 0.0
+        d = r[::-1]
+        cd = np.multiply(self.inv_cbrt, d, out=self._cd)
+        gain = np.correlate(self._pad, r)
+        self._cd_odd[:] = cd[1::2]
+        self._r_odd[:] = r[(n + 1) % 2::2]
+        gain[2::2] += np.correlate(self._pad_odd, self._r_odd)[: n // 2]
         gain *= self.gain_parity
-        # Odd k = 3, 5, ...: d[k - 1], d[k - 2], d[k - 3] as strided views.
-        t1, t2, t3 = self.tail_weights
-        gain[3::2] += 0.5 * (t1 * d[1] * d[2:-1:2] + t2 * d[2] * d[1:-2:2]
-                             + t3 * d[3] * d[:-3:2])
-        gain *= prefactor
-        s0, s1 = self.loss_weights @ dist
+        # Odd k = 3, 5, ...: the sum over i = 1, 2, 3 of t_i d_i d_(k-i).
+        gain[3::2] += np.add.reduce(self.tail_weights * d[1:4, None] * d[self.tail_index])
+        gain *= math.ldexp(prefactor, -2 * s)
+        s0, s1 = np.dot(self.loss_weights, dist)
         loss = prefactor * dist * (self.inv_cbrt * s0 + s1)
         return gain[1:], loss[1:]
 

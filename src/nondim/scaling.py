@@ -72,7 +72,12 @@ class Monomial:
 
 @dataclass(frozen=True)
 class ScalingProblem:
-    """A set of monomial coefficients over named positive scaling factors."""
+    """A set of monomial coefficients over named positive scaling factors.
+
+    Monomial labels are unique and hold no ``;``, which joins the labels of
+    a forced subset in the enumeration's output; :class:`DomainError` names
+    a label that breaks either rule.
+    """
 
     factor_names: tuple[str, ...]
     monomials: tuple[Monomial, ...]
@@ -84,7 +89,15 @@ class ScalingProblem:
             raise DomainError("need at least one factor and one monomial")
         if len(set(self.factor_names)) != len(self.factor_names):
             raise DomainError("factor names must be unique")
+        seen = set()
         for mono in self.monomials:
+            if ";" in mono.label:
+                raise DomainError(
+                    f"monomial label {mono.label!r} holds ';', which joins the "
+                    "labels of a forced subset")
+            if mono.label in seen:
+                raise DomainError(f"monomial label {mono.label!r} is not unique")
+            seen.add(mono.label)
             if len(mono.exponents) != len(self.factor_names):
                 raise DomainError(
                     f"monomial {mono.label!r}: expected "

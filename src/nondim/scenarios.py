@@ -25,9 +25,10 @@ value it is not given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .models import LATEX_TEST_SUBSET, build_latex
 from .pbe import Grid, LatexCoefficients
 from .scaling import solve_euclidean, solve_subset
@@ -65,8 +66,21 @@ def latex_scenario(
     the chosen scaling's own units, so 'eucl' and 'test' scenarios with the
     same window describe the same physical experiment.  Unset values come
     from the :data:`DESK` (default) or :data:`FULL` record.  The step
-    count is simulate()'s own argument.
+    count is simulate()'s own argument.  A v_window, t_horizon or
+    sigma_rule that is not > 0 and finite raises :class:`DomainError`
+    naming the option that sets it and the value it got.
     """
+    given = dict(n_nodes=n_nodes, v_window=v_window, t_horizon=t_horizon,
+                 sigma_rule=sigma_rule)
+    defaults = DESK if desk else FULL
+    window = {key: defaults[key] if value is None else value
+              for key, value in given.items()}
+    for key, scaled in (("v_window", "grid spacing h"), ("t_horizon", "t_max"),
+                        ("sigma_rule", "sigma_c")):
+        if not 0 < window[key] < math.inf:
+            option = "--" + key.replace("_", "-")
+            raise DomainError(f"{scaled} must be > 0 and finite, "
+                              f"got {option} {window[key]!r}")
     problem, constants = build_latex()
     if theta == "eucl":
         solution = solve_euclidean(problem)
@@ -74,11 +88,6 @@ def latex_scenario(
         solution = solve_subset(problem, LATEX_TEST_SUBSET)
     else:
         raise ConfigError(f"unknown theta selector {theta!r} (want 'eucl' or 'test')")
-    given = dict(n_nodes=n_nodes, v_window=v_window, t_horizon=t_horizon,
-                 sigma_rule=sigma_rule)
-    defaults = DESK if desk else FULL
-    window = {key: defaults[key] if value is None else value
-              for key, value in given.items()}
     lambdas = dict(zip(problem.labels, solution.lambdas))
     coeffs = LatexCoefficients.from_labels(
         lambdas, constants, sigma_c=lambdas["c"] / window["sigma_rule"]

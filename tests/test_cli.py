@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -162,6 +163,24 @@ def test_non_finite_problem_value_exits_64_before_writing(
     result = runner.invoke(main, ["--out", str(out), "--config", str(config), *command])
     assert result.exit_code == 64, result.output
     assert f"monomial 'l1': {field} must be" in result.output
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [["scale"], ["enumerate"]], ids=["scale", "enumerate"])
+@pytest.mark.parametrize("labels, named", [
+    (("x;y", "x", "z"), "'x;y' holds ';'"),
+    (("l1", "l2", "l1"), "'l1' is not unique"),
+], ids=["semicolon", "duplicate"])
+def test_ambiguous_label_exits_64_before_writing(runner, tmp_path, command, labels, named):
+    # A forced subset is written as its labels joined by ';'.
+    config = tmp_path / "problem.yaml"
+    config.write_text("factors: [a]\nmonomials:\n" + "".join(
+        f"  - {{label: '{label}', kappa: {i + 2}.0, exponents: [{(-1) ** i}]}}\n"
+        for i, label in enumerate(labels)))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["--out", str(out), "--config", str(config), *command])
+    assert result.exit_code == 64, result.output
+    assert f"monomial label {named}" in result.output
     assert not any(out.iterdir())
 
 
@@ -375,6 +394,22 @@ class TestPbe:
         )
         assert result.exit_code == 64, result.output
         assert named in result.output
+        assert not (tmp_path / "pbe_summary.json").exists()
+
+    @pytest.mark.parametrize("option, value, named", [
+        ("--sigma-rule", "0", "sigma_c must be > 0 and finite, got --sigma-rule 0.0"),
+        ("--sigma-rule", "-2", "sigma_c must be > 0 and finite, got --sigma-rule -2.0"),
+        ("--v-window", "0", "grid spacing h must be > 0 and finite, got --v-window 0.0"),
+        ("--t-horizon", "nan", "t_max must be > 0 and finite, got --t-horizon nan"),
+    ])
+    def test_window_option_out_of_domain_exits_64_without_warning(
+            self, runner, tmp_path, option, value, named):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["--out", str(tmp_path), "pbe", option, value])
+        assert result.exit_code == 64, result.output
+        assert named in result.output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "pbe_summary.json").exists()
 
     def test_bare_theta_test_runs_the_desk_window(self, runner, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def unit_coeffs(**overrides):
     return LatexCoefficients(**values)
 
 
-def direct_aggregation(grid, dist, pref):
+def direct_aggregation(grid, dist, pref, exact=False):
     """(gain, loss) at nodes 1..N as direct sums, the reference for
     :meth:`GmocWorkspace.aggregation`.
 
@@ -33,7 +34,9 @@ def direct_aggregation(grid, dist, pref):
     rule closing an odd row) with the open-interval endpoints j = 0 and
     j = k dropped; the loss sums over the full grid without the origin.
     Every node adds its terms one at a time in order of j, as a loop over j
-    inside a loop over k would; the loop over k is vectorized.
+    inside a loop over k would; the loop over k is vectorized.  With
+    ``exact`` every float that enters becomes a :class:`Fraction`, so the
+    sums are the exact ones of these inputs, with nothing rounded.
     """
     n, h = grid.N, grid.h
     phi = grid.nodes()
@@ -41,13 +44,18 @@ def direct_aggregation(grid, dist, pref):
     rows = np.zeros((n + 1, n + 1))  # row k: the Simpson weights on [0, phi_k]
     for k in range(2, n + 1):
         rows[k, :k + 1] = simpson_weights(k, h)
+    half = 0.5
+    if exact:
+        rational = np.vectorize(Fraction, otypes=[object])
+        c, rows, dist = rational(c), rational(rows), rational(dist)
+        pref, half = Fraction(pref), Fraction(1, 2)
     full_w = rows[n]
-    gain, loss = np.zeros(n + 1), np.zeros(n + 1)
+    gain, loss = np.zeros(n + 1, dtype=c.dtype), np.zeros(n + 1, dtype=c.dtype)
     for j in range(1, n + 1):
         loss[1:] += full_w[j] * pref * (c[1:] + c[j]) * dist[j]
         k = np.arange(j + 1, n + 1)
         gain[k] += rows[k, j] * pref * (c[k - j] + c[j]) * dist[k - j] * dist[j]
-    return 0.5 * gain[1:], dist[1:] * loss[1:]
+    return half * gain[1:], dist[1:] * loss[1:]
 
 
 class TestFd4:
@@ -178,6 +186,85 @@ class TestAggregation:
         net = weights @ np.concatenate(([0.0], phi[1:] * (gain - loss)))
         lost = weights @ np.concatenate(([0.0], phi[1:] * loss))
         assert abs(net) <= 1e-5 * lost
+
+    def test_gain_where_products_underflow(self):
+        # |d| falls from 1e-6 to 1e-320 with alternating sign, so the products
+        # of a row k all have the sign (-1)^k and many fall below 2^-1022.
+        # Where the exact gain is normal it must hold its relative accuracy,
+        # though unscaled its sum would lose the bits of a subnormal.
+        n = 64
+        grid = Grid(n, 0.37)
+        rng = np.random.default_rng(5)
+        decades = np.clip(-6.0 - 314.0 * np.arange(n + 1) / n + rng.uniform(-3, 3, n + 1),
+                          -320.0, -6.0)
+        dist = (-1.0) ** np.arange(n + 1) * 10.0 ** decades
+        dist[0] = 0.0
+        pref = 1e9
+        gain, _ = GmocWorkspace(unit_coeffs(), grid).aggregation(dist, pref)
+        exact, _ = direct_aggregation(grid, dist, pref, exact=True)
+        tiny = Fraction(2.0 ** -1022)
+        normal = np.array([abs(e) >= tiny for e in exact])
+        assert 10 < normal.sum() < n  # both kinds of node are tested
+        rel = [abs(Fraction(g) / e - 1) for g, e in zip(gain[normal], exact[normal])]
+        assert max(rel) <= 1e-14
+        assert all(abs(Fraction(g) - e) < n * tiny
+                   for g, e in zip(gain[~normal], exact[~normal]))
+
+    @pytest.mark.parametrize("k", [-400, -37, 5, 300])
+    def test_power_of_two_equivariance(self, k):
+        # Products of |d| in [2^-401, 2^302] neither underflow nor overflow,
+        # so scaling d by 2^k scales gain and loss by exactly 2^(2k).
+        grid = Grid(40, 0.3)
+        dist = np.random.default_rng(1).uniform(0.5, 2.0, 41) * (-1.0) ** np.arange(41)
+        dist[0] = 0.0
+        ws = GmocWorkspace(unit_coeffs(), grid)
+        gain, loss = ws.aggregation(dist, 1.7)
+        gain_k, loss_k = ws.aggregation(np.ldexp(dist, k), 1.7)
+        np.testing.assert_array_equal(gain_k, np.ldexp(gain, 2 * k))
+        np.testing.assert_array_equal(loss_k, np.ldexp(loss, 2 * k))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # the loss at n - 3
+    def test_large_peak_is_not_scaled_into_overflow(self):
+        # A 1e300 node pairs only with nodes of order 1 below N, so its gain
+        # is finite; scaling d up would overflow it.
+        n = 40
+        grid = Grid(n, 0.37)
+        dist = np.random.default_rng(2).uniform(0.5, 2.0, n + 1)
+        dist[0] = 0.0
+        dist[n - 3] = 1e300
+        gain, _ = GmocWorkspace(unit_coeffs(), grid).aggregation(dist, 1.7)
+        expected, _ = direct_aggregation(grid, dist, 1.7)
+        assert np.all(np.isfinite(gain))
+        assert gain == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("h", [1e-10, 1e10, 1e20])
+    def test_extreme_spacing_keeps_the_scaled_gain_finite(self, h):
+        # The scale leaves room for the weights: the kernel factor h^(-1/3)
+        # and the parity weights up to h, at 1e20 far more than the 2^24
+        # that the scale keeps in reserve.
+        n = 40
+        grid = Grid(n, h)
+        dist = np.random.default_rng(3).uniform(0.5, 2.0, n + 1) * (-1.0) ** np.arange(n + 1)
+        dist[0] = 0.0
+        gain, loss = GmocWorkspace(unit_coeffs(), grid).aggregation(dist, 1.0)
+        expected_gain, expected_loss = direct_aggregation(grid, dist, 1.0)
+        assert np.all(np.isfinite(gain))
+        assert gain == pytest.approx(expected_gain, rel=1e-12, abs=0.0)
+        assert loss == pytest.approx(expected_loss, rel=1e-12, abs=0.0)
+
+    def test_tiny_prefactor_keeps_the_gain_normal(self):
+        # The scale comes out through the prefactor, which must stay normal.
+        grid = Grid(40, 0.37)
+        dist = np.random.default_rng(4).uniform(0.5, 2.0, 41)
+        dist[0] = 0.0
+        gain, _ = GmocWorkspace(unit_coeffs(), grid).aggregation(dist, 1e-290)
+        expected, _ = direct_aggregation(grid, dist, 1e-290)
+        assert gain == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_zero_distribution_gives_exact_zeros(self):
+        gain, loss = GmocWorkspace(unit_coeffs(), Grid(40, 0.37)).aggregation(np.zeros(41), 1.7)
+        np.testing.assert_array_equal(gain, np.zeros(40))
+        np.testing.assert_array_equal(loss, np.zeros(40))
 
     def test_first_node_has_no_gain(self):
         dist = np.ones(9)
