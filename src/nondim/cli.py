@@ -8,11 +8,9 @@ Exit codes are stable contracts:
 * 3 — enumeration size exceeds the cap
 * 4 — non-negativity guard violated under the optimally-scaled preset:
   ``pbe --theta eucl`` whose report holds
-  :attr:`~nondim.pbe.SimulationReport.negative_minima` (min m or min w
-  over the run below -:data:`~nondim.pbe.NONNEG_TOL` times that
-  distribution's final peak).  The summary's ``settings.first_negative``
-  applies another rule, each step against the running peak; both live
-  in :func:`nondim.pbe.simulate`.
+  :attr:`~nondim.pbe.SimulationReport.negative_minima`, that is, whose
+  summary names a ``settings.first_negative`` step (m or w below
+  -:data:`~nondim.pbe.NONNEG_TOL` times that distribution's final peak).
 * 5 — solver state stopped being finite
 * 64 — malformed configuration or command line
 

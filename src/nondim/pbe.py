@@ -24,6 +24,7 @@ develops the negative oscillations the diagnostics here are built to expose.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,9 +34,8 @@ from .models import LatexConstants
 from .odes import rk4_step
 
 TRUNCATION_TOLERANCE = 1e-6
-#: A distribution is negative where it falls below -NONNEG_TOL times a peak:
-#: its final one for the report's verdict, its running one for the first
-#: negative step (see SimulationReport).
+#: A distribution is negative where it falls below -NONNEG_TOL times its
+#: final peak (see SimulationReport).
 NONNEG_TOL = 1e-8
 #: Adaptive runs sample at SAMPLES + 1 uniform times; see simulate() for fixed ones.
 SAMPLES = 100
@@ -53,6 +53,14 @@ RK4_REAL_LIMIT = 2.785
 #: run, at 1.5 w drifts by 2.4e-5.
 COURANT = 1.0
 MIN_GRID_N = 8  # the five-point stencils need nodes 0..4 and N-4..N apart
+#: Largest node count a Grid accepts.  A run holds about 300 bytes per node:
+#: GmocWorkspace keeps 16.5 float arrays of N + 1 (the padded correlation
+#: operands and the (3, N/2) tail tables among them, 132 bytes), and an RK4
+#: step adds 21 more (the packed state, k1..k3, the stage argument and the
+#: right-hand side's temporaries, 168 bytes); tracemalloc measures 301 at
+#: N = 4000 and 10,000.  So the largest grid needs about 300 MB, and a
+#: larger one is refused before anything is allocated.
+MAX_GRID_N = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -129,6 +137,9 @@ class Grid:
     def __post_init__(self):
         if self.N < MIN_GRID_N:
             raise DomainError(f"grid needs N >= {MIN_GRID_N} (five-point stencils)")
+        if self.N > MAX_GRID_N:
+            raise DomainError(f"grid needs N <= {MAX_GRID_N} (about 300 bytes a node), "
+                              f"got {self.N}")
         if not 0 < self.h < math.inf:
             raise DomainError(f"grid spacing h must be > 0 and finite, got {self.h!r}")
 
@@ -433,11 +444,11 @@ class SimulationReport:
     """Sampled series, diagnostics, and final distributions of one run.
 
     ``eps_m`` and ``eps_w`` are the :func:`error_series` of the two phases.
-    ``negative_minima`` is the verdict behind exit code 4: min m or min w
-    over the run (``min_m``, ``min_w``) below -NONNEG_TOL times that
-    distribution's final peak (``max_m``, ``max_w``, clamped at 0).
-    ``settings["first_negative"]`` applies a different rule: the first step
-    whose minimum falls below -NONNEG_TOL times the running peak.
+    ``settings["first_negative"]`` is the first step at which m or w falls
+    below -NONNEG_TOL times that distribution's final peak (``max_m``,
+    ``max_w``, clamped at 0), or None; ``negative_minima``, the verdict
+    behind exit code 4, says whether there is one.  ``min_m`` and ``min_w``
+    are the minima over the run.
     ``settings["lam_c_over_h"]`` and ``settings["sigma_c_over_h"]`` give
     the nucleation Gaussian's centre and width in grid spacings; a centre
     above N lies outside the volume window.  ``aborted`` says why the run
@@ -539,8 +550,11 @@ def simulate(
     t = 0.0
     taken = 0
     tau_min, tau_max = math.inf, 0.0
-    minima, peaks = np.zeros(2), np.zeros(2)  # running min and max of m and w
-    first_negative = None
+    min_m = min_w = 0.0
+    # The first step below a floor lowers a running minimum, so the steps
+    # that do hold it: six numbers each, step, t, min m, min w, argmin m
+    # and argmin w.
+    dips = array("d")
     aborted = None
     while len(samples) < len(sample_times):
         target = sample_times[len(samples)]
@@ -562,34 +576,37 @@ def simulate(
         if lands:
             samples.append(_sample(ws, y))
         dists, _ = split_state(y, n)
-        low, high = dists.min(axis=1), dists.max(axis=1)
-        minima = np.minimum(minima, low)
-        peaks = np.maximum(peaks, high)
-        negative = low < -NONNEG_TOL * peaks
-        if first_negative is None and negative.any():
-            which = int(np.argmax(negative))
-            first_negative = {"step": taken, "time": float(t),
-                              "distribution": "mw"[which],
-                              "node": int(np.argmin(dists[which]))}
+        lows = dists.min(axis=1).tolist()
+        if lows[0] < min_m or lows[1] < min_w:
+            min_m, min_w = min(min_m, lows[0]), min(min_w, lows[1])
+            dips.extend([taken, t, *lows, *dists.argmin(axis=1).tolist()])
         m = dists[0]
-        if high[0] > 0 and m[n] > TRUNCATION_TOLERANCE * high[0]:
+        high = m.max()
+        if high > 0 and m[n] > TRUNCATION_TOLERANCE * high:
             aborted = (
                 f"support reached the grid boundary at step {taken}: "
-                f"m_N = {m[n]:.3e} vs max(m) = {high[0]:.3e}"
+                f"m_N = {m[n]:.3e} vs max(m) = {high:.3e}"
             )
             break
 
     times = sample_times[: len(samples)]
     series = dict(zip(SERIES, np.array(samples).T))
     final_m, final_w = split_state(y, n)[0].copy()
-    min_m, min_w = float(minima[0]), float(minima[1])
     max_m, max_w = float(max(final_m.max(), 0.0)), float(max(final_w.max(), 0.0))
+    rows = np.reshape(dips, (-1, 6))
+    below = rows[:, 2:4] < [-NONNEG_TOL * max_m, -NONNEG_TOL * max_w]
+    first_negative = None
+    if below.any():
+        k = int(np.argmax(below.any(axis=1)))
+        which = int(np.argmax(below[k]))
+        first_negative = {"step": int(rows[k, 0]), "time": float(rows[k, 1]),
+                          "distribution": "mw"[which], "node": int(rows[k, 4 + which])}
     return SimulationReport(
         times=times, **series,
         eps_m=error_series(times, series["V_cm"], series["F_m"]),
         eps_w=error_series(times, series["V_cw"], series["F_w"]),
         min_m=min_m, min_w=min_w, max_m=max_m, max_w=max_w,
-        negative_minima=min_m < -NONNEG_TOL * max_m or min_w < -NONNEG_TOL * max_w,
+        negative_minima=first_negative is not None,
         final_m=final_m, final_w=final_w,
         settings={
             "N": n, "h": grid.h, "t_max": t_max, "steps": taken,

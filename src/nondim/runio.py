@@ -11,7 +11,6 @@ byte-identical payloads.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -25,7 +24,7 @@ import yaml
 from . import __version__
 from .errors import ConfigError
 from .models import LATEX_LABELS, LatexConstants
-from .pbe import MIN_GRID_N, SERIES, Grid, LatexCoefficients, SimulationReport
+from .pbe import MAX_GRID_N, MIN_GRID_N, SERIES, Grid, LatexCoefficients, SimulationReport
 from .scaling import EnumerationResult, Monomial, ScalingProblem, ScalingSolution
 from .scenarios import FULL, LatexScenario
 
@@ -155,10 +154,10 @@ def load_lambda_config(path) -> LatexScenario:
 
     Returns a :class:`LatexScenario` tagged ``"explicit"``; the file fixes
     no step count, which is the caller's to give.  A missing, unknown or
-    non-numeric key, a ``grid.N`` that is not an integer or is below 8, or
-    a ``grid.v_max`` that is not positive and finite raises
-    :class:`ConfigError` naming it; coefficients outside the model's
-    domain, non-finite ones and ``sigma_c <= 0`` among them, raise
+    non-numeric key, a ``grid.N`` that is not an integer or lies outside
+    [MIN_GRID_N, MAX_GRID_N], or a ``grid.v_max`` that is not positive and
+    finite raises :class:`ConfigError` naming it; coefficients outside the
+    model's domain, non-finite ones and ``sigma_c <= 0`` among them, raise
     :class:`DomainError`, and so does a ``t_max`` outside (0, inf) once
     simulate() is given it.
     """
@@ -169,8 +168,8 @@ def load_lambda_config(path) -> LatexScenario:
     constants = _section(path, data, "constants", ("Phi_s", "Psi_bar", "Psi_r"))
     grid_spec = _section(path, data, "grid", ("N", "v_max"))
     n = _integer(path, "grid.N", grid_spec["N"])
-    if n < MIN_GRID_N:
-        raise ConfigError(f"{path}: grid.N must be >= {MIN_GRID_N}, got {n}")
+    if not MIN_GRID_N <= n <= MAX_GRID_N:
+        raise ConfigError(f"{path}: grid.N must be in [{MIN_GRID_N}, {MAX_GRID_N}], got {n}")
     v_max = grid_spec["v_max"]
     if not 0.0 < v_max < math.inf:
         raise ConfigError(f"{path}: grid.v_max must be > 0 and finite, got {v_max!r}")
@@ -222,13 +221,13 @@ def _write_csv(path, manifest: RunManifest, header, columns) -> None:
     """Manifest line, header, then one row per entry of the columns.
 
     A column is a float array or an iterable of strings (see :func:`_cells`).
-    The header goes through ``csv.writer``; each row is its cells joined by
-    ``,`` and ended by ``\\r\\n``, which is what ``csv.writer`` writes for
-    them, since :func:`_cells` already quotes the cells that need it.
+    The header and each row are their cells, quoted by :func:`_quote`,
+    joined by ``,`` and ended by ``\\r\\n``: what ``csv.writer``'s default
+    dialect writes for them.
     """
     with open(path, "w", newline="") as fh:
         fh.write(manifest.header_line() + "\n")
-        csv.writer(fh).writerow(header)
+        fh.write(",".join(map(_quote, header)) + "\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in zip(*map(_cells, columns)))
 
 

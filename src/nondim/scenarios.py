@@ -10,7 +10,7 @@ differ: sigma_c/h is 3.54 on the desk defaults but 1.77 on the full-scale
 defaults, so ``--full`` at the paper's lambda_c/50 is under-resolved.
 ``--sigma-rule 25`` gives the full grid the desk ratio, but that ratio is
 not enough for the full 450 s run: min m dips to -1.196e-8 (the first value
-below -1e-8 of its running peak is w at node 114, t ~ 54 s), and the
+below -1e-8 of its final peak is m at node 115, t ~ 63 s, step 54), and the
 truncation guard stops the run near 386 s, when the support reaches v_max.
 On coarser grids the lambda_c/50 source falls below grid resolution and
 the non-monotone fourth-order transport scheme answers with order-one
@@ -105,6 +105,13 @@ def matched_pair() -> tuple[LatexScenario, LatexScenario]:
     stability number is scale-invariant, so one step count serves both.
     This is the smallest matched pair whose poorly-scaled grid can still
     see the nucleation site.
+
+    The two halves differ in more than the coefficient spread.  The
+    nucleation Gaussian sits at lambda_c in scaled volume, the physical
+    volume v_c / (nu0 delta0), and nu0 delta0 is 2.83e-5 under 'eucl' but
+    1.23e-3 under 'test'.  So the 'test' half puts its source at 0.87 grid
+    spacings with a width of 0.087, where the quadrature cannot resolve
+    it: the contrast includes source placement and source quadrature.
     """
     kw = dict(n_nodes=300, v_window=0.7e-16, t_horizon=313.0, sigma_rule=DESK["sigma_rule"])
     return latex_scenario("eucl", **kw), latex_scenario("test", **kw)

@@ -304,6 +304,7 @@ class TestPbe:
         ("t_max: 0.2", "t_max: -0.2", "t_max"),
         ("t_max: 0.2", "t_max: .inf", "t_max must be > 0 and finite"),
         ("N: 16", "N: 4", "grid.N"),
+        ("N: 16", "N: 100000000", "grid.N must be in [8, 1000000], got 100000000"),
         ("v_max: 4.0", "v_max: 0.0", "grid.v_max"),
         ("v_max: 4.0", "v_max: .inf", "grid.v_max"),
         ("sigma_c: 0.02", "sigma_c: 0.0", "sigma_c"),
@@ -411,6 +412,13 @@ class TestPbe:
         assert named in result.output
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "pbe_summary.json").exists()
+
+    def test_oversized_grid_exits_64_before_writing(self, runner, tmp_path):
+        result = runner.invoke(main, ["--out", str(tmp_path), "pbe",
+                                      "--nodes", "100000000", "--steps", "1"])
+        assert result.exit_code == 64, result.output
+        assert "grid needs N <= " in result.output
+        assert list(tmp_path.iterdir()) == []
 
     def test_bare_theta_test_runs_the_desk_window(self, runner, tmp_path):
         # The poorly-scaled desk run nucleates and oscillates below zero;

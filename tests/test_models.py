@@ -21,6 +21,7 @@ from nondim.models import (
     ldg_reference_factors,
 )
 from nondim.scaling import eval_coefficients, solve_euclidean, solve_subset
+from nondim.scenarios import latex_scenario
 
 
 class TestProjectile:
@@ -109,6 +110,29 @@ class TestLatex:
 
     def test_test_subset_ratio_scale(self, latex_test):
         assert 1e5 < latex_test.ratio < 1e7
+
+    def test_headline_spreads(self, latex_problem, latex_eucl):
+        # The abstract's 49 decades unscaled and 4 under Optimal Scaling;
+        # this model spans 42.1 unscaled, and the gap to 49 is unexplained.
+        problem, _ = latex_problem
+        unscaled = eval_coefficients(problem, np.ones(8))
+        assert math.log10(unscaled.max() / unscaled.min()) == pytest.approx(42.146, abs=5e-4)
+        assert math.log10(latex_eucl.ratio) == pytest.approx(4.0458, abs=5e-5)
+
+    @pytest.mark.parametrize("theta, solution, nu0_delta0", [
+        ("eucl", "latex_eucl", 2.83e-5), ("test", "latex_test", 1.23e-3),
+    ])
+    def test_nucleation_volume_moves_with_nu0_delta0(self, request, theta, solution,
+                                                     nu0_delta0):
+        # lambda_c = v_c nu0^-2 delta0^-1, and pbe centres the nucleation
+        # Gaussian at lambda_c in scaled volume, so it sits at the physical
+        # volume lambda_c nu0 = v_c / (nu0 delta0), not at v_c.  Pinned so
+        # that any change to this dependence is deliberate.
+        factors = request.getfixturevalue(solution).theta
+        nu0, delta0 = factors[0], factors[LATEX_FACTOR_NAMES.index("delta0 [1/L]")]
+        assert nu0 * delta0 == pytest.approx(nu0_delta0, rel=5e-3)
+        lam_c = latex_scenario(theta).coeffs.lam_c
+        assert lam_c * nu0 == pytest.approx(LatexParams().v_c / (nu0 * delta0), rel=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):

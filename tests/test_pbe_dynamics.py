@@ -144,6 +144,15 @@ class TestSimulate:
         assert report.aborted.startswith("support reached the grid boundary at step ")
         assert report.times[-1] < scenario.t_max
 
+    @pytest.mark.parametrize("theta, dips", [("test", True), ("eucl", False)])
+    def test_verdict_is_whether_a_first_negative_step_exists(self, theta, dips):
+        # The desk window: the poorly-scaled run falls below -1e-8 of its
+        # final peak at step 3, the optimally scaled one never does.
+        scenario = latex_scenario(theta)
+        report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
+        assert report.negative_minima is dips
+        assert report.negative_minima == (report.settings["first_negative"] is not None)
+
     def test_overflowing_dynamics_raise_nonfinite(self):
         # An absurd aggregation coefficient sends the quadratic gain term
         # past the float range once nucleation has seeded some mass.
@@ -183,7 +192,7 @@ class TestAdaptiveSteps:
         assert settings["first_negative"] is None
 
     def test_first_negative_step_matches_a_replay(self, monkeypatch):
-        # The under-resolved N = 64 grid dips below -1e-8 of the running peak.
+        # The under-resolved N = 64 grid dips below -1e-8 of the final peak.
         scenario = latex_scenario("eucl", n_nodes=64, v_window=0.25e-16,
                                   t_horizon=120.0)
         n = scenario.grid.N
@@ -198,7 +207,7 @@ class TestAdaptiveSteps:
         monkeypatch.setattr(pbe, "rk4_step", recorded)
         report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
         dists = np.array([d for _, d in history])
-        peaks = np.maximum.accumulate(np.maximum(dists.max(axis=2), 0.0), axis=0)
+        peaks = np.maximum(dists[-1].max(axis=1), 0.0)
         negative = dists.min(axis=2) < -1e-8 * peaks
         k = int(np.argmax(negative.any(axis=1)))
         assert negative[k].any()

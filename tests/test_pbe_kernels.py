@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from nondim.errors import DomainError
 from nondim.models import LATEX_LABELS
 from nondim.pbe import (
+    MAX_GRID_N,
+    MIN_GRID_N,
     GmocWorkspace,
     Grid,
     LatexCoefficients,
@@ -135,6 +137,16 @@ class TestGaussianDelta:
     def test_width_must_be_positive(self):
         with pytest.raises(DomainError):
             gaussian_delta(1.0, 1.0, 0.0)
+
+
+class TestGrid:
+    def test_node_count_is_bounded_on_both_sides(self):
+        # A Grid allocates nothing, so the largest one is cheap to build.
+        assert Grid(MAX_GRID_N, 1.0).N == MAX_GRID_N
+        with pytest.raises(DomainError, match=f"N <= {MAX_GRID_N}.*got {MAX_GRID_N + 1}"):
+            Grid(MAX_GRID_N + 1, 1.0)
+        with pytest.raises(DomainError, match=f"N >= {MIN_GRID_N}"):
+            Grid(MIN_GRID_N - 1, 1.0)
 
 
 class TestAggregation:
