@@ -451,8 +451,15 @@ class SimulationReport:
     are the minima over the run.
     ``settings["lam_c_over_h"]`` and ``settings["sigma_c_over_h"]`` give
     the nucleation Gaussian's centre and width in grid spacings; a centre
-    above N lies outside the volume window.  ``aborted`` says why the run
-    stopped early, or is None.
+    above N lies outside the volume window.  ``settings["source_mass"]``
+    is the discrete source's Simpson mass ``moment0_weights @
+    nucleation_shape`` (1 for a resolved unit Gaussian) and
+    ``settings["source_first_moment_ratio"]`` its first moment over
+    lambda_c (also 1 when resolved); the auxiliary ODEs assume both are 1.
+    ``settings["rhs_evaluations"]`` counts right-hand side calls, four per
+    RK4 step.  ``aborted`` says why the run stopped early, or is None, and
+    ``settings["guard_step"]`` is the step at which the truncation guard
+    stopped it, or None.
     """
 
     times: np.ndarray
@@ -541,7 +548,11 @@ def simulate(
         sample_times = sample_steps * fixed_tau
     ws = GmocWorkspace(coeffs, grid)
 
+    evaluations = 0
+
     def rhs(t, y):
+        nonlocal evaluations
+        evaluations += 1
         return rhs_vector(ws, y)
 
     n = grid.N
@@ -555,7 +566,7 @@ def simulate(
     # that do hold it: six numbers each, step, t, min m, min w, argmin m
     # and argmin w.
     dips = array("d")
-    aborted = None
+    aborted = guard_step = None
     while len(samples) < len(sample_times):
         target = sample_times[len(samples)]
         if steps is None:
@@ -583,6 +594,7 @@ def simulate(
         m = dists[0]
         high = m.max()
         if high > 0 and m[n] > TRUNCATION_TOLERANCE * high:
+            guard_step = taken
             aborted = (
                 f"support reached the grid boundary at step {taken}: "
                 f"m_N = {m[n]:.3e} vs max(m) = {high:.3e}"
@@ -612,7 +624,11 @@ def simulate(
             "N": n, "h": grid.h, "t_max": t_max, "steps": taken,
             "sigma_c": coeffs.sigma_c, "lam_c": coeffs.lam_c,
             "lam_c_over_h": coeffs.lam_c / grid.h, "sigma_c_over_h": coeffs.sigma_c / grid.h,
+            "source_mass": float(ws.moment0_weights @ ws.nucleation_shape),
+            "source_first_moment_ratio":
+                float(ws.moment0_weights @ (ws.nodes * ws.nucleation_shape)) / coeffs.lam_c,
             "tau_min": float(tau_min), "tau_max": float(tau_max),
+            "rhs_evaluations": evaluations, "guard_step": guard_step,
             "first_negative": first_negative,
         },
         aborted=aborted,

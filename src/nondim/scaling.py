@@ -178,9 +178,9 @@ def _log_residuals(problem: ScalingProblem):
 def _cost(kind: str):
     """Cost ``kind`` (see :func:`evaluate_cost`) over the last axis of log residuals."""
     if kind == "euclid":
-        return lambda res: (res**2).sum(axis=-1)
+        return lambda res: np.add.reduce(np.square(res), axis=-1)
     if kind == "max":
-        return lambda res: np.abs(res).max(axis=-1)
+        return lambda res: np.maximum.reduce(np.abs(res), axis=-1)
     raise DomainError(f"unknown cost kind {kind!r}")
 
 
@@ -302,10 +302,15 @@ def anneal_minimize(
 
     Residuals are affine in rho, so a proposal's log residual is the current
     one plus its step's move ``step A^T``.  Each block computes the moves of
-    all its steps at once and costs each window from the current residual
-    plus its moves; an accepted step is added to both rho and the residual.
-    The residual and the current cost are recomputed from rho at the start
-    of every block, so rounding never builds up past one block.
+    all its steps at once, and each window is costed in one numpy call from
+    the current residual plus its moves.  The first accepted proposal is
+    found in Python floats (the same IEEE sums and comparisons as a vector
+    compare), and an accept adds its move to the residual.  rho is not
+    updated per accept: at the block's end, one sequential accumulate of rho
+    and the accepted steps gives the chain's path, with the same sums in the
+    same order, so the best point and the new rho are rows of it.  The
+    residual and the current cost are recomputed from rho at the start of
+    every block, so rounding never builds up past one block.
     """
     cost = _cost(kind)
     config = config or AnnealConfig()
@@ -326,23 +331,28 @@ def anneal_minimize(
         for block_start in range(level_start, level_end, DRAW_BLOCK):
             size = min(DRAW_BLOCK, level_end - block_start)
             steps = rng.normal(0.0, 2.0 * temperature, size=(size, n_x))
-            slack = -temperature * np.log1p(-rng.random(size))
+            slack = (-temperature * np.log1p(-rng.random(size))).tolist()
             moves = steps @ a_t
             res = residuals(rho)
             current = float(cost(res))
+            taken, best_at = [], 0
             k = 0
             while k < size:
-                proposed = cost(res + moves[k:k + ANNEAL_WINDOW])
-                accepted = proposed <= current + slack[k:k + ANNEAL_WINDOW]
-                first = int(accepted.argmax())
-                if not accepted[first]:
-                    k += ANNEAL_WINDOW
-                    continue
-                k += first
-                rho, res, current = rho + steps[k], res + moves[k], float(proposed[first])
-                if current < best_cost:
-                    best_rho, best_cost = rho, current
+                window = cost(res + moves[k:k + ANNEAL_WINDOW]).tolist()
+                for k, proposed in enumerate(window, k):
+                    if proposed <= current + slack[k]:
+                        res, current = res + moves[k], proposed
+                        taken.append(k)
+                        if current < best_cost:
+                            best_at, best_cost = len(taken), current
+                        break
                 k += 1
+            if taken:
+                # Row i is rho after the block's i-th accept.
+                path =np.add.accumulate(np.vstack([rho[None], steps[taken]]))
+                if best_at:
+                    best_rho = path[best_at]
+                rho = path[-1]
     return _solution(problem, best_rho, kind, f"anneal-{kind}")
 
 

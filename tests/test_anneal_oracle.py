@@ -17,7 +17,9 @@ from nondim.scaling import AnnealConfig, anneal_minimize, evaluate_cost, solve_e
 
 PROBLEMS = {
     "latex": lambda: models.build_latex()[0],
+    "ldg": models.build_ldg,
     "projectile": models.build_projectile,
+    "schrodinger": models.build_schrodinger,
 }
 
 #: Largest difference of the best rho (decades) and relative difference of
@@ -64,7 +66,9 @@ def assert_matches_replay(problem, kind, config):
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 @pytest.mark.parametrize("kind", ["euclid", "max"])
-@pytest.mark.parametrize("budget", [1, 99, 150, 2000])
+# Budget 7 makes seven one-proposal levels; 1025 (one shipped block plus
+# one) makes levels of 10 = a block of 7 and one of 3, then a last level of 5.
+@pytest.mark.parametrize("budget", [1, 7, 99, 150, 1025, 2000])
 def test_windowed_chain_matches_one_at_a_time_replay(monkeypatch, name, kind, budget):
     monkeypatch.setattr(scaling, "DRAW_BLOCK", 7)
     config = AnnealConfig(max_evaluations=budget, seed=budget)

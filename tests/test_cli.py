@@ -433,6 +433,23 @@ class TestPbe:
             DESK["n_nodes"], desk.grid.h, desk.t_max)
         assert summary["max_m"] > 0
         assert summary["negative_minima"] is True
+        assert summary["settings"]["source_mass"] == pytest.approx(0.422598, rel=1e-6)
+        assert summary["settings"]["guard_step"] is None
+
+    def test_guard_stop_reports_its_step_and_source_moments(self, runner, tmp_path):
+        # CI's guard-stop run: lam_c lies beyond v_max, so the grid sees
+        # almost none of the source, and the support reaches the last node.
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "pbe", "--theta", "eucl", "--nodes", "16",
+                   "--v-window", "0.05e-16", "--t-horizon", "250"]
+        )
+        assert result.exit_code == 0, result.output
+        with open(tmp_path / "pbe_summary.json") as fh:
+            summary = json.load(fh)
+        settings = summary["settings"]
+        assert f"at step {settings['guard_step']}:" in summary["aborted"]
+        assert settings["rhs_evaluations"] == 4 * settings["steps"]
+        assert settings["source_mass"] == pytest.approx(7.106e-6, rel=1e-4)
 
     def test_decay_limited_scenario_without_steps_stays_finite(self, runner, tmp_path):
         # lam_mu_m * t_max / 100 = 6 lies beyond RK4's real-axis limit 2.785,

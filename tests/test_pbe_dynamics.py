@@ -17,7 +17,7 @@ from nondim.pbe import (
     split_state,
     stable_step,
 )
-from nondim.scenarios import latex_scenario
+from nondim.scenarios import latex_scenario, matched_pair
 
 from test_pbe_kernels import unit_coeffs
 
@@ -141,8 +141,11 @@ class TestSimulate:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
-        assert report.aborted.startswith("support reached the grid boundary at step ")
+        prefix = "support reached the grid boundary at step "
+        assert report.aborted.startswith(prefix)
         assert report.times[-1] < scenario.t_max
+        named = int(report.aborted[len(prefix):].split(":")[0])
+        assert report.settings["guard_step"] == named == report.settings["steps"]
 
     @pytest.mark.parametrize("theta, dips", [("test", True), ("eucl", False)])
     def test_verdict_is_whether_a_first_negative_step_exists(self, theta, dips):
@@ -152,6 +155,7 @@ class TestSimulate:
         report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
         assert report.negative_minima is dips
         assert report.negative_minima == (report.settings["first_negative"] is not None)
+        assert report.aborted is None and report.settings["guard_step"] is None
 
     def test_overflowing_dynamics_raise_nonfinite(self):
         # An absurd aggregation coefficient sends the quadratic gain term
@@ -161,9 +165,29 @@ class TestSimulate:
                 pytest.raises(NonFiniteEvaluationError):
             simulate(coeffs, Grid(16, 0.25), 0.5, 50)
 
+    @pytest.mark.parametrize("scenario, mass, first_moment, rel", [
+        (latex_scenario("eucl"), 1.0, 1.0, 1e-6),
+        (latex_scenario("test"), 0.422598, 0.521582, 1e-6),
+        (matched_pair()[1], 1.93173, 2.22525, 1e-5),
+        # The contrast benchmark's window: the 7b grid cut to 1200 steps.
+        (latex_scenario("test", n_nodes=300, v_window=0.7e-16,
+                        t_horizon=1200 * 313.0 / 16000, sigma_rule=10.0),
+         1.93173, 2.22525, 1e-5),
+        # CI's guard-stop run: lam_c lies beyond the last node.
+        (latex_scenario("eucl", n_nodes=16, v_window=0.05e-16, t_horizon=250.0),
+         7.106e-6, 3.882e-6, 1e-4),
+    ], ids=["desk-eucl", "desk-test", "matched-test", "contrast", "guard"])
+    def test_source_moments_in_settings(self, scenario, mass, first_moment, rel):
+        # The discrete source's Simpson mass and first moment over lam_c;
+        # a resolved unit Gaussian gives 1 and 1.
+        settings = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 1).settings
+        assert settings["source_mass"] == pytest.approx(mass, rel=rel)
+        assert settings["source_first_moment_ratio"] == pytest.approx(first_moment, rel=rel)
+
     def test_sampling_includes_initial_and_final_times(self):
         coeffs = unit_coeffs()
         report = simulate(coeffs, Grid(16, 0.25), 0.1, 205)  # samples every 2nd step
+        assert report.settings["rhs_evaluations"] == 4 * report.settings["steps"] == 4 * 205
         assert report.times[0] == 0.0
         assert report.times[-1] == pytest.approx(0.1)
         assert report.times[-1] - report.times[-2] == pytest.approx(0.1 / 205)
@@ -185,7 +209,7 @@ class TestAdaptiveSteps:
         np.testing.assert_array_equal(report.times, t_max * np.arange(101) / 100)
         assert report.times[-1] == t_max
         settings = report.settings
-        assert len(calls) == 4 * settings["steps"]
+        assert len(calls) == settings["rhs_evaluations"] == 4 * settings["steps"]
         assert 100 <= settings["steps"] < 300
         # A sample gap may exceed t_max / 100 by rounding.
         assert 0 < settings["tau_min"] <= settings["tau_max"] <= t_max / 100 * (1 + 1e-12)
