@@ -4,17 +4,21 @@ Exit codes are stable contracts:
 
 * 0 — success (including runs whose summary flags issues like singular
   flow points or negative minima under a poorly-scaled preset)
-* 2 — degenerate exponent structure (rank reported)
+* 2 — degenerate exponent structure (rank reported), or a singular
+  one-equals-one subset
 * 3 — enumeration size exceeds the cap
 * 4 — non-negativity guard violated under the optimally-scaled preset:
   ``pbe --theta eucl`` whose report holds
   :attr:`~nondim.pbe.SimulationReport.negative_minima`, that is, whose
   summary names a ``settings.first_negative`` step (m or w below
   -:data:`~nondim.pbe.NONNEG_TOL` times that distribution's final peak).
-* 5 — solver state stopped being finite
+* 5 — solver state stopped being finite, a projectile trajectory that
+  reaches the pole 1 + lambda2*w1 = 0 among them
 * 64 — malformed configuration or command line
 
 :data:`EXIT_CODES` maps each toolkit error to its code, for every command.
+Every artifact embeds a manifest of the run's inputs only, so the same
+inputs write byte-identical artifacts into any ``--out`` directory.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .errors import (
     DomainError,
     EnumerationCapError,
     NonFiniteEvaluationError,
+    UnsolvableSubsetError,
 )
 from .odes import flow_field, projectile_system, rk4_integrate
 from .pbe import simulate
@@ -51,6 +56,7 @@ from .scaling import (
 #: 64 is sysexits' EX_USAGE, which click usage errors exit with too.
 EXIT_CODES = {
     DegenerateExponentsError: 2,
+    UnsolvableSubsetError: 2,
     EnumerationCapError: 3,
     NonFiniteEvaluationError: 5,
     ConfigError: 64,
@@ -135,10 +141,10 @@ def scale(obj, preset, method, q, max_evals):
         command="scale",
         config={"preset": preset, "config": obj["config"], "method": method,
                 "q": q, "max_evals": max_evals},
-        out_dir=str(obj["out"]), seed=obj["seed"],
+        seed=obj["seed"],
     )
     path = obj["out"] / "scale_solution.csv"
-    runio.write_solution_csv(path, problem, [solution], manifest)
+    runio.write_solution_csv(path, problem, solution, manifest)
     for name, value in zip(problem.factor_names, solution.theta):
         click.echo(f"theta  {name:>14} = {value:.6e}")
     for label, value in zip(problem.labels, solution.lambdas):
@@ -161,7 +167,7 @@ def enumerate_cmd(obj, preset, q, cap):
     manifest = runio.RunManifest(
         command="enumerate",
         config={"preset": preset, "config": obj["config"], "q": q, "cap": cap},
-        out_dir=str(obj["out"]), seed=obj["seed"],
+        seed=obj["seed"],
     )
     path = obj["out"] / "enumeration.csv"
     runio.write_enumeration_csv(path, problem, result, manifest)
@@ -214,7 +220,7 @@ def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtri
                 "steps": steps, "t_max": t_max,
                 "flow_range": list(flow_range), "flow_grid": list(flow_grid),
                 "roundtrip": roundtrip},
-        out_dir=str(obj["out"]), seed=obj["seed"],
+        seed=obj["seed"],
     )
     out = obj["out"]
     runio.write_trajectory_csv(
@@ -228,7 +234,7 @@ def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtri
         "lambda": [float(v) for v in lambdas],
         "tau_max": tau_max,
         "singular_flow_points": flow.singular_points,
-        "final_state": [float(v) for v in trajectory.final_state()],
+        "final_state": [float(v) for v in trajectory.states[-1]],
     }
     if roundtrip:
         unit_lambdas = eval_coefficients(problem, np.ones(2))
@@ -294,7 +300,7 @@ def pbe(ctx, theta_sel, desk, nodes, steps, v_window, t_horizon, sigma_rule):
                 "N": grid.N, "h": grid.h, "t_max": t_max,
                 "steps": report.settings["steps"] if steps is None else steps,
                 "sigma_c": coeffs.sigma_c},
-        out_dir=str(obj["out"]), seed=obj["seed"],
+        seed=obj["seed"],
     )
     out = obj["out"]
     runio.write_distributions_csv(out / "pbe_distributions.csv", grid, report, manifest)

@@ -52,9 +52,5 @@ class NonFiniteEvaluationError(NondimError):
         super().__init__(message)
 
 
-class SingularEvaluationError(NondimError):
-    """A rate function was evaluated at a pole."""
-
-
 class ConfigError(NondimError):
     """A configuration file is malformed or inconsistent."""

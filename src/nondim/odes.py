@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteEvaluationError, SingularEvaluationError
+from .errors import DomainError, NonFiniteEvaluationError
 
 Rhs = Callable[[float, np.ndarray], np.ndarray]
 
@@ -19,9 +19,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def rk4_step(rhs: Rhs, t: float, y: np.ndarray, tau: float) -> np.ndarray:
@@ -64,19 +61,16 @@ def projectile_system(lambdas) -> Rhs:
     """Right-hand side of the scaled free-flight equations on (xi, xi').
 
     w1' = w2, w2' = -lambda1 / (1 + lambda2*w1)**2.  The initial data of the
-    model are (0, lambda3); callers supply them to the integrator.
+    model are (0, lambda3); callers supply them to the integrator.  ``y`` is
+    one state or a (2, ...) array of them.  At the pole 1 + lambda2*w1 = 0
+    the rate is -inf, which :func:`rk4_integrate` reports as non-finite.
     """
     lam1, lam2, lam3 = (float(v) for v in lambdas)
     if min(lam1, lam2, lam3) <= 0:
         raise DomainError("lambdas must be strictly positive")
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        denom = 1.0 + lam2 * y[0]
-        if denom == 0.0:
-            raise SingularEvaluationError(
-                f"singular point: 1 + lambda2*w1 = 0 at w1 = {y[0]!r}"
-            )
-        return np.array([y[1], -lam1 / denom**2])
+        return np.array([y[1], -lam1 / (1.0 + lam2 * y[0]) ** 2])
 
     return rhs
 
@@ -95,9 +89,9 @@ class FlowField:
 def flow_field(lambdas, w1_range, w2_range, grid_counts) -> FlowField:
     """Sample (w1', w2') on a lattice spanning the given ranges.
 
-    Both ranges must be finite and nonempty.  Points where the rate is
-    singular are reported, not silently skipped; their tangent entries are
-    NaN.
+    Both ranges must be finite and nonempty.  Points where the rate is not
+    finite (the pole) are reported in row-major order, not silently
+    skipped; their tangent entries are NaN.
     """
     (w1_lo, w1_hi), (w2_lo, w2_hi) = w1_range, w2_range
     n1, n2 = grid_counts
@@ -106,18 +100,12 @@ def flow_field(lambdas, w1_range, w2_range, grid_counts) -> FlowField:
     if not (-math.inf < w1_lo < w1_hi < math.inf and -math.inf < w2_lo < w2_hi < math.inf):
         raise DomainError(f"ranges must be finite and nonempty, got w1 {w1_range}, "
                           f"w2 {w2_range}")
-    rhs = projectile_system(lambdas)
     w1 = np.linspace(w1_lo, w1_hi, n1)
     w2 = np.linspace(w2_lo, w2_hi, n2)
-    dw1 = np.empty((n2, n1))
-    dw2 = np.empty((n2, n1))
-    singular: list[tuple[float, float]] = []
-    for i, b in enumerate(w2):
-        for j, a in enumerate(w1):
-            try:
-                d = rhs(0.0, np.array([a, b]))
-                dw1[i, j], dw2[i, j] = d
-            except SingularEvaluationError:
-                dw1[i, j] = dw2[i, j] = np.nan
-                singular.append((float(a), float(b)))
+    with np.errstate(divide="ignore"):
+        dw1, dw2 = projectile_system(lambdas)(0.0, np.array(np.meshgrid(w1, w2)))
+    pole = ~np.isfinite(dw2)
+    dw1[pole] = dw2[pole] = np.nan
+    rows, cols = np.nonzero(pole)
+    singular = list(zip(w1[cols].tolist(), w2[rows].tolist()))
     return FlowField(w1=w1, w2=w2, dw1=dw1, dw2=dw2, singular_points=singular)

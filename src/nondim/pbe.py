@@ -156,7 +156,8 @@ def gaussian_delta(v: float, lc: float, sc: float):
     if not sc > 0:
         raise DomainError("sigma must be > 0")
     z = (np.asarray(v, dtype=float) - lc) / sc
-    return np.exp(-0.5 * z * z) / (sc * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore"):  # z * z = inf far out, where exp gives the right 0
+        return np.exp(-0.5 * z * z) / (sc * math.sqrt(2.0 * math.pi))
 
 
 def growth_law(coeffs: LatexCoefficients, aux) -> tuple[float, float, float]:
@@ -301,9 +302,7 @@ class GmocWorkspace:
         self.moment0_weights = simpson_weights(n, grid.h)
         self.surface_integrand = nodes ** (2.0 / 3.0)
         self.surface_weights = self.moment0_weights * self.surface_integrand
-        self.nucleation_shape = np.asarray(
-            gaussian_delta(nodes, coeffs.lam_c, coeffs.sigma_c)
-        )
+        self.nucleation_shape = gaussian_delta(nodes, coeffs.lam_c, coeffs.sigma_c)
 
     def aggregation(self, dist: np.ndarray, prefactor: float) -> tuple[np.ndarray, np.ndarray]:
         """(gain, loss) at nodes 1..N for kernel prefactor*(v^-1/3 + u^-1/3).
@@ -533,7 +532,9 @@ def simulate(
     Deterministic for identical inputs.  The run stops early, and says why
     in the report's ``aborted``, if the distribution support reaches the
     upper grid boundary, where the truncated aggregation integral stops
-    being a valid approximation.
+    being a valid approximation.  A run with nucleation on (``lam_n > 0``)
+    whose discrete source mass is exactly 0, a Gaussian the grid cannot
+    see, raises :class:`DomainError` before its first step.
     """
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be > 0 and finite, got {t_max!r}")
@@ -547,6 +548,13 @@ def simulate(
         sample_steps = np.append(np.arange(0, steps, max(steps // SAMPLES, 1)), steps)
         sample_times = sample_steps * fixed_tau
     ws = GmocWorkspace(coeffs, grid)
+    source_mass = float(ws.moment0_weights @ ws.nucleation_shape)
+    if coeffs.lam_n > 0 and source_mass == 0.0:
+        raise DomainError(
+            "the grid cannot see the nucleation source: its discrete mass is 0 "
+            f"(sigma_c/h = {coeffs.sigma_c / grid.h:.3e}, "
+            f"lambda_c/h = {coeffs.lam_c / grid.h:.3e})"
+        )
 
     evaluations = 0
 
@@ -624,7 +632,7 @@ def simulate(
             "N": n, "h": grid.h, "t_max": t_max, "steps": taken,
             "sigma_c": coeffs.sigma_c, "lam_c": coeffs.lam_c,
             "lam_c_over_h": coeffs.lam_c / grid.h, "sigma_c_over_h": coeffs.sigma_c / grid.h,
-            "source_mass": float(ws.moment0_weights @ ws.nucleation_shape),
+            "source_mass": source_mass,
             "source_first_moment_ratio":
                 float(ws.moment0_weights @ (ws.nodes * ws.nucleation_shape)) / coeffs.lam_c,
             "tau_min": float(tau_min), "tau_max": float(tau_max),

@@ -40,7 +40,6 @@ class RunManifest:
 
     command: str
     config: dict
-    out_dir: str
     seed: int
     version: str = __version__
 
@@ -232,20 +231,16 @@ def _write_csv(path, manifest: RunManifest, header, columns) -> None:
 
 
 def write_solution_csv(
-    path, problem: ScalingProblem, solutions: list[ScalingSolution], manifest: RunManifest
+    path, problem: ScalingProblem, solution: ScalingSolution, manifest: RunManifest
 ) -> None:
-    """One row per solution: method, cost, ratio, factors, coefficients."""
-    theta = np.reshape([sol.theta for sol in solutions], (-1, problem.n_factors))
-    lambdas = np.reshape([sol.lambdas for sol in solutions], (-1, problem.n_coefficients))
+    """One row: method, cost, ratio, factors, coefficients."""
+    values = np.concatenate([[solution.cost, solution.ratio], solution.theta, solution.lambdas])
     _write_csv(
         path, manifest,
         ["method", "cost", "ratio"]
         + [f"theta_{_slug(name)}" for name in problem.factor_names]
         + [f"lambda_{label}" for label in problem.labels],
-        [[sol.method_tag for sol in solutions],
-         np.array([sol.cost for sol in solutions]),
-         np.array([sol.ratio for sol in solutions]),
-         *theta.T, *lambdas.T],
+        [[solution.method_tag], *values[:, None]],
     )
 
 

@@ -160,8 +160,8 @@ def _check_theta(problem: ScalingProblem, theta) -> np.ndarray:
         raise DomainError(
             f"theta must have length {problem.n_factors}, got shape {theta.shape}"
         )
-    if not np.all(theta > 0):
-        raise DomainError("all theta components must be strictly positive")
+    if not np.all(np.isfinite(theta) & (theta > 0)):
+        raise DomainError(f"theta must be finite and > 0, got {theta.tolist()}")
     return theta
 
 

@@ -222,7 +222,7 @@ def test_criterion_8_kernel_orders():
 
     def ode_err(n):
         traj = rk4_integrate(lambda t, y: -y, [1.0], 0.0, 2.0, n)
-        return abs(traj.final_state()[0] - math.exp(-2.0))
+        return abs(traj.states[-1][0] - math.exp(-2.0))
 
     orders = {
         "fd4": math.log2(fd_err(40) / fd_err(80)),

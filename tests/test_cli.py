@@ -7,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 import nondim
-from nondim.cli import main
+from nondim import errors, scenarios
+from nondim.cli import EXIT_CODES, main
 from nondim.scenarios import DESK, latex_scenario
 
 
@@ -229,13 +230,18 @@ class TestProjectile:
          "ranges must be finite and nonempty"),
         (["--config", "/nonexistent.yaml", "projectile"],
          "projectile reads no --config file"),
+        (["projectile", "--theta", "inf", "1"],
+         "theta must be finite and > 0, got [inf, 1.0]"),
     ], ids=["t-max-inf", "t-max-nan", "t-max-negative", "flow-range-inf",
-            "flow-range-nan", "group-config"])
+            "flow-range-nan", "group-config", "theta-inf"])
     def test_non_finite_input_exits_64_before_writing(self, runner, tmp_path, args, message):
-        result = runner.invoke(main, ["--out", str(tmp_path), *args])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["--out", str(tmp_path), *args])
         assert result.exit_code == 64, result.output
         assert f"error: {message}" in result.output
         assert not list(tmp_path.iterdir())
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("args, method", [
         ([], "euclid"),
@@ -250,6 +256,22 @@ class TestProjectile:
             assert manifest["config"]["method"] == method
         with open(tmp_path / "projectile_summary.json") as fh:
             assert json.load(fh)["manifest"]["config"]["method"] == method
+
+
+@pytest.mark.parametrize("args", [
+    ["scale", "--preset", "projectile"],
+    ["pbe", "--t-horizon", "10", "--steps", "10"],
+], ids=["scale", "pbe"])
+def test_same_inputs_write_identical_artifacts_in_any_out(runner, tmp_path, args):
+    first, second = tmp_path / "first", tmp_path / "second" / "nested"
+    for out in (first, second):
+        result = runner.invoke(main, ["--out", str(out), *args])
+        assert result.exit_code == 0, result.output
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    assert names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def no_nucleation_scenario():
@@ -413,6 +435,22 @@ class TestPbe:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "pbe_summary.json").exists()
 
+    @pytest.mark.parametrize("rule, sigma_over_h", [("1e300", "3.537e-299"),
+                                                    ("1e6", "3.537e-05")])
+    def test_source_the_grid_cannot_see_exits_64_before_writing(
+            self, runner, tmp_path, rule, sigma_over_h):
+        # sigma_c so narrow that the Gaussian is 0 at every node: nothing
+        # could nucleate, so the run is refused rather than reported.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["--out", str(tmp_path), "pbe",
+                                          "--sigma-rule", rule, "--steps", "10"])
+        assert result.exit_code == 64, result.output
+        assert (f"its discrete mass is 0 (sigma_c/h = {sigma_over_h}, "
+                "lambda_c/h = 3.537e+01)") in result.output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert list(tmp_path.iterdir()) == []
+
     def test_oversized_grid_exits_64_before_writing(self, runner, tmp_path):
         result = runner.invoke(main, ["--out", str(tmp_path), "pbe",
                                       "--nodes", "100000000", "--steps", "1"])
@@ -490,6 +528,21 @@ class TestPbe:
 
 
 class TestExitCodes:
+    def test_every_toolkit_error_has_an_exit_code(self):
+        kinds = [kind for kind in vars(errors).values() if isinstance(kind, type)
+                 and issubclass(kind, errors.NondimError) and kind is not errors.NondimError]
+        assert kinds
+        assert [kind for kind in kinds if kind not in EXIT_CODES] == []
+
+    def test_singular_test_subset_exits_2(self, runner, tmp_path, monkeypatch):
+        # Coefficients 0..7 of the latex problem give a singular system.
+        monkeypatch.setattr(scenarios, "LATEX_TEST_SUBSET", tuple(range(8)))
+        result = runner.invoke(main, ["--out", str(tmp_path), "pbe", "--theta", "test",
+                                      "--steps", "2"])
+        assert result.exit_code == 2, result.output
+        assert "error: unsolvable combination (0, 1, 2, 3, 4, 5, 6, 7)" in result.output
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("args", [
         ["pbe", "--nodes", "abc"],
         ["scale", "--preset", "foo"],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nondim.errors import DomainError, NonFiniteEvaluationError, SingularEvaluationError
+from nondim.errors import DomainError, NonFiniteEvaluationError
 from nondim.models import ProjectileParams, build_projectile
 from nondim.odes import flow_field, projectile_system, rk4_integrate, rk4_step
 from nondim.scaling import eval_coefficients, solve_euclidean
@@ -19,7 +19,7 @@ class TestRk4:
     def test_fourth_order_convergence_on_exponential(self):
         def err(steps):
             traj = rk4_integrate(lambda t, y: -y, [1.0], 0.0, 2.0, steps)
-            return abs(traj.final_state()[0] - math.exp(-2.0))
+            return abs(traj.states[-1][0] - math.exp(-2.0))
 
         order = math.log2(err(40) / err(80))
         assert order > 3.9
@@ -47,10 +47,12 @@ class TestRk4:
 
 
 class TestProjectileSystem:
-    def test_singular_denominator_raises(self):
-        rhs = projectile_system([1.0, 2.0, 3.0])
-        with pytest.raises(SingularEvaluationError):
-            rhs(0.0, np.array([-0.5, 0.0]))
+    def test_trajectory_from_the_pole_is_non_finite(self):
+        # 1 + lambda2*w1 = 0 at w1 = -0.5: the rate there is -inf.
+        with pytest.raises(NonFiniteEvaluationError) as err, \
+                np.errstate(divide="ignore"):
+            rk4_integrate(projectile_system([1.0, 2.0, 3.0]), [-0.5, 0.0], 0.0, 1.0, 10)
+        assert err.value.step == 1
 
     def test_small_lambda2_recovers_flat_gravity(self):
         # With lambda2 -> 0 the equation is w2' = -lambda1; apex time
@@ -92,6 +94,25 @@ class TestFlowField:
         for a, b in flow.singular_points:
             assert a == pytest.approx(-1.0)
         assert np.isnan(flow.dw2).sum() == len(flow.singular_points)
+        assert np.array_equal(np.isnan(flow.dw1), np.isnan(flow.dw2))
+        # Row-major: one pole per w2 row, in the lattice's order.
+        assert flow.singular_points == [(-1.0, -1.0), (-1.0, 0.0), (-1.0, 1.0)]
+
+    @pytest.mark.parametrize("lam, w1, w2, counts", [
+        ([2.0, 0.5, 1.0], (0.0, 2.0), (-2.0, 2.0), (21, 21)),
+        ([1.0, 1.0, 1.0], (-2.0, 0.0), (-1.0, 1.0), (5, 3)),
+        ([0.3, 7.0, 1.0], (-1.0, 1.0), (-3.0, 3.0), (101, 53)),
+    ], ids=["default", "poles", "wide"])
+    def test_lattice_is_the_law_at_each_point(self, lam, w1, w2, counts):
+        flow = flow_field(lam, w1, w2, counts)
+        rhs = projectile_system(lam)
+        for (i, j), pole in np.ndenumerate(np.isnan(flow.dw2)):
+            a, b = flow.w1[j], flow.w2[i]
+            if pole:
+                assert (a, b) in flow.singular_points
+                continue
+            expect = rhs(0.0, np.array([a, b]))
+            assert [flow.dw1[i, j], flow.dw2[i, j]] == expect.tolist(), (a, b)
 
     def test_regular_lattice_values(self):
         lam = [2.0, 0.5, 1.0]

@@ -69,7 +69,7 @@ class TestZeroNucleation:
         report = simulate(coeffs, grid, 1.0, steps)
         y0 = [0.0, 0.0, 0.0, coeffs.Psi_bar, 0.0]
         oracle = rk4_integrate(auxiliary_oracle_rhs(coeffs), y0, 0.0, 1.0, steps)
-        final = oracle.final_state()
+        final = oracle.states[-1]
         assert report.V_mat[-1] == pytest.approx(final[0], abs=1e-10)
         assert report.V_cm[-1] == pytest.approx(final[1], abs=1e-10)
         assert report.V_cw[-1] == pytest.approx(final[2], abs=1e-10)

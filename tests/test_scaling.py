@@ -55,6 +55,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             eval_coefficients(toy_problem(), [1.0, -1.0])
 
+    @pytest.mark.parametrize("theta", [[math.inf, 1.0], [1.0, math.nan]])
+    def test_theta_must_be_finite(self, theta):
+        with pytest.raises(DomainError, match=r"theta must be finite and > 0, got \["):
+            eval_coefficients(toy_problem(), theta)
+
 
 class TestEvaluation:
     def test_coefficients_by_hand(self):
