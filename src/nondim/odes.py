@@ -70,7 +70,10 @@ def projectile_system(lambdas) -> Rhs:
         raise DomainError("lambdas must be strictly positive")
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array([y[1], -lam1 / (1.0 + lam2 * y[0]) ** 2])
+        # One product, not ``** 2``: on a numpy scalar that calls libm pow,
+        # which can differ from the lattice's multiply by an ulp.
+        d = 1.0 + lam2 * y[0]
+        return np.array([y[1], -lam1 / (d * d)])
 
     return rhs
 

@@ -184,6 +184,23 @@ def _cost(kind: str):
     raise DomainError(f"unknown cost kind {kind!r}")
 
 
+def _window_cost(kind: str):
+    """``(lift, cost)`` with ``cost(lift(r) + lift(m))`` equal to
+    ``_cost(kind)(r + m)``, for annealing windows.
+
+    For ``"max"`` the lift is [r, -r] over the last axis and the cost one
+    maximum reduce, which saves the absolute value: negation is exact and
+    rounding is sign-symmetric, so -r - m rounds to -(r + m) and the maximum
+    over [r + m, -r - m] is max|r + m| bit for bit.  The one exception is a
+    row that is zero throughout, whose 0 may come out as -0.0, which
+    compares equal.  Other kinds are not lifted.
+    """
+    if kind == "max":
+        return (lambda r: np.concatenate((r, -r), axis=-1),
+                lambda trial: np.maximum.reduce(trial, axis=-1))
+    return (lambda r: r), _cost(kind)
+
+
 def _ratio(log_lam: np.ndarray):
     """max(lambda) / min(lambda) over the last axis, from log10(lambda).
 
@@ -270,11 +287,23 @@ def _solve_subsets(A: np.ndarray, forced: np.ndarray, idx: np.ndarray):
     Returns each subset matrix's determinant, the mask of those with
     |det| > :data:`SINGULARITY_EPS`, and the factors (log10) of the masked
     subsets, from ``A[subset] rho = forced[subset]``.
+
+    A subset whose rows leave some factor's column all zero is singular by
+    structure: the OR of its rows' column-support bits misses that column.
+    Such subsets are never gathered or factored and get det 0.0, which is
+    what the LU gives a matrix with a zero column (an exact zero pivot), so
+    the verdicts and factors are those of factoring every subset.
     """
-    mats = A[idx]  # (B, N_x, N_x)
-    dets = np.linalg.det(mats)
+    support = np.packbits(A != 0, axis=1)  # (N_d, ceil(N_x / 8)) column bits
+    every_column = np.packbits(np.ones(A.shape[1], dtype=bool))
+    covered = np.flatnonzero(
+        (np.bitwise_or.reduce(support[idx], axis=1) == every_column).all(axis=1))
+    mats = A[idx[covered]]  # (B_covered, N_x, N_x)
+    dets = np.zeros(len(idx))
+    dets[covered] = np.linalg.det(mats)
     solvable = np.abs(dets) > SINGULARITY_EPS
-    rhos = np.linalg.solve(mats[solvable], forced[idx[solvable]][..., None])[..., 0]
+    keep = solvable[covered]
+    rhos = np.linalg.solve(mats[keep], forced[idx[covered[keep]]][..., None])[..., 0]
     return dets, solvable, rhos
 
 
@@ -302,25 +331,27 @@ def anneal_minimize(
 
     Residuals are affine in rho, so a proposal's log residual is the current
     one plus its step's move ``step A^T``.  Each block computes the moves of
-    all its steps at once, and each window is costed in one numpy call from
-    the current residual plus its moves.  The first accepted proposal is
+    all its steps at once, and each window costs one add (the current
+    residual plus its moves) and one reduce.  For the max norm the chain
+    carries the lifted residual [r, -r] and lifted moves [m, -m], so the
+    reduce is a plain maximum with no absolute value and gives the same cost
+    bit for bit (see :func:`_window_cost`).  The first accepted proposal is
     found in Python floats (the same IEEE sums and comparisons as a vector
-    compare), and an accept adds its move to the residual.  rho is not
+    compare), and its row of the window becomes the residual.  rho is not
     updated per accept: at the block's end, one sequential accumulate of rho
     and the accepted steps gives the chain's path, with the same sums in the
     same order, so the best point and the new rho are rows of it.  The
     residual and the current cost are recomputed from rho at the start of
     every block, so rounding never builds up past one block.
     """
-    cost = _cost(kind)
+    lift, window_cost = _window_cost(kind)
     config = config or AnnealConfig()
     residuals = _log_residuals(problem)
 
     rng = np.random.default_rng(config.seed)
     n_x = problem.n_factors
     rho = np.zeros(n_x)
-    current = float(cost(residuals(rho)))
-    best_rho, best_cost = rho, current
+    best_rho, best_cost = rho, float(window_cost(lift(residuals(rho))))
 
     a_t = problem.exponent_matrix().T
     budget = config.max_evaluations
@@ -332,24 +363,24 @@ def anneal_minimize(
             size = min(DRAW_BLOCK, level_end - block_start)
             steps = rng.normal(0.0, 2.0 * temperature, size=(size, n_x))
             slack = (-temperature * np.log1p(-rng.random(size))).tolist()
-            moves = steps @ a_t
-            res = residuals(rho)
-            current = float(cost(res))
+            moves = lift(steps @ a_t)
+            res = lift(residuals(rho))
+            current = float(window_cost(res))
             taken, best_at = [], 0
-            k = 0
-            while k < size:
-                window = cost(res + moves[k:k + ANNEAL_WINDOW]).tolist()
-                for k, proposed in enumerate(window, k):
+            start = 0
+            while start < size:
+                trial = res + moves[start:start + ANNEAL_WINDOW]
+                for k, proposed in enumerate(window_cost(trial).tolist(), start):
                     if proposed <= current + slack[k]:
-                        res, current = res + moves[k], proposed
+                        res, current = trial[k - start], proposed
                         taken.append(k)
                         if current < best_cost:
                             best_at, best_cost = len(taken), current
                         break
-                k += 1
+                start = k + 1
             if taken:
                 # Row i is rho after the block's i-th accept.
-                path =np.add.accumulate(np.vstack([rho[None], steps[taken]]))
+                path = np.add.accumulate(np.vstack([rho[None], steps[taken]]))
                 if best_at:
                     best_rho = path[best_at]
                 rho = path[-1]
@@ -410,9 +441,11 @@ def enumerate_traditional(problem: ScalingProblem, cap: int = 10**6) -> Enumerat
     cap x N_x x itemsize bytes (one byte per entry for up to 256
     coefficients), discards the subsets whose exponent submatrix has
     |det| <= 1e-12, and sorts the solvable ones by the ratio of their
-    realized coefficients.  Subsets are solved in vectorized slices of
-    :data:`ENUMERATION_CHUNK` rows of the table; the results do not depend
-    on the slicing.
+    realized coefficients.  A subset whose rows leave a factor's column all
+    zero is discarded by a bit test alone, before any matrix is built (see
+    :func:`_solve_subsets`); on latex that is 50,639 of the 75,582 subsets.
+    Subsets are solved in vectorized slices of :data:`ENUMERATION_CHUNK`
+    rows of the table; the results do not depend on the slicing.
     """
     n_x, n_d = problem.n_factors, problem.n_coefficients
     if n_d <= n_x:

@@ -540,7 +540,8 @@ class TestExitCodes:
         result = runner.invoke(main, ["--out", str(tmp_path), "pbe", "--theta", "test",
                                       "--steps", "2"])
         assert result.exit_code == 2, result.output
-        assert "error: unsolvable combination (0, 1, 2, 3, 4, 5, 6, 7)" in result.output
+        assert "error: unsolvable combination (0, 1, 2, 3, 4, 5, 6, 7): |det| = 0.000e+00" \
+            in result.output
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [

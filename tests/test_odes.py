@@ -114,6 +114,23 @@ class TestFlowField:
             expect = rhs(0.0, np.array([a, b]))
             assert [flow.dw1[i, j], flow.dw2[i, j]] == expect.tolist(), (a, b)
 
+    def test_lattice_is_the_trajectory_law_where_pow_rounds_apart(self):
+        # The trajectory passes numpy scalars, the lattice arrays; squaring by
+        # ``** 2`` would call libm pow on the first and multiply on the second.
+        lam = [0.7, 1.3, 1.0]
+        rng = np.random.default_rng(2)
+        for w1 in rng.uniform(0.0, 1.0, 100_000):
+            d = 1.0 + lam[1] * w1
+            if d ** 2 != d * d:
+                break
+        else:
+            pytest.fail("no argument where pow and the product differ")
+        flow = flow_field(lam, (w1, w1 + 1.0), (-1.0, 1.0), (3, 3))
+        assert flow.w1[0] == w1
+        law = projectile_system(lam)(0.0, np.array([w1, flow.w2[0]]))
+        assert law[1] == -lam[0] / (d * d) != -lam[0] / d ** 2
+        assert [flow.dw1[0, 0], flow.dw2[0, 0]] == law.tolist()
+
     def test_regular_lattice_values(self):
         lam = [2.0, 0.5, 1.0]
         flow = flow_field(lam, (0.0, 1.0), (-1.0, 1.0), (3, 3))

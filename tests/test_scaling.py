@@ -12,7 +12,8 @@ from nondim.errors import (
     EnumerationCapError,
     UnsolvableSubsetError,
 )
-from nondim.models import build_latex, build_schrodinger
+from nondim.cli import EXIT_CODES
+from nondim.models import build_latex, build_ldg, build_projectile, build_schrodinger
 from nondim.scaling import (
     AnnealConfig,
     Monomial,
@@ -22,6 +23,7 @@ from nondim.scaling import (
     eval_coefficients,
     evaluate_cost,
     solve_euclidean,
+    SINGULARITY_EPS,
     solve_subset,
     subset_table,
 )
@@ -180,6 +182,44 @@ class TestAnnealing:
         assert annealed.cost <= analytic.cost + 0.05
 
 
+class TestLiftedMaxWindow:
+    """The max-norm window cost over the lifted residual [r, -r] is the max
+    norm of r + m, bit for bit; a row that is zero throughout may give -0.0,
+    which compares equal, and the chain only compares costs."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lifted_reduce_is_the_max_norm(self, seed):
+        rng = np.random.default_rng(seed)
+        lift, window_cost = scaling._window_cost("max")
+        # Halves give exact sums, so ties and exact zeros of both signs.
+        r = rng.integers(-4, 5, size=19) / 2.0
+        moves = np.vstack([rng.integers(-4, 5, size=(12, 19)) / 2.0,
+                           rng.normal(size=(12, 19)) * 10.0 ** rng.uniform(-300, 300, (12, 1))])
+        r[:3] = 0.0, -0.0, -0.0
+        moves[:, :2] = -0.0
+        moves[:2] = -r  # rows of +0.0 sums ...
+        moves[1, :3] = -0.0  # ... and of +0.0 and -0.0 sums
+        moves[2, 3:] = 2.0 - r[3:]  # every entry ties at 2
+        moves[2, 3::2] = -2.0 - r[3::2]
+        moves[3, 5] = np.nan
+        plain = scaling._cost("max")(r + moves)
+        lifted = window_cost(lift(r) + lift(moves))
+
+        zero, nan = plain == 0.0, np.isnan(plain)
+        assert zero[:2].all() and plain[2] == 2.0 and nan[3]
+        np.testing.assert_array_equal(np.isnan(lifted), nan)
+        exact = ~zero & ~nan
+        assert lifted[exact].tobytes() == plain[exact].tobytes()
+        assert np.all(lifted[zero] == 0.0)
+
+    def test_euclid_is_not_lifted(self):
+        rng = np.random.default_rng(1)
+        r, moves = rng.normal(size=5), rng.normal(size=(12, 5))
+        lift, window_cost = scaling._window_cost("euclid")
+        plain = scaling._cost("euclid")(r + moves)
+        assert window_cost(lift(r) + lift(moves)).tobytes() == plain.tobytes()
+
+
 class TestEnumeration:
     def test_projectile_style_counts(self):
         result = enumerate_traditional(toy_problem())
@@ -238,3 +278,70 @@ class TestEnumeration:
             assert result.total_subsets == reference.total_subsets
             for name in ("subsets", "rho", "cost", "ratio"):
                 np.testing.assert_array_equal(getattr(result, name), getattr(reference, name))
+
+
+def planted_problem():
+    """10 factors over 13 coefficients, so the column-support bits span two
+    bytes.  Column 0 is planted zero outside rows 0-2 and column 9 (in the
+    second byte) outside rows 11 and 12, and row 12 is twice row 11, so some
+    subsets that cover every column are singular too."""
+    rng = np.random.default_rng(0)
+    A = rng.integers(-3, 4, size=(13, 10)).astype(float)
+    A[3:, 0] = 0.0
+    A[:11, 9] = 0.0
+    A[12] = 2.0 * A[11]
+    kappas = 10.0 ** rng.uniform(-6.0, 6.0, size=13)
+    return ScalingProblem(
+        tuple(f"x{j}" for j in range(10)),
+        tuple(Monomial(f"l{i}", float(k), tuple(row)) for i, (k, row) in enumerate(zip(kappas, A))),
+    )
+
+
+class TestStructuralSingularity:
+    """Oracle for the column-support test: one ``np.linalg.det`` per subset.
+
+    A subset whose rows leave a factor's column all zero is never factored;
+    its det must be the exact 0 the LU gives such a matrix, so every verdict
+    and every factor is the per-subset loop's.
+    """
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_latex()[0], build_ldg, build_projectile, build_schrodinger,
+        planted_problem,
+    ], ids=["latex", "ldg", "projectile", "schrodinger", "planted"])
+    def test_verdicts_match_a_det_per_subset(self, build, monkeypatch):
+        problem = build()
+        A = problem.exponent_matrix()
+        forced = problem.targets() - problem.log_kappas()
+        idx = subset_table(*A.shape)
+        reference = np.array([np.linalg.det(A[list(s)]) for s in idx])
+        missing = (A[idx] == 0).all(axis=1)  # (subsets, factors): column all zero
+        uncovered = missing.any(axis=1)
+
+        factored, det = [], np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda mats: factored.append(len(mats)) or det(mats))
+        dets, solvable, rhos = scaling._solve_subsets(A, forced, idx)
+        monkeypatch.undo()
+        assert factored == [np.count_nonzero(~uncovered)]
+        assert np.all(reference[uncovered] == 0.0)
+        assert np.array_equal(dets, reference)
+        assert not np.signbit(dets[uncovered]).any()
+        np.testing.assert_array_equal(solvable, np.abs(reference) > SINGULARITY_EPS)
+        direct = [np.linalg.solve(A[list(s)], forced[list(s)]) for s in idx[solvable]]
+        np.testing.assert_array_equal(rhos, np.reshape(direct, rhos.shape))
+        if build is planted_problem:
+            covered_singular = ~uncovered & ~solvable
+            assert uncovered.any() and covered_singular.any() and solvable.any()
+            assert np.all(np.abs(reference[covered_singular]) <= SINGULARITY_EPS)
+            # Some subsets miss only column 9, whose bit is in the second byte.
+            assert (missing[:, 9] & ~missing[:, :9].any(axis=1)).any()
+
+    def test_uncovered_subset_is_unsolvable_with_zero_det(self):
+        problem = build_latex()[0]
+        subset = tuple(range(8))  # leaves columns 4 and 5 all zero
+        assert (problem.exponent_matrix()[list(subset)] == 0).all(axis=0).any()
+        with pytest.raises(UnsolvableSubsetError) as err:
+            solve_subset(problem, subset)
+        assert err.value.determinant == 0.0
+        assert "|det| = 0.000e+00" in str(err.value)
+        assert EXIT_CODES[UnsolvableSubsetError] == 2
