@@ -293,7 +293,8 @@ def planted_problem():
     kappas = 10.0 ** rng.uniform(-6.0, 6.0, size=13)
     return ScalingProblem(
         tuple(f"x{j}" for j in range(10)),
-        tuple(Monomial(f"l{i}", float(k), tuple(row)) for i, (k, row) in enumerate(zip(kappas, A))),
+        tuple(Monomial(f"l{i}", float(k), tuple(row))
+              for i, (k, row) in enumerate(zip(kappas, A))),
     )
 
 
