@@ -83,12 +83,11 @@ def _load_preset(preset: str | None, config: str | None, q: int) -> ScalingProbl
 
 
 def _solve(problem: ScalingProblem, method: str, **anneal) -> ScalingSolution:
-    """The Euclidean optimum, or the ``anneal-max``/``anneal-eucl`` minimum
-    under ``AnnealConfig(**anneal)``."""
+    """The exact Euclidean optimum (``euclid``) or the annealed max-norm
+    minimum under ``AnnealConfig(**anneal)`` (``anneal-max``)."""
     if method == "euclid":
         return solve_euclidean(problem)
-    kind = "max" if method == "anneal-max" else "euclid"
-    return anneal_minimize(problem, kind, AnnealConfig(**anneal))
+    return anneal_minimize(problem, config=AnnealConfig(**anneal))
 
 
 class _Cli(click.Group):
@@ -127,8 +126,7 @@ def main(ctx, out, seed, config):
 
 @main.command()
 @click.option("--preset", type=click.Choice(list(PRESETS)), default=None)
-@click.option("--method", type=click.Choice(["euclid", "anneal-max", "anneal-eucl"]),
-              default="euclid")
+@click.option("--method", type=click.Choice(["euclid", "anneal-max"]), default="euclid")
 @click.option("--q", type=int, default=3, help="Size-separation decades (ldg preset).")
 @click.option("--max-evals", type=int, default=100_000)
 @click.pass_obj
@@ -183,8 +181,8 @@ def enumerate_cmd(obj, preset, q, cap):
 
 
 @main.command()
-@click.option("--method", type=click.Choice(["euclid", "anneal-max", "anneal-eucl"]),
-              default="euclid", help="Scaling choice; --theta 1 1 runs dimensionally.")
+@click.option("--method", type=click.Choice(["euclid", "anneal-max"]), default="euclid",
+              help="Scaling choice; --theta 1 1 runs dimensionally.")
 @click.option("--theta", type=float, nargs=2, default=None,
               help="Explicit (t_c, x_c) overriding --method.")
 @click.option("--steps", type=int, default=2000)

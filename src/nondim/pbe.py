@@ -449,10 +449,10 @@ class SimulationReport:
     behind exit code 4, says whether there is one.  ``min_m`` and ``min_w``
     are the minima over the run.
     ``settings["lam_c_over_h"]`` and ``settings["sigma_c_over_h"]`` give
-    the nucleation Gaussian's centre and width in grid spacings; a centre
-    above N lies outside the volume window.  ``settings["source_mass"]``
-    is the discrete source's Simpson mass ``moment0_weights @
-    nucleation_shape`` (1 for a resolved unit Gaussian) and
+    the nucleation Gaussian's centre and width in grid spacings; with
+    nucleation on, a centre not below N is refused before the run.
+    ``settings["source_mass"]`` is the discrete source's Simpson mass
+    ``moment0_weights @ nucleation_shape`` (1 for a resolved unit Gaussian) and
     ``settings["source_first_moment_ratio"]`` its first moment over
     lambda_c (also 1 when resolved); the auxiliary ODEs assume both are 1.
     ``settings["rhs_evaluations"]`` counts right-hand side calls, four per
@@ -533,8 +533,9 @@ def simulate(
     in the report's ``aborted``, if the distribution support reaches the
     upper grid boundary, where the truncated aggregation integral stops
     being a valid approximation.  A run with nucleation on (``lam_n > 0``)
-    whose discrete source mass is exactly 0, a Gaussian the grid cannot
-    see, raises :class:`DomainError` before its first step.
+    whose nucleation volume lam_c lies outside the grid's (0, N h), or whose
+    discrete source mass is exactly 0, a Gaussian the grid cannot see,
+    raises :class:`DomainError` before its first step.
     """
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be > 0 and finite, got {t_max!r}")
@@ -547,6 +548,11 @@ def simulate(
         fixed_tau = t_max / steps
         sample_steps = np.append(np.arange(0, steps, max(steps // SAMPLES, 1)), steps)
         sample_times = sample_steps * fixed_tau
+    if coeffs.lam_n > 0 and coeffs.lam_c >= grid.N * grid.h:
+        raise DomainError(
+            "the nucleation volume lies outside the grid: "
+            f"lambda_c/h = {coeffs.lam_c / grid.h:.3e} is not below N = {grid.N}"
+        )
     ws = GmocWorkspace(coeffs, grid)
     source_mass = float(ws.moment0_weights @ ws.nucleation_shape)
     if coeffs.lam_n > 0 and source_mass == 0.0:

@@ -11,8 +11,8 @@ Solvers provided:
 
 * :func:`solve_euclidean` -- least-squares minimizer of the squared
   log-distance from the per-coefficient targets;
-* :func:`anneal_minimize` -- simulated annealing on either cost, for the
-  max-norm cost in particular;
+* :func:`anneal_minimize` -- simulated annealing of the max-norm cost, which
+  has no closed-form minimizer;
 * :func:`solve_subset` / :func:`enumerate_traditional` -- force a chosen set
   of ``N_x`` coefficients to 1 and survey all such choices.
 """
@@ -184,21 +184,15 @@ def _cost(kind: str):
     raise DomainError(f"unknown cost kind {kind!r}")
 
 
-def _window_cost(kind: str):
-    """``(lift, cost)`` with ``cost(lift(r) + lift(m))`` equal to
-    ``_cost(kind)(r + m)``, for annealing windows.
+def _lift(res: np.ndarray) -> np.ndarray:
+    """[r, -r] over the last axis, the residual the annealing chain carries.
 
-    For ``"max"`` the lift is [r, -r] over the last axis and the cost one
-    maximum reduce, which saves the absolute value: negation is exact and
-    rounding is sign-symmetric, so -r - m rounds to -(r + m) and the maximum
-    over [r + m, -r - m] is max|r + m| bit for bit.  The one exception is a
-    row that is zero throughout, whose 0 may come out as -0.0, which
-    compares equal.  Other kinds are not lifted.
+    The plain maximum of ``_lift(r) + _lift(m)`` is max|r + m| bit for bit,
+    with no absolute value: negation is exact and rounding is sign-symmetric,
+    so -r - m rounds to -(r + m).  The one exception is a row that is zero
+    throughout, whose 0 may come out as -0.0, which compares equal.
     """
-    if kind == "max":
-        return (lambda r: np.concatenate((r, -r), axis=-1),
-                lambda trial: np.maximum.reduce(trial, axis=-1))
-    return (lambda r: r), _cost(kind)
+    return np.concatenate((res, -res), axis=-1)
 
 
 def _ratio(log_lam: np.ndarray):
@@ -308,10 +302,12 @@ def _solve_subsets(A: np.ndarray, forced: np.ndarray, idx: np.ndarray):
 
 
 def anneal_minimize(
-    problem: ScalingProblem, kind: str, config: AnnealConfig | None = None
+    problem: ScalingProblem, config: AnnealConfig | None = None
 ) -> ScalingSolution:
-    """Simulated annealing over rho = log10(theta) for either cost kind.
+    """Simulated annealing of the max-norm cost over rho = log10(theta).
 
+    The max norm is the one cost that needs a search: the Euclidean cost is
+    convex and :func:`solve_euclidean` gives its unique optimum exactly.
     The search starts at rho = 0 and is unconstrained in rho, which keeps
     theta positive by construction.  The schedule is fixed: the temperature
     T starts at 1 and is multiplied by 0.95 after every hundredth of the
@@ -331,27 +327,25 @@ def anneal_minimize(
 
     Residuals are affine in rho, so a proposal's log residual is the current
     one plus its step's move ``step A^T``.  Each block computes the moves of
-    all its steps at once, and each window costs one add (the current
-    residual plus its moves) and one reduce.  For the max norm the chain
-    carries the lifted residual [r, -r] and lifted moves [m, -m], so the
-    reduce is a plain maximum with no absolute value and gives the same cost
-    bit for bit (see :func:`_window_cost`).  The first accepted proposal is
-    found in Python floats (the same IEEE sums and comparisons as a vector
-    compare), and its row of the window becomes the residual.  rho is not
-    updated per accept: at the block's end, one sequential accumulate of rho
-    and the accepted steps gives the chain's path, with the same sums in the
-    same order, so the best point and the new rho are rows of it.  The
-    residual and the current cost are recomputed from rho at the start of
-    every block, so rounding never builds up past one block.
+    all its steps at once.  The chain carries the lifted residual [r, -r]
+    and lifted moves [m, -m] (see :func:`_lift`), so a window costs one add
+    and one maximum reduce, with no absolute value, and gives the max norm
+    bit for bit.  The first accepted proposal is found in Python floats (the
+    same IEEE sums and comparisons as a vector compare), and its row of the
+    window becomes the residual.  rho is not updated per accept: at the
+    block's end, one sequential accumulate of rho and the accepted steps
+    gives the chain's path, with the same sums in the same order, so the
+    best point and the new rho are rows of it.  The residual and the current
+    cost are recomputed from rho at the start of every block, so rounding
+    never builds up past one block.
     """
-    lift, window_cost = _window_cost(kind)
     config = config or AnnealConfig()
     residuals = _log_residuals(problem)
 
     rng = np.random.default_rng(config.seed)
     n_x = problem.n_factors
     rho = np.zeros(n_x)
-    best_rho, best_cost = rho, float(window_cost(lift(residuals(rho))))
+    best_rho, best_cost = rho, float(np.maximum.reduce(_lift(residuals(rho))))
 
     a_t = problem.exponent_matrix().T
     budget = config.max_evaluations
@@ -363,14 +357,14 @@ def anneal_minimize(
             size = min(DRAW_BLOCK, level_end - block_start)
             steps = rng.normal(0.0, 2.0 * temperature, size=(size, n_x))
             slack = (-temperature * np.log1p(-rng.random(size))).tolist()
-            moves = lift(steps @ a_t)
-            res = lift(residuals(rho))
-            current = float(window_cost(res))
+            moves = _lift(steps @ a_t)
+            res = _lift(residuals(rho))
+            current = float(np.maximum.reduce(res))
             taken, best_at = [], 0
             start = 0
             while start < size:
                 trial = res + moves[start:start + ANNEAL_WINDOW]
-                for k, proposed in enumerate(window_cost(trial).tolist(), start):
+                for k, proposed in enumerate(np.maximum.reduce(trial, axis=-1).tolist(), start):
                     if proposed <= current + slack[k]:
                         res, current = trial[k - start], proposed
                         taken.append(k)
@@ -384,7 +378,7 @@ def anneal_minimize(
                 if best_at:
                     best_rho = path[best_at]
                 rho = path[-1]
-    return _solution(problem, best_rho, kind, f"anneal-{kind}")
+    return _solution(problem, best_rho, "max", "anneal-max")
 
 
 @dataclass(frozen=True)
@@ -445,8 +439,12 @@ def enumerate_traditional(problem: ScalingProblem, cap: int = 10**6) -> Enumerat
     zero is discarded by a bit test alone, before any matrix is built (see
     :func:`_solve_subsets`); on latex that is 50,639 of the 75,582 subsets.
     Subsets are solved in vectorized slices of :data:`ENUMERATION_CHUNK`
-    rows of the table; the results do not depend on the slicing.
+    rows of the table; the results do not depend on the slicing.  A cap
+    below 1 raises :class:`DomainError`; a count above it,
+    :class:`EnumerationCapError`.
     """
+    if cap < 1:
+        raise DomainError(f"the subset cap must be >= 1, got --cap {cap!r}")
     n_x, n_d = problem.n_factors, problem.n_coefficients
     if n_d <= n_x:
         raise DomainError("enumeration needs more coefficients than factors")

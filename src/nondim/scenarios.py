@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, DomainError
 from .models import LATEX_TEST_SUBSET, build_latex
 from .pbe import Grid, LatexCoefficients
@@ -68,7 +70,8 @@ def latex_scenario(
     from the :data:`DESK` (default) or :data:`FULL` record.  The step
     count is simulate()'s own argument.  A v_window, t_horizon or
     sigma_rule that is not > 0 and finite raises :class:`DomainError`
-    naming the option that sets it and the value it got.
+    naming the option that sets it and the value it got, and so does a
+    v_window that overflows once divided by the scaling's nu0.
     """
     given = dict(n_nodes=n_nodes, v_window=v_window, t_horizon=t_horizon,
                  sigma_rule=sigma_rule)
@@ -93,7 +96,12 @@ def latex_scenario(
         lambdas, constants, sigma_c=lambdas["c"] / window["sigma_rule"]
     )
     nu0, t0 = solution.theta[0], solution.theta[1]
-    grid = Grid.from_vmax(window["n_nodes"], window["v_window"] / nu0)
+    with np.errstate(over="ignore"):
+        v_max = window["v_window"] / nu0
+    if v_max == math.inf:  # nu0 is about 1e-17, so a finite window may overflow
+        raise DomainError("grid spacing h must be > 0 and finite, "
+                          f"got --v-window {window['v_window']!r}")
+    grid = Grid.from_vmax(window["n_nodes"], v_max)
     return LatexScenario(theta, coeffs, grid, window["t_horizon"] / t0)
 
 

@@ -96,9 +96,7 @@ def test_criterion_1_projectile_reference_values():
 def test_criterion_2_projectile_max_norm_annealing():
     start = time.perf_counter()
     problem = build_projectile()
-    sol = anneal_minimize(
-        problem, "max", AnnealConfig(max_evaluations=100_000, seed=0)
-    )
+    sol = anneal_minimize(problem, config=AnnealConfig(max_evaluations=100_000, seed=0))
     elapsed = time.perf_counter() - start
     ok = sol.cost <= 1.35 and elapsed < 5.0
     report(2, ok,

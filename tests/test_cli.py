@@ -68,14 +68,16 @@ class TestScale:
         assert result.exit_code == 64
 
     @pytest.mark.parametrize("args, message", [
-        (["--preset", "latex", "--method", "anneal-max", "--max-evals", "0"],
+        (["scale", "--preset", "latex", "--method", "anneal-max", "--max-evals", "0"],
          "max_evaluations"),
-        (["--preset", "ldg", "--q", "0"], "q must be"),
+        (["scale", "--preset", "ldg", "--q", "0"], "q must be"),
+        (["enumerate", "--preset", "projectile", "--cap", "0"], "cap must be >= 1, got --cap 0"),
     ])
     def test_out_of_domain_option_exits_64(self, runner, tmp_path, args, message):
-        result = runner.invoke(main, ["--out", str(tmp_path), "scale", *args])
+        result = runner.invoke(main, ["--out", str(tmp_path), *args])
         assert result.exit_code == 64, result.output
         assert message in result.output
+        assert list(tmp_path.iterdir()) == []
 
     def test_degenerate_problem_exits_2(self, runner, tmp_path):
         config = tmp_path / "degenerate.yaml"
@@ -423,6 +425,8 @@ class TestPbe:
         ("--sigma-rule", "0", "sigma_c must be > 0 and finite, got --sigma-rule 0.0"),
         ("--sigma-rule", "-2", "sigma_c must be > 0 and finite, got --sigma-rule -2.0"),
         ("--v-window", "0", "grid spacing h must be > 0 and finite, got --v-window 0.0"),
+        # Finite, but it overflows once divided by nu0 (about 1e-17).
+        ("--v-window", "1e300", "grid spacing h must be > 0 and finite, got --v-window 1e+300"),
         ("--t-horizon", "nan", "t_max must be > 0 and finite, got --t-horizon nan"),
     ])
     def test_window_option_out_of_domain_exits_64_without_warning(
@@ -451,6 +455,18 @@ class TestPbe:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert list(tmp_path.iterdir()) == []
 
+    def test_source_outside_the_window_exits_64_before_writing(self, runner, tmp_path):
+        # The old guard-stop window puts lam_c at 28.3 grid spacings of 16.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["--out", str(tmp_path), "pbe", "--theta", "eucl",
+                                          "--nodes", "16", "--v-window", "0.05e-16",
+                                          "--t-horizon", "250"])
+        assert result.exit_code == 64, result.output
+        assert "lambda_c/h = 2.830e+01 is not below N = 16" in result.output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert list(tmp_path.iterdir()) == []
+
     def test_oversized_grid_exits_64_before_writing(self, runner, tmp_path):
         result = runner.invoke(main, ["--out", str(tmp_path), "pbe",
                                       "--nodes", "100000000", "--steps", "1"])
@@ -475,19 +491,20 @@ class TestPbe:
         assert summary["settings"]["guard_step"] is None
 
     def test_guard_stop_reports_its_step_and_source_moments(self, runner, tmp_path):
-        # CI's guard-stop run: lam_c lies beyond v_max, so the grid sees
-        # almost none of the source, and the support reaches the last node.
+        # CI's guard-stop run: lam_c sits at 14.15 of the 16 grid spacings,
+        # so the support reaches the last node at step 3.
         result = runner.invoke(
             main, ["--out", str(tmp_path), "pbe", "--theta", "eucl", "--nodes", "16",
-                   "--v-window", "0.05e-16", "--t-horizon", "250"]
+                   "--v-window", "0.1e-16", "--t-horizon", "250"]
         )
         assert result.exit_code == 0, result.output
         with open(tmp_path / "pbe_summary.json") as fh:
             summary = json.load(fh)
         settings = summary["settings"]
         assert f"at step {settings['guard_step']}:" in summary["aborted"]
-        assert settings["rhs_evaluations"] == 4 * settings["steps"]
-        assert settings["source_mass"] == pytest.approx(7.106e-6, rel=1e-4)
+        assert settings["rhs_evaluations"] == 4 * settings["steps"] == 12
+        assert settings["source_mass"] == pytest.approx(0.905047, rel=1e-6)
+        assert settings["source_first_moment_ratio"] == pytest.approx(0.888258, rel=1e-6)
 
     def test_decay_limited_scenario_without_steps_stays_finite(self, runner, tmp_path):
         # lam_mu_m * t_max / 100 = 6 lies beyond RK4's real-axis limit 2.785,

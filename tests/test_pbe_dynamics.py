@@ -134,9 +134,9 @@ class TestSimulate:
 
     def test_truncation_guard_stops_early_without_warning(self):
         # A grid far smaller than where the dynamics want to go: mass
-        # reaches the last node and the run must stop, saying so in the
-        # report alone.
-        scenario = latex_scenario("eucl", n_nodes=16, v_window=0.05e-16,
+        # reaches the last node at step 3 and the run must stop, saying so
+        # in the report alone.
+        scenario = latex_scenario("eucl", n_nodes=16, v_window=0.1e-16,
                                   t_horizon=250.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -145,7 +145,7 @@ class TestSimulate:
         assert report.aborted.startswith(prefix)
         assert report.times[-1] < scenario.t_max
         named = int(report.aborted[len(prefix):].split(":")[0])
-        assert report.settings["guard_step"] == named == report.settings["steps"]
+        assert report.settings["guard_step"] == named == report.settings["steps"] == 3
 
     @pytest.mark.parametrize("theta, dips", [("test", True), ("eucl", False)])
     def test_verdict_is_whether_a_first_negative_step_exists(self, theta, dips):
@@ -173,9 +173,9 @@ class TestSimulate:
         (latex_scenario("test", n_nodes=300, v_window=0.7e-16,
                         t_horizon=1200 * 313.0 / 16000, sigma_rule=10.0),
          1.93173, 2.22525, 1e-5),
-        # CI's guard-stop run: lam_c lies beyond the last node.
-        (latex_scenario("eucl", n_nodes=16, v_window=0.05e-16, t_horizon=250.0),
-         7.106e-6, 3.882e-6, 1e-4),
+        # CI's guard-stop run: lam_c at 14.15 of the 16 grid spacings.
+        (latex_scenario("eucl", n_nodes=16, v_window=0.1e-16, t_horizon=250.0),
+         0.905047, 0.888258, 1e-6),
     ], ids=["desk-eucl", "desk-test", "matched-test", "contrast", "guard"])
     def test_source_moments_in_settings(self, scenario, mass, first_moment, rel):
         # The discrete source's Simpson mass and first moment over lam_c;

@@ -114,10 +114,11 @@ class TestReportedFigures:
         for subset in (enumerations[0].subsets[0], enumerations[0].subsets[-1]):
             assert_self_consistent(problem, solve_subset(problem, subset), "euclid")
 
-    @pytest.mark.parametrize("kind", ["euclid", "max"])
+    # The annealer minimizes the max norm only; the parameter keeps it in the ids.
+    @pytest.mark.parametrize("kind", ["max"])
     def test_anneal(self, pair, kind):
         problem = pair[0]
-        sol = anneal_minimize(problem, kind, AnnealConfig(max_evaluations=2000, seed=5))
+        sol = anneal_minimize(problem, config=AnnealConfig(max_evaluations=2000, seed=5))
         assert_self_consistent(problem, sol, kind)
 
     def test_enumeration_best_and_worst(self, pair, enumerations):
