@@ -18,7 +18,8 @@ Exit codes are stable contracts:
 
 :data:`EXIT_CODES` maps each toolkit error to its code, for every command.
 Every artifact embeds a manifest of the run's inputs only, so the same
-inputs write byte-identical artifacts into any ``--out`` directory.
+inputs write byte-identical artifacts into any ``--out`` directory.  That
+directory is made with the first artifact, so a refused command leaves none.
 """
 
 from __future__ import annotations
@@ -120,7 +121,6 @@ class _Cli(click.Group):
 @click.pass_context
 def main(ctx, out, seed, config):
     """Scaling-factor optimization and the latex population balance solver."""
-    Path(out).mkdir(parents=True, exist_ok=True)
     ctx.obj = {"out": Path(out), "seed": seed, "config": config}
 
 

@@ -31,13 +31,14 @@ import numpy as np
 
 from .errors import DomainError, NonFiniteEvaluationError
 from .models import LatexConstants
-from .odes import rk4_step
+from .odes import rk4_dense_step
 
 TRUNCATION_TOLERANCE = 1e-6
 #: A distribution is negative where it falls below -NONNEG_TOL times its
 #: final peak (see SimulationReport).
 NONNEG_TOL = 1e-8
-#: Adaptive runs sample at SAMPLES + 1 uniform times; see simulate() for fixed ones.
+#: Adaptive runs sample at SAMPLES + 1 uniform times, and no step of theirs is
+#: longer than the spacing; see simulate() for fixed ones.
 SAMPLES = 100
 #: The sampled series of a run, in the order :func:`_sample` returns them.
 SERIES = ("V_mat", "V_cm", "V_cw", "Psi", "V_pol2", "F_m", "F_w")
@@ -48,9 +49,10 @@ SERIES = ("V_mat", "V_cm", "V_cw", "Psi", "V_pol2", "F_m", "F_w")
 TRANSPORT_LIMIT = 2.06
 RK4_REAL_LIMIT = 2.785
 #: Adaptive steps keep tau * max|g| / h at COURANT when nothing decays.
-#: Measured on the desk run: it first goes negative at 2.6; at 1 its final
-#: m and w stay within 5.7e-6 and 1.6e-5 of their peaks of a 10,494-step
-#: run, at 1.5 w drifts by 2.4e-5.
+#: Measured on the desk run, whose steps are also capped at the sample
+#: spacing: at 1 (142 steps) its final m and w stay within 5.7e-6 and
+#: 1.6e-5 of their peaks of a 10,494-step run, at 1.5 (111 steps) w drifts
+#: by 2.7e-5, and from 2.3 on the spacing sets all 100 steps (5.4e-5).
 COURANT = 1.0
 MIN_GRID_N = 8  # the five-point stencils need nodes 0..4 and N-4..N apart
 #: Largest node count a Grid accepts.  A run holds about 300 bytes per node:
@@ -526,8 +528,13 @@ def simulate(
 
     With ``steps`` the run takes that many steps of t_max / steps and
     samples after every max(steps // SAMPLES, 1)-th and the last.
-    Without, each step is :func:`stable_step` of the current state, cut to
-    land exactly on the SAMPLES + 1 sample times t_max * i / SAMPLES.
+    Without, each step is :func:`stable_step` of the current state, capped
+    at the sample spacing t_max / SAMPLES and cut only to end exactly at
+    t_max.  The SAMPLES + 1 sample times t_max * i / SAMPLES are read from
+    the continuous extension of the step that holds them
+    (:func:`~nondim.odes.rk4_dense_step`), at no extra right-hand side call;
+    a sample on a step's end, t_max among them, is the stepped state.  The
+    desk run takes 142 steps.
 
     Deterministic for identical inputs.  The run stops early, and says why
     in the report's ``aborted``, if the distribution support reaches the
@@ -540,6 +547,7 @@ def simulate(
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be > 0 and finite, got {t_max!r}")
     if steps is None:
+        spacing = t_max / SAMPLES
         sample_times = t_max * np.arange(SAMPLES + 1) / SAMPLES
         sample_times[-1] = t_max  # t_max * SAMPLES / SAMPLES may round off it
     else:
@@ -582,24 +590,31 @@ def simulate(
     dips = array("d")
     aborted = guard_step = None
     while len(samples) < len(sample_times):
-        target = sample_times[len(samples)]
         if steps is None:
-            tau = min(stable_step(ws, y), target - t)
-            # A step cut to the target lands on it even where t + tau rounds below.
-            lands = tau == target - t or t + tau >= target
+            tau = min(stable_step(ws, y), spacing, t_max - t)
+            # A step that ends within rounding of t_max ends on it: t + tau
+            # may round below t_max, and a run of steps of the spacing may
+            # add up to a hair short of it, which is not worth a step.
+            end = t_max if t_max - (t + tau) <= 1e-9 * spacing else t + tau
         else:
             tau = fixed_tau
             lands = taken + 1 == sample_steps[len(samples)]
-        y = rk4_step(rhs, t, y, tau)
+            end = sample_times[len(samples)] if lands else t + tau
+        y, dense = rk4_dense_step(rhs, t, y, tau)
         taken += 1
         if not np.all(np.isfinite(y)):
             raise NonFiniteEvaluationError(
                 f"state overflow after step {taken}", step=taken, state=y
             )
         tau_min, tau_max = min(tau_min, tau), max(tau_max, tau)
-        t = target if lands else t + tau
-        if lands:
+        # Samples strictly inside the step come from its continuous
+        # extension, one on its end from the stepped state.
+        while sample_times[len(samples)] < end:
+            samples.append(_sample(ws, dense((sample_times[len(samples)] - t) / tau)))
+        if sample_times[len(samples)] == end:
             samples.append(_sample(ws, y))
+        del dense  # frees the stages before the next step makes its own
+        t = end
         dists, _ = split_state(y, n)
         lows = dists.min(axis=1).tolist()
         if lows[0] < min_m or lows[1] < min_w:

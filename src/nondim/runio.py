@@ -6,7 +6,8 @@ it — as a ``#``-prefixed header line in CSV files and under the
 of its outputs.  All numeric output uses full-precision scientific
 notation (``repr`` round-trippable), and nothing volatile (timestamps,
 hostnames) enters the artifacts, so identical manifests produce
-byte-identical payloads.
+byte-identical payloads.  Each writer makes its file's directory first, so
+the ``--out`` directory exists only once a command writes an artifact.
 """
 
 from __future__ import annotations
@@ -216,6 +217,12 @@ def _cells(column):
     )
 
 
+def _create(path, **options):
+    """``path`` opened for writing, after making its directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", **options)
+
+
 def _write_csv(path, manifest: RunManifest, header, columns) -> None:
     """Manifest line, header, then one row per entry of the columns.
 
@@ -224,7 +231,7 @@ def _write_csv(path, manifest: RunManifest, header, columns) -> None:
     joined by ``,`` and ended by ``\\r\\n``: what ``csv.writer``'s default
     dialect writes for them.
     """
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         fh.write(manifest.header_line() + "\n")
         fh.write(",".join(map(_quote, header)) + "\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in zip(*map(_cells, columns)))
@@ -300,6 +307,6 @@ def write_summary_json(path, payload: dict, manifest: RunManifest) -> None:
         "manifest": asdict(manifest),
         **payload,
     }
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -10,7 +10,7 @@ differ: sigma_c/h is 3.54 on the desk defaults but 1.77 on the full-scale
 defaults, so ``--full`` at the paper's lambda_c/50 is under-resolved.
 ``--sigma-rule 25`` gives the full grid the desk ratio, but that ratio is
 not enough for the full 450 s run: min m dips to -1.196e-8 (the first value
-below -1e-8 of its final peak is m at node 115, t ~ 63 s, step 54), and the
+below -1e-8 of its final peak is m at node 115, t ~ 63.5 s, step 48), and the
 truncation guard stops the run near 386 s, when the support reaches v_max.
 On coarser grids the lambda_c/50 source falls below grid resolution and
 the non-monotone fourth-order transport scheme answers with order-one

@@ -166,7 +166,7 @@ def test_non_finite_problem_value_exits_64_before_writing(
     result = runner.invoke(main, ["--out", str(out), "--config", str(config), *command])
     assert result.exit_code == 64, result.output
     assert f"monomial 'l1': {field} must be" in result.output
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["scale"], ["enumerate"]], ids=["scale", "enumerate"])
@@ -184,7 +184,28 @@ def test_ambiguous_label_exits_64_before_writing(runner, tmp_path, command, labe
     result = runner.invoke(main, ["--out", str(out), "--config", str(config), *command])
     assert result.exit_code == 64, result.output
     assert f"monomial label {named}" in result.output
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["pbe", "--v-window", "1e300", "--steps", "1"], 64),
+    (["pbe", "--nodes", "100000000", "--steps", "1"], 64),
+    (["pbe", "--theta", "eucl", "--nodes", "16", "--v-window", "0.05e-16",
+      "--t-horizon", "250"], 64),
+    (["enumerate", "--preset", "projectile", "--cap", "0"], 64),
+    (["enumerate", "--preset", "latex", "--cap", "1000"], 3),
+    (["scale", "--preset", "bogus"], 64),
+    (["--config", "{missing}", "projectile"], 64),
+    (["projectile", "--t-max", "inf"], 64),
+], ids=["v-window", "oversized-grid", "source-outside", "cap-zero", "cap-exceeded",
+        "usage", "group-config", "t-max"])
+def test_refused_command_leaves_no_out_directory(runner, tmp_path, args, code):
+    # --out is made with a command's first artifact, never before.
+    out = tmp_path / "out"
+    args = [arg.format(missing=tmp_path / "missing.yaml") for arg in args]
+    result = runner.invoke(main, ["--out", str(out), *args])
+    assert result.exit_code == code, result.output
+    assert not out.exists()
 
 
 class TestProjectile:

@@ -5,7 +5,13 @@ import pytest
 
 from nondim.errors import DomainError, NonFiniteEvaluationError
 from nondim.models import ProjectileParams, build_projectile
-from nondim.odes import flow_field, projectile_system, rk4_integrate, rk4_step
+from nondim.odes import (
+    flow_field,
+    projectile_system,
+    rk4_dense_step,
+    rk4_integrate,
+    rk4_step,
+)
 from nondim.scaling import eval_coefficients, solve_euclidean
 
 
@@ -23,6 +29,33 @@ class TestRk4:
 
         order = math.log2(err(40) / err(80))
         assert order > 3.9
+
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+    def test_continuous_extension_one_step_error_is_fourth_order(self, theta):
+        # From an exact point of y' = lam y, the extension's value at
+        # t0 + theta tau is off the exact one by O(tau^4): the order-3
+        # continuous extension of classical RK4.
+        lam, t0 = -1.5, 0.3
+
+        def err(tau):
+            _, dense = rk4_dense_step(lambda t, y: lam * y, t0,
+                                      np.array([math.exp(lam * t0)]), tau)
+            return abs(dense(theta)[0] - math.exp(lam * (t0 + theta * tau)))
+
+        for tau in (0.4, 0.2, 0.1):
+            assert math.log2(err(tau) / err(tau / 2)) >= 3.7
+
+    def test_continuous_extension_spans_the_step(self):
+        # theta = 0 gives the step's start exactly and theta = 1 its end up
+        # to rounding; the step's state is rk4_step's, bit for bit.
+        def rhs(t, y):
+            return np.array([y[1], -y[0] + np.sin(t)])
+
+        y0 = np.array([0.3, -1.2])
+        y1, dense = rk4_dense_step(rhs, 0.1, y0, 0.25)
+        assert np.array_equal(y1, rk4_step(rhs, 0.1, y0, 0.25))
+        assert np.array_equal(dense(0.0), y0)
+        np.testing.assert_allclose(dense(1.0), y1, rtol=1e-14, atol=1e-14)
 
     def test_endpoints_included(self):
         traj = rk4_integrate(lambda t, y: y * 0.0, [1.0, 2.0], 0.5, 1.5, 10)

@@ -196,24 +196,58 @@ class TestSimulate:
 
 class TestAdaptiveSteps:
     def test_lands_on_uniform_samples_with_four_rhs_calls_per_step(self, monkeypatch):
-        scenario = latex_scenario("eucl")  # desk defaults
-        calls = []
+        # The desk defaults, whose stability step is 0.44 to 5.4 sample
+        # spacings, and a small grid whose decay rate holds every step below
+        # the spacing.  In both, the last step is cut short to end at t_max.
+        desk = latex_scenario("eucl")
+        scenarios = [(desk.coeffs, desk.grid, desk.t_max, 150),
+                     (unit_coeffs(lam_mu_m=1000.0), Grid(16, 0.25), 0.2, 160)]
+        calls, starts, ends, thetas = [], [], [], []
+        step = pbe.rk4_dense_step
 
         def counted(ws, y):
             calls.append(None)
             return rhs_vector(ws, y)
 
+        def recorded(rhs, t, y, tau):
+            out, dense = step(rhs, t, y, tau)
+            starts.append(t)
+            ends.append(out)
+
+            def read(theta):
+                thetas.append(theta)
+                return dense(theta)
+
+            return out, read
+
         monkeypatch.setattr(pbe, "rhs_vector", counted)
-        report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
-        t_max = scenario.t_max
-        np.testing.assert_array_equal(report.times, t_max * np.arange(101) / 100)
-        assert report.times[-1] == t_max
-        settings = report.settings
-        assert len(calls) == settings["rhs_evaluations"] == 4 * settings["steps"]
-        assert 100 <= settings["steps"] < 300
-        # A sample gap may exceed t_max / 100 by rounding.
-        assert 0 < settings["tau_min"] <= settings["tau_max"] <= t_max / 100 * (1 + 1e-12)
-        assert settings["first_negative"] is None
+        monkeypatch.setattr(pbe, "rk4_dense_step", recorded)
+        reports = []
+        for coeffs, grid, t_max, most_steps in scenarios:
+            calls.clear()
+            starts.clear()
+            ends.clear()
+            thetas.clear()
+            report = simulate(coeffs, grid, t_max)
+            reports.append(report)
+            np.testing.assert_array_equal(report.times, t_max * np.arange(101) / 100)
+            assert report.times[-1] == t_max
+            settings = report.settings
+            assert len(calls) == settings["rhs_evaluations"] == 4 * settings["steps"]
+            assert 100 <= settings["steps"] <= most_steps
+            assert 0 < settings["tau_min"] <= settings["tau_max"] <= t_max / 100
+            assert report.aborted is None
+            # Most samples fall strictly inside a step and are read from its
+            # continuous extension, and only those; the last is the final
+            # state, bit for bit.
+            assert len(thetas) == np.setdiff1d(report.times[1:-1], starts).size >= 90
+            assert all(0 < theta < 1 for theta in thetas)
+            assert t_max - starts[-1] < t_max / 100
+            ws = GmocWorkspace(coeffs, grid)
+            dists, aux = split_state(ends[-1], grid.N)
+            final = aux + [float(ws.moment0_weights @ (ws.nodes * d)) for d in dists]
+            assert [getattr(report, name)[-1] for name in pbe.SERIES] == final
+        assert reports[0].settings["first_negative"] is None  # the desk run
 
     def test_first_negative_step_matches_a_replay(self, monkeypatch):
         # The under-resolved N = 64 grid dips below -1e-8 of the final peak.
@@ -221,14 +255,14 @@ class TestAdaptiveSteps:
                                   t_horizon=120.0)
         n = scenario.grid.N
         history = []
-        rk4_step = pbe.rk4_step
+        step = pbe.rk4_dense_step
 
         def recorded(rhs, t, y, tau):
-            out = rk4_step(rhs, t, y, tau)
+            out, dense = step(rhs, t, y, tau)
             history.append((t + tau, split_state(out, n)[0].copy()))
-            return out
+            return out, dense
 
-        monkeypatch.setattr(pbe, "rk4_step", recorded)
+        monkeypatch.setattr(pbe, "rk4_dense_step", recorded)
         report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
         dists = np.array([d for _, d in history])
         peaks = np.maximum(dists[-1].max(axis=1), 0.0)
