@@ -70,7 +70,7 @@ def rk4_integrate(
     states[0] = y
     for k in range(steps):
         y = rk4_step(rhs, times[k], y, tau)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NonFiniteEvaluationError(
                 f"non-finite state after step {k + 1}", step=k + 1, state=y
             )

@@ -602,7 +602,7 @@ def simulate(
             end = sample_times[len(samples)] if lands else t + tau
         y, dense = rk4_dense_step(rhs, t, y, tau)
         taken += 1
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NonFiniteEvaluationError(
                 f"state overflow after step {taken}", step=taken, state=y
             )

@@ -12,10 +12,8 @@ the ``--out`` directory exists only once a command writes an artifact.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -31,8 +29,13 @@ from .scenarios import FULL, LatexScenario
 
 SUMMARY_SCHEMA_VERSION = 1
 
-#: Values of a CSV column formatted at a time.
+#: Rows of a CSV file formatted and written at a time.
 CSV_CHUNK = 1024
+
+#: libyaml's parser under PyYAML's safe constructor and resolver, which
+#: builds the same objects as ``yaml.SafeLoader`` about seven times faster;
+#: the pure-Python loader only where PyYAML was built without libyaml.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -57,10 +60,11 @@ def _slug(name: str) -> str:
 
 
 def _read_yaml(path, kind: str):
-    """The YAML document at ``path``; :class:`ConfigError` if it will not read."""
+    """The YAML document at ``path``, parsed by :data:`YAML_LOADER`;
+    :class:`ConfigError` if it will not read."""
     try:
         with open(path) as fh:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=YAML_LOADER)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
 
@@ -185,36 +189,43 @@ def load_lambda_config(path) -> LatexScenario:
 
 
 #: Characters that make ``csv.writer``'s default dialect quote a cell.
-_CSV_SPECIAL = re.compile('[,"\r\n]')
+_CSV_SPECIAL = ',"\r\n'
+
+
+def _needs_quoting(text: str) -> bool:
+    return any(char in text for char in _CSV_SPECIAL)
 
 
 def _quote(cell: str) -> str:
     """``cell`` as ``csv.writer``'s default dialect (QUOTE_MINIMAL) writes it:
     quoted, with its quotes doubled, if it holds a :data:`_CSV_SPECIAL`
     character, else as given."""
-    if _CSV_SPECIAL.search(cell) is None:
+    if not _needs_quoting(cell):
         return cell
     return '"' + cell.replace('"', '""') + '"'
 
 
 def _cells(column):
-    """A column's cells: ``repr(float(v))`` for a float array, which never
-    needs quoting, and each string of any other iterable through :func:`_quote`.
+    """A column's cells in lists of :data:`CSV_CHUNK` strings, the last
+    list possibly shorter.
 
-    An array's distinct values, told apart by bit pattern (so ``-0.0`` and
-    ``0.0`` stay distinct, and every nan of one pattern is formatted once),
-    are each formatted once; the cells are handed out :data:`CSV_CHUNK` at
-    a time from that table.
+    A float array's cells are ``repr(float(v))``, which never needs
+    quoting.  Its distinct values, told apart by bit pattern (so ``-0.0``
+    and ``0.0`` stay distinct, and every nan of one pattern is formatted
+    once), are each formatted once, and each chunk is one gather from that
+    table.  Any other column is an iterable of such lists of strings, whose
+    cells go through :func:`_quote`; a chunk whose joined text holds no
+    :data:`_CSV_SPECIAL` character is passed as it is, with one search in
+    place of one per cell.
     """
     if not isinstance(column, np.ndarray):
-        return map(_quote, column)
+        return (chunk if not _needs_quoting("".join(chunk)) else [*map(_quote, chunk)]
+                for chunk in column)
     column = np.ascontiguousarray(column, dtype=float)
     bits, index = np.unique(column.view(np.uint64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
-    return itertools.chain.from_iterable(
-        text[index[start:start + CSV_CHUNK]].tolist()
-        for start in range(0, len(column), CSV_CHUNK)
-    )
+    text = np.array([*map(repr, bits.view(float).tolist())], dtype=object)
+    return (text[index[start:start + CSV_CHUNK]].tolist()
+            for start in range(0, len(column), CSV_CHUNK))
 
 
 def _create(path, **options):
@@ -226,15 +237,18 @@ def _create(path, **options):
 def _write_csv(path, manifest: RunManifest, header, columns) -> None:
     """Manifest line, header, then one row per entry of the columns.
 
-    A column is a float array or an iterable of strings (see :func:`_cells`).
-    The header and each row are their cells, quoted by :func:`_quote`,
-    joined by ``,`` and ended by ``\\r\\n``: what ``csv.writer``'s default
-    dialect writes for them.
+    A column is a float array or an iterable of chunks of strings (see
+    :func:`_cells`).  The header and each row are their cells, quoted by
+    :func:`_quote`, joined by ``,`` and ended by ``\\r\\n``: what
+    ``csv.writer``'s default dialect writes for them.  The rows are built
+    and written :data:`CSV_CHUNK` at a time, so the file is never held
+    whole in memory.
     """
     with _create(path, newline="") as fh:
         fh.write(manifest.header_line() + "\n")
         fh.write(",".join(map(_quote, header)) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*map(_cells, columns)))
+        for chunk in zip(*map(_cells, columns)):
+            fh.write("\r\n".join(map(",".join, zip(*chunk))) + "\r\n")
 
 
 def write_solution_csv(
@@ -247,7 +261,7 @@ def write_solution_csv(
         ["method", "cost", "ratio"]
         + [f"theta_{_slug(name)}" for name in problem.factor_names]
         + [f"lambda_{label}" for label in problem.labels],
-        [[solution.method_tag], *values[:, None]],
+        [[[solution.method_tag]], *values[:, None]],
     )
 
 
@@ -255,15 +269,14 @@ def write_enumeration_csv(
     path, problem: ScalingProblem, result: EnumerationResult, manifest: RunManifest
 ) -> None:
     """All solvable subsets sorted by ratio, then factor values per row."""
-    labels = problem.labels
+    labels = np.array(problem.labels, dtype=object)
+    subsets = ([*map(";".join, labels[result.subsets[start:start + CSV_CHUNK]].tolist())]
+               for start in range(0, len(result.subsets), CSV_CHUNK))
     _write_csv(
         path, manifest,
         ["subset", "ratio", "cost"]
         + [f"theta_{_slug(name)}" for name in problem.factor_names],
-        [(";".join([labels[c] for c in subset])
-          for start in range(0, len(result.subsets), CSV_CHUNK)
-          for subset in result.subsets[start:start + CSV_CHUNK].tolist()),
-         result.ratio, result.cost, *(10.0**result.rho).T],
+        [subsets, result.ratio, result.cost, *(10.0**result.rho).T],
     )
 
 

@@ -4,10 +4,11 @@ import math
 import warnings
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 import nondim
-from nondim import errors, scenarios
+from nondim import errors, models, runio, scenarios
 from nondim.cli import EXIT_CODES, main
 from nondim.scenarios import DESK, latex_scenario
 
@@ -565,6 +566,51 @@ class TestPbe:
         assert summary["settings"]["first_negative"] is not None
 
 
+class TestPureYamlLoader:
+    """Config loading under PyYAML's pure-Python ``SafeLoader``, which runio
+    falls back to where PyYAML lacks libyaml: the same objects as the chosen
+    loader, and the same exit 64 naming a malformed, missing or unknown key.
+    The config-loading tests below are the ones above, run again here."""
+
+    chosen = runio.YAML_LOADER
+
+    @pytest.fixture(autouse=True)
+    def pure_loader(self, monkeypatch):
+        monkeypatch.setattr(runio, "YAML_LOADER", yaml.SafeLoader)
+
+    def test_chosen_loader_is_libyaml_where_pyyaml_has_it(self):
+        assert self.chosen is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+    def test_builds_the_objects_the_chosen_loader_builds(self, tmp_path, monkeypatch):
+        latex = models.build_latex()[0]
+        files = {
+            "problem": (runio.load_problem, PROBLEM),
+            "latex": (runio.load_problem, yaml.safe_dump({
+                "factors": list(latex.factor_names),
+                "monomials": [{"label": m.label, "kappa": m.kappa,
+                               "exponents": list(m.exponents)} for m in latex.monomials],
+            })),
+            "scenario": (runio.load_lambda_config, no_nucleation_scenario()),
+        }
+        loaded = {}
+        for loader in (yaml.SafeLoader, self.chosen):
+            monkeypatch.setattr(runio, "YAML_LOADER", loader)
+            for name, (load, text) in files.items():
+                path = tmp_path / f"{name}.yaml"
+                path.write_text(text)
+                loaded.setdefault(name, []).append(load(path))
+        for name, (pure, chosen) in loaded.items():
+            assert pure == chosen, name
+        assert loaded["latex"][0] == latex
+
+    test_malformed_config_exits_64 = TestScale.test_malformed_config_exits_64
+    test_bad_problem_key_is_named = TestScale.test_bad_problem_key_is_named
+    test_missing_scenario_keys_exit_64 = TestPbe.test_missing_scenario_keys_exit_64
+    test_bad_scenario_key_is_named = TestPbe.test_bad_scenario_key_is_named
+    test_non_finite_problem_value_exits_64_before_writing = staticmethod(
+        test_non_finite_problem_value_exits_64_before_writing)
+
+
 class TestExitCodes:
     def test_every_toolkit_error_has_an_exit_code(self):
         kinds = [kind for kind in vars(errors).values() if isinstance(kind, type)
@@ -594,6 +640,20 @@ class TestExitCodes:
         result = runner.invoke(main, ["--out", str(tmp_path), *args])
         assert result.exit_code == 64, result.output
         assert "Error" in result.output
+
+    @pytest.mark.parametrize("command", [
+        ["scale", "--preset", "projectile", "--method", "anneal-max"],
+        ["projectile", "--method", "anneal-max"],
+    ], ids=["scale", "projectile"])
+    def test_negative_seed_with_anneal_exits_64_writing_nothing(
+        self, runner, tmp_path, command
+    ):
+        # numpy.random.default_rng refuses a negative seed with a ValueError.
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--seed", "-1", "--out", str(out), *command])
+        assert result.exit_code == 64, result.output
+        assert "error: the annealing seed must be >= 0, got --seed -1" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [["--help"], ["pbe", "--help"]])
     def test_help_exits_0(self, runner, args):

@@ -4,9 +4,10 @@ Each writer's file must equal the manifest line followed by ``csv.writer``
 rows built here one row at a time, with every number written as
 ``repr(float(v))``.  The values include nan, +-inf, 0.0, -0.0, the smallest
 subnormal and the largest double; one label holds a comma and a quote; the
-row counts straddle the writers' chunk, patched small; and one column
-repeats 0.0, -0.0 and nan over several chunks.  Labels and method tags
-drawn from csv's special characters check the writers' own quoting.
+row counts straddle the writers' chunk, patched small, and the enumeration's
+cross several chunks; and one column repeats 0.0, -0.0 and nan over several
+chunks.  Labels and method tags drawn from csv's special characters check the
+writers' own quoting.
 """
 
 import csv
@@ -96,6 +97,17 @@ def test_solution_csv(tmp_path, seed):
 def test_enumeration_csv(tmp_path, n):
     written, expect = enumeration_csv(tmp_path / "e.csv", problem(), n, np.random.default_rng(n))
     assert written == expect
+
+
+@pytest.mark.parametrize("n", [2 * CHUNK, 3 * CHUNK + 1, 5 * CHUNK - 1])
+@pytest.mark.parametrize("labels", [('l,"q', "m", "n"), ('"', ',', '","')],
+                         ids=["some-quoted", "all-quoted"])
+def test_enumeration_csv_quotes_labels_across_chunks(tmp_path, labels, n):
+    # Subset cells join labels with ';' before quoting, chunk by chunk.
+    written, expect = enumeration_csv(tmp_path / "e.csv", problem(labels), n,
+                                      np.random.default_rng(n))
+    assert written == expect
+    assert written.count(b'"') > n
 
 
 #: Cell text from csv's special characters, near misses and a non-ASCII letter.
