@@ -1,11 +1,12 @@
 """Dimensionless two-phase cluster population balance solver.
 
-The transport + nucleation + migration + aggregation system for the
-non-equilibrium distribution ``m`` and the equilibrium distribution ``w`` is
-semi-discretized on a fixed uniform volume grid (the solution is tracked
-along constant curves, so the advection term keeps its spatial derivative).
-Volume derivatives use a fourth-order five-point scheme, the aggregation
-integrals use composite Simpson weights, and time stepping is classical RK4.
+A fixed-grid method of lines: the transport + nucleation + migration +
+aggregation system for the non-equilibrium distribution ``m`` and the
+equilibrium distribution ``w`` is semi-discretized on a fixed uniform volume
+grid, with central fourth-order five-point (fd4) transport, composite
+Simpson aggregation integrals and classical RK4 in time.
+:class:`GmocWorkspace` only carries the paper's Generalised Method of
+Characteristics name; nothing moves along characteristics.
 The aggregation gain is evaluated from truncated correlations: the Simpson
 weight of an inner node depends only on its parity, so the two parity
 weights of each product add to 2h in an odd row and depend only on the
@@ -37,8 +38,8 @@ TRUNCATION_TOLERANCE = 1e-6
 #: A distribution is negative where it falls below -NONNEG_TOL times its
 #: final peak (see SimulationReport).
 NONNEG_TOL = 1e-8
-#: Adaptive runs sample at SAMPLES + 1 uniform times, and no step of theirs is
-#: longer than the spacing; see simulate() for fixed ones.
+#: Every run samples at the SAMPLES + 1 uniform times t_max * i / SAMPLES, and
+#: no adaptive step is longer than their spacing.
 SAMPLES = 100
 #: The sampled series of a run, in the order :func:`_sample` returns them.
 SERIES = ("V_mat", "V_cm", "V_cw", "Psi", "V_pol2", "F_m", "F_w")
@@ -240,7 +241,9 @@ def _cache_aligned(size: int) -> np.ndarray:
 
 
 class GmocWorkspace:
-    """Grid-dependent precomputations for the semi-discrete right-hand side."""
+    """Grid-dependent precomputations for the right-hand side of the fixed-grid
+    method of lines with central fd4 transport.  The class only carries the
+    paper's Generalised Method of Characteristics name."""
 
     def __init__(self, coeffs: LatexCoefficients, grid: Grid):
         self.coeffs = coeffs
@@ -369,13 +372,16 @@ def split_state(y: np.ndarray, n: int) -> tuple[np.ndarray, list[float]]:
     return y[: 2 * n + 2].reshape(2, n + 1), y[-5:].tolist()
 
 
-def _rates(ws: GmocWorkspace, aux) -> tuple[float, float, np.ndarray, np.ndarray, float]:
+def _rates(ws: GmocWorkspace, aux) -> tuple[float, float, np.ndarray, np.ndarray, tuple]:
     """Phi, the dilation rate b, g and dg/dv at nodes 1..N, and the
-    aggregation factor (Psi+1)^(14/3) at the auxiliary scalars ``aux``."""
-    phi, a, b = growth_law(ws.coeffs, aux)
+    aggregation prefactors lam_a_m (Psi+1)^(14/3) and lam_a_w (Psi+1)^(14/3)
+    of m and w, at the auxiliary scalars ``aux``."""
+    c = ws.coeffs
+    phi, a, b = growth_law(c, aux)
     g = a * ws.surface_integrand[1:] + b * ws.nodes[1:]
     dg = (2.0 / 3.0) * a * ws.inv_cbrt[1:] + b
-    return phi, b, g, dg, (aux[3] + 1.0) ** (14.0 / 3.0)
+    factor = (aux[3] + 1.0) ** (14.0 / 3.0)
+    return phi, b, g, dg, (c.lam_a_m * factor, c.lam_a_w * factor)
 
 
 def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
@@ -394,11 +400,11 @@ def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
     dists, aux = split_state(y, n)
     m, w = dists
     v_mat, v_cm, v_cw, psi, v_pol2 = aux
-    phi, dilation, g, dg, agg = _rates(ws, aux)
+    phi, dilation, g, dg, (agg_m, agg_w) = _rates(ws, aux)
     psi1 = psi + 1.0
     sigma_m, sigma_w = psi1 ** (2.0 / 3.0) * (dists @ ws.surface_weights)
-    gain_m, loss_m = ws.aggregation(m, c.lam_a_m * agg)
-    gain_w, loss_w = ws.aggregation(w, c.lam_a_w * agg)
+    gain_m, loss_m = ws.aggregation(m, agg_m)
+    gain_w, loss_w = ws.aggregation(w, agg_w)
 
     out = np.empty_like(y)
     (dm, dw), _ = split_state(out, n)
@@ -504,16 +510,15 @@ def stable_step(ws: GmocWorkspace, y: np.ndarray) -> float:
     stable up to RK4_REAL_LIMIT.  The line between the two axis limits lies
     inside RK4's stability region, so the step keeps tau (max|g| / h +
     decay TRANSPORT_LIMIT / RK4_REAL_LIMIT) at COURANT.  No right-hand side
-    is evaluated: g and dg/dv come from the same rates as
-    :func:`rhs_vector`'s, and the two loss sums are one product of the
-    (2, N+1) distributions with the loss weights.
+    is evaluated: g, dg/dv and the aggregation prefactors come from the
+    same rates as :func:`rhs_vector`'s, and the two loss sums are one
+    product of the (2, N+1) distributions with the loss weights.
     """
-    c = ws.coeffs
     dists, aux = split_state(y, ws.grid.N)
     _, _, g, dg, agg = _rates(ws, aux)
     s0, s1 = ws.loss_weights @ dists.T
-    loss = agg * np.array([c.lam_a_m, c.lam_a_w]) * (ws.inv_cbrt[1] * s0 + s1)
-    decay = dg[0] + max(c.lam_mu_m + loss[0], loss[1])
+    loss = np.array(agg) * (ws.inv_cbrt[1] * s0 + s1)
+    decay = dg[0] + max(ws.coeffs.lam_mu_m + loss[0], loss[1])
     rate = abs(g[-1]) / ws.grid.h + max(decay, 0.0) * TRANSPORT_LIMIT / RK4_REAL_LIMIT
     return COURANT / rate if rate > 0 else math.inf
 
@@ -526,15 +531,15 @@ def simulate(
 ) -> SimulationReport:
     """Integrate from the empty initial state and collect diagnostics.
 
-    With ``steps`` the run takes that many steps of t_max / steps and
-    samples after every max(steps // SAMPLES, 1)-th and the last.
-    Without, each step is :func:`stable_step` of the current state, capped
-    at the sample spacing t_max / SAMPLES and cut only to end exactly at
-    t_max.  The SAMPLES + 1 sample times t_max * i / SAMPLES are read from
-    the continuous extension of the step that holds them
-    (:func:`~nondim.odes.rk4_dense_step`), at no extra right-hand side call;
-    a sample on a step's end, t_max among them, is the stepped state.  The
-    desk run takes 142 steps.
+    With ``steps`` the run takes that many steps of t_max / steps, the last
+    one ending on t_max by count.  Without, each step is
+    :func:`stable_step` of the current state, capped at the sample spacing
+    t_max / SAMPLES and cut only to end exactly at t_max; the desk run
+    takes 142 steps.  Either way the run samples at the SAMPLES + 1 times
+    t_max * i / SAMPLES.  A sample inside a step is read from the step's
+    continuous extension (:func:`~nondim.odes.rk4_dense_step`), at no extra
+    right-hand side call; a sample on a step's end, t_max among them, is
+    the stepped state.
 
     Deterministic for identical inputs.  The run stops early, and says why
     in the report's ``aborted``, if the distribution support reaches the
@@ -546,16 +551,11 @@ def simulate(
     """
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be > 0 and finite, got {t_max!r}")
-    if steps is None:
-        spacing = t_max / SAMPLES
-        sample_times = t_max * np.arange(SAMPLES + 1) / SAMPLES
-        sample_times[-1] = t_max  # t_max * SAMPLES / SAMPLES may round off it
-    else:
-        if steps < 1:
-            raise DomainError("steps must be >= 1")
-        fixed_tau = t_max / steps
-        sample_steps = np.append(np.arange(0, steps, max(steps // SAMPLES, 1)), steps)
-        sample_times = sample_steps * fixed_tau
+    if steps is not None and steps < 1:
+        raise DomainError("steps must be >= 1")
+    spacing = t_max / SAMPLES
+    sample_times = t_max * np.arange(SAMPLES + 1) / SAMPLES
+    sample_times[-1] = t_max  # t_max * SAMPLES / SAMPLES may round off it
     if coeffs.lam_n > 0 and coeffs.lam_c >= grid.N * grid.h:
         raise DomainError(
             "the nucleation volume lies outside the grid: "
@@ -597,9 +597,8 @@ def simulate(
             # add up to a hair short of it, which is not worth a step.
             end = t_max if t_max - (t + tau) <= 1e-9 * spacing else t + tau
         else:
-            tau = fixed_tau
-            lands = taken + 1 == sample_steps[len(samples)]
-            end = sample_times[len(samples)] if lands else t + tau
+            tau = t_max / steps
+            end = t_max if taken + 1 == steps else (taken + 1) * tau
         y, dense = rk4_dense_step(rhs, t, y, tau)
         taken += 1
         if not np.isfinite(y).all():
@@ -671,21 +670,12 @@ def _sample(ws: GmocWorkspace, y: np.ndarray) -> list[float]:
 
 
 def _time_integral(times: np.ndarray, values: np.ndarray) -> float:
-    """Composite Simpson over the uniform prefix, trapezoid on the tail."""
+    """Integral over uniform sample times by :func:`simpson_weights`' rule;
+    the trapezoid on a single interval, 0 on none."""
     n = len(times) - 1
-    if n < 1:
-        return 0.0
-    dt = np.diff(times)
-    h = dt[0]
-    nonuniform = np.flatnonzero(~np.isclose(dt, h, rtol=1e-9, atol=0.0))
-    end = int(nonuniform[0]) if nonuniform.size else n
-    even = end if end % 2 == 0 else end - 1
-    total = 0.0
-    if even >= 2:
-        total += float(simpson_weights(even, h) @ values[: even + 1])
-    for seg in range(even, n):
-        total += 0.5 * (values[seg] + values[seg + 1]) * dt[seg]
-    return total
+    if n < 2:
+        return 0.5 * float(times[-1] - times[0]) * float(values[0] + values[-1])
+    return float(simpson_weights(n, times[1] - times[0]) @ values)
 
 
 def error_series(times: np.ndarray, v_c: np.ndarray, f: np.ndarray) -> np.ndarray | None:

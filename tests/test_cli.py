@@ -8,7 +8,7 @@ import yaml
 from click.testing import CliRunner
 
 import nondim
-from nondim import errors, models, runio, scenarios
+from nondim import errors, models, odes, runio, scenarios
 from nondim.cli import EXIT_CODES, main
 from nondim.scenarios import DESK, latex_scenario
 
@@ -266,6 +266,28 @@ class TestProjectile:
         assert f"error: {message}" in result.output
         assert not list(tmp_path.iterdir())
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("bound, fits, over, message", [
+        ("MAX_FLOW_POINTS", ["--flow-grid", "10", "10"], ["--flow-grid", "11", "10"],
+         "lattice needs at most 100 points, got 11 x 10"),
+        ("MAX_RK4_STEPS", ["--steps", "100"], ["--steps", "101"],
+         "steps must be in 1..100 (300 bytes a step), got 101"),
+        ("MAX_RK4_STEPS", ["--steps", "100", "--roundtrip"], ["--steps", "101", "--roundtrip"],
+         "steps must be in 1..100 (300 bytes a step), got 101"),
+    ], ids=["flow-grid", "steps", "steps-roundtrip"])
+    def test_oversized_run_exits_64_before_writing(
+        self, runner, tmp_path, monkeypatch, bound, fits, over, message
+    ):
+        # The bound is cut to 100, so that no test makes a large array.
+        monkeypatch.setattr(odes, bound, 100)
+        theta = ["projectile", "--theta", "1", "1"]
+        result = runner.invoke(main, ["--out", str(tmp_path / "fits"), *theta, *fits])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "over"
+        result = runner.invoke(main, ["--out", str(out), *theta, *over])
+        assert result.exit_code == 64, result.output
+        assert f"error: {message}" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, method", [
         ([], "euclid"),

@@ -184,14 +184,43 @@ class TestSimulate:
         assert settings["source_mass"] == pytest.approx(mass, rel=rel)
         assert settings["source_first_moment_ratio"] == pytest.approx(first_moment, rel=rel)
 
-    def test_sampling_includes_initial_and_final_times(self):
-        coeffs = unit_coeffs()
-        report = simulate(coeffs, Grid(16, 0.25), 0.1, 205)  # samples every 2nd step
-        assert report.settings["rhs_evaluations"] == 4 * report.settings["steps"] == 4 * 205
-        assert report.times[0] == 0.0
-        assert report.times[-1] == pytest.approx(0.1)
-        assert report.times[-1] - report.times[-2] == pytest.approx(0.1 / 205)
-        assert len(report.times) == len(report.V_cm)
+    def test_sampling_includes_initial_and_final_times(self, monkeypatch):
+        # A fixed run samples on the adaptive runs' grid.  At 80 steps every
+        # 5th sample falls on a step's end, at 205 every 20th; the others lie
+        # inside a step and are read from its continuous extension, and so
+        # may those whose time and step end differ by rounding (theta within
+        # rounding of 0 or 1).  The last sample is the final state.
+        coeffs, grid, t_max = unit_coeffs(), Grid(16, 0.25), 0.1
+        ws = GmocWorkspace(coeffs, grid)
+        thetas = []
+        step = pbe.rk4_dense_step
+
+        def recorded(rhs, t, y, tau):
+            out, dense = step(rhs, t, y, tau)
+
+            def read(theta):
+                thetas.append(theta)
+                return dense(theta)
+
+            return out, read
+
+        monkeypatch.setattr(pbe, "rk4_dense_step", recorded)
+        for steps in (80, 205, 4197):
+            thetas.clear()
+            report = simulate(coeffs, grid, t_max, steps)
+            np.testing.assert_array_equal(report.times, t_max * np.arange(101) / 100)
+            assert report.times[0] == 0.0 and report.times[-1] == t_max
+            settings = report.settings
+            assert settings["steps"] == steps
+            assert settings["rhs_evaluations"] == 4 * steps
+            assert settings["tau_min"] == settings["tau_max"] == t_max / steps
+            assert all(len(getattr(report, name)) == 101 for name in pbe.SERIES)
+            inside = sum(i * steps % 100 != 0 for i in range(101))
+            assert inside <= len(thetas) <= 99
+            assert all(0 < theta < 1 + 1e-9 for theta in thetas)
+            assert [report.F_m[-1], report.F_w[-1]] == [
+                float(ws.moment0_weights @ (ws.nodes * d))
+                for d in (report.final_m, report.final_w)]
 
 
 class TestAdaptiveSteps:
