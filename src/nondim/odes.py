@@ -62,9 +62,9 @@ def rk4_integrate(
 ) -> Trajectory:
     """Classical fourth-order Runge-Kutta with constant step (t1-t0)/steps.
 
-    The trajectory includes both endpoints.  The interval must be finite
-    with t0 < t1.  A non-finite state aborts with the offending step index
-    and state snapshot attached.
+    The trajectory includes both endpoints, the last one t1 exactly.  The
+    interval must be finite with t0 < t1.  A non-finite state aborts with
+    the offending step index and state snapshot attached.
     """
     if not -math.inf < t0 < t1 < math.inf:
         raise DomainError(f"need finite t0 < t1, got t0={t0}, t1={t1}")
@@ -73,15 +73,18 @@ def rk4_integrate(
     y = np.array(y0, dtype=float)
     tau = (t1 - t0) / steps
     times = t0 + tau * np.arange(steps + 1)
+    times[-1] = t1  # t0 + tau * steps may round off it
     states = np.empty((steps + 1, y.size))
     states[0] = y
-    for k in range(steps):
-        y = rk4_step(rhs, times[k], y, tau)
-        if not np.isfinite(y).all():
-            raise NonFiniteEvaluationError(
-                f"non-finite state after step {k + 1}", step=k + 1, state=y
-            )
-        states[k + 1] = y
+    # A blow-up is reported by the finiteness check, not by a warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(steps):
+            y = rk4_step(rhs, times[k], y, tau)
+            if not np.isfinite(y).all():
+                raise NonFiniteEvaluationError(
+                    f"non-finite state after step {k + 1}", step=k + 1, state=y
+                )
+            states[k + 1] = y
     return Trajectory(times=times, states=states)
 
 

@@ -254,12 +254,12 @@ class GmocWorkspace:
         inv_cbrt = np.zeros(n + 1)
         inv_cbrt[1:] = nodes[1:] ** (-1.0 / 3.0)
         self.inv_cbrt = inv_cbrt
-        # Full-grid loss weights with the origin excluded (the kernel is
+        self.moment0_weights = simpson_weights(n, grid.h)
+        # The full-grid weights with the origin excluded (the kernel is
         # singular at u = 0 and the open-interval indicator drops it anyway),
         # as rows for the two loss sums: of dist and of phi^(-1/3) * dist.
-        loss_w = simpson_weights(n, grid.h)
-        loss_w[0] = 0.0
-        self.loss_weights = np.array([loss_w, loss_w * inv_cbrt])
+        self.loss_weights = np.array([self.moment0_weights, self.moment0_weights * inv_cbrt])
+        self.loss_weights[0, 0] = 0.0
         # Gain term: for each target node k the convolution integral runs
         # over [0, phi_k] with its own Simpson row; endpoints j = 0 and
         # j = k are excluded by the open-interval indicator.  Inside the row
@@ -304,7 +304,6 @@ class GmocWorkspace:
         # there (at N = 1000 about a fifth faster than at other alignments).
         self._r = _cache_aligned(n + 1)
         self._r_odd = _cache_aligned((n + 1) // 2)
-        self.moment0_weights = simpson_weights(n, grid.h)
         self.surface_integrand = nodes ** (2.0 / 3.0)
         self.surface_weights = self.moment0_weights * self.surface_integrand
         self.nucleation_shape = gaussian_delta(nodes, coeffs.lam_c, coeffs.sigma_c)
@@ -403,24 +402,18 @@ def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
     phi, dilation, g, dg, (agg_m, agg_w) = _rates(ws, aux)
     psi1 = psi + 1.0
     sigma_m, sigma_w = psi1 ** (2.0 / 3.0) * (dists @ ws.surface_weights)
-    gain_m, loss_m = ws.aggregation(m, agg_m)
-    gain_w, loss_w = ws.aggregation(w, agg_w)
 
     out = np.empty_like(y)
-    (dm, dw), _ = split_state(out, n)
-    dm[0] = dw[0] = 0.0
-    dm[1:] = (
-        -g * fd4_derivative(m, h)
-        - (dg + c.lam_mu_m) * m[1:]
-        + c.lam_n * phi * ws.nucleation_shape[1:]
-        + gain_m - loss_m
-    )
-    dw[1:] = (
-        -g * fd4_derivative(w, h)
-        - dg * w[1:]
-        + c.lam_mu_w * m[1:]
-        + gain_w - loss_w
-    )
+    derivs, _ = split_state(out, n)
+    # Per distribution: its aggregation prefactor, its decay beyond dg/dv
+    # and what feeds it.
+    for dist, deriv, prefactor, decay, feed in (
+        (m, derivs[0], agg_m, dg + c.lam_mu_m, c.lam_n * phi * ws.nucleation_shape[1:]),
+        (w, derivs[1], agg_w, dg, c.lam_mu_w * m[1:]),
+    ):
+        gain, loss = ws.aggregation(dist, prefactor)
+        deriv[0] = 0.0
+        deriv[1:] = -g * fd4_derivative(dist, h) - decay * dist[1:] + feed + gain - loss
 
     out[-5:] = (
         dilation * (v_mat + c.lam_pol1_mat) - phi * (
@@ -431,16 +424,13 @@ def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
         c.lam_p_pol2 * psi / psi1,
     )
     if not np.isfinite(out).all():
-        raise NonFiniteEvaluationError(_diagnose_nonfinite(dm, dw, out[-5:]))
+        raise NonFiniteEvaluationError(_diagnose_nonfinite(derivs, out[-5:]))
     return out
 
 
-def _diagnose_nonfinite(dm, dw, aux) -> str:
-    bad = []
-    if not np.all(np.isfinite(dm)):
-        bad.append(f"dm at nodes {np.flatnonzero(~np.isfinite(dm)).tolist()[:5]}")
-    if not np.all(np.isfinite(dw)):
-        bad.append(f"dw at nodes {np.flatnonzero(~np.isfinite(dw)).tolist()[:5]}")
+def _diagnose_nonfinite(derivs, aux) -> str:
+    bad = [f"d{name} at nodes {np.flatnonzero(~np.isfinite(d)).tolist()[:5]}"
+           for name, d in zip("mw", derivs) if not np.isfinite(d).all()]
     names = ("dV_mat", "dV_cm", "dV_cw", "dPsi", "dV_pol2")
     bad.extend(name for name, v in zip(names, aux) if not np.isfinite(v))
     return "non-finite right-hand side: " + "; ".join(bad)
@@ -510,15 +500,15 @@ def stable_step(ws: GmocWorkspace, y: np.ndarray) -> float:
     stable up to RK4_REAL_LIMIT.  The line between the two axis limits lies
     inside RK4's stability region, so the step keeps tau (max|g| / h +
     decay TRANSPORT_LIMIT / RK4_REAL_LIMIT) at COURANT.  No right-hand side
-    is evaluated: g, dg/dv and the aggregation prefactors come from the
-    same rates as :func:`rhs_vector`'s, and the two loss sums are one
-    product of the (2, N+1) distributions with the loss weights.
+    is evaluated: g, dg/dv, the aggregation prefactors and each
+    distribution's loss sums come from the same calls as
+    :func:`rhs_vector`'s.
     """
     dists, aux = split_state(y, ws.grid.N)
     _, _, g, dg, agg = _rates(ws, aux)
-    s0, s1 = ws.loss_weights @ dists.T
-    loss = np.array(agg) * (ws.inv_cbrt[1] * s0 + s1)
-    decay = dg[0] + max(ws.coeffs.lam_mu_m + loss[0], loss[1])
+    sums = [np.dot(ws.loss_weights, d) for d in dists]
+    loss_m, loss_w = (p * (ws.inv_cbrt[1] * s0 + s1) for p, (s0, s1) in zip(agg, sums))
+    decay = dg[0] + max(ws.coeffs.lam_mu_m + loss_m, loss_w)
     rate = abs(g[-1]) / ws.grid.h + max(decay, 0.0) * TRANSPORT_LIMIT / RK4_REAL_LIMIT
     return COURANT / rate if rate > 0 else math.inf
 
@@ -589,45 +579,48 @@ def simulate(
     # and argmin w.
     dips = array("d")
     aborted = guard_step = None
-    while len(samples) < len(sample_times):
-        if steps is None:
-            tau = min(stable_step(ws, y), spacing, t_max - t)
-            # A step that ends within rounding of t_max ends on it: t + tau
-            # may round below t_max, and a run of steps of the spacing may
-            # add up to a hair short of it, which is not worth a step.
-            end = t_max if t_max - (t + tau) <= 1e-9 * spacing else t + tau
-        else:
-            tau = t_max / steps
-            end = t_max if taken + 1 == steps else (taken + 1) * tau
-        y, dense = rk4_dense_step(rhs, t, y, tau)
-        taken += 1
-        if not np.isfinite(y).all():
-            raise NonFiniteEvaluationError(
-                f"state overflow after step {taken}", step=taken, state=y
-            )
-        tau_min, tau_max = min(tau_min, tau), max(tau_max, tau)
-        # Samples strictly inside the step come from its continuous
-        # extension, one on its end from the stepped state.
-        while sample_times[len(samples)] < end:
-            samples.append(_sample(ws, dense((sample_times[len(samples)] - t) / tau)))
-        if sample_times[len(samples)] == end:
-            samples.append(_sample(ws, y))
-        del dense  # frees the stages before the next step makes its own
-        t = end
-        dists, _ = split_state(y, n)
-        lows = dists.min(axis=1).tolist()
-        if lows[0] < min_m or lows[1] < min_w:
-            min_m, min_w = min(min_m, lows[0]), min(min_w, lows[1])
-            dips.extend([taken, t, *lows, *dists.argmin(axis=1).tolist()])
-        m = dists[0]
-        high = m.max()
-        if high > 0 and m[n] > TRUNCATION_TOLERANCE * high:
-            guard_step = taken
-            aborted = (
-                f"support reached the grid boundary at step {taken}: "
-                f"m_N = {m[n]:.3e} vs max(m) = {high:.3e}"
-            )
-            break
+    # A state that blows up may overflow before it stops being finite; the
+    # finiteness checks below and in rhs_vector report it, not a warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while len(samples) < len(sample_times):
+            if steps is None:
+                tau = min(stable_step(ws, y), spacing, t_max - t)
+                # A step that ends within rounding of t_max ends on it: t + tau
+                # may round below t_max, and a run of steps of the spacing may
+                # add up to a hair short of it, which is not worth a step.
+                end = t_max if t_max - (t + tau) <= 1e-9 * spacing else t + tau
+            else:
+                tau = t_max / steps
+                end = t_max if taken + 1 == steps else (taken + 1) * tau
+            y, dense = rk4_dense_step(rhs, t, y, tau)
+            taken += 1
+            if not np.isfinite(y).all():
+                raise NonFiniteEvaluationError(
+                    f"state overflow after step {taken}", step=taken, state=y
+                )
+            tau_min, tau_max = min(tau_min, tau), max(tau_max, tau)
+            # Samples strictly inside the step come from its continuous
+            # extension, one on its end from the stepped state.
+            while sample_times[len(samples)] < end:
+                samples.append(_sample(ws, dense((sample_times[len(samples)] - t) / tau)))
+            if sample_times[len(samples)] == end:
+                samples.append(_sample(ws, y))
+            del dense  # frees the stages before the next step makes its own
+            t = end
+            dists, _ = split_state(y, n)
+            lows = dists.min(axis=1).tolist()
+            if lows[0] < min_m or lows[1] < min_w:
+                min_m, min_w = min(min_m, lows[0]), min(min_w, lows[1])
+                dips.extend([taken, t, *lows, *dists.argmin(axis=1).tolist()])
+            m = dists[0]
+            high = m.max()
+            if high > 0 and m[n] > TRUNCATION_TOLERANCE * high:
+                guard_step = taken
+                aborted = (
+                    f"support reached the grid boundary at step {taken}: "
+                    f"m_N = {m[n]:.3e} vs max(m) = {high:.3e}"
+                )
+                break
 
     times = sample_times[: len(samples)]
     series = dict(zip(SERIES, np.array(samples).T))

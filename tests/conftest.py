@@ -2,13 +2,17 @@ import pytest
 
 #: PASS/FAIL lines recorded by the acceptance gate, echoed after the run.
 ACCEPTANCE_LINES = []
+#: Which comparison the golden-digest test ran, echoed after the run.
+GOLDEN_LINES = []
 
 
 def pytest_terminal_summary(terminalreporter):
-    if ACCEPTANCE_LINES:
-        terminalreporter.section("acceptance criteria")
-        for line in ACCEPTANCE_LINES:
-            terminalreporter.write_line(line)
+    for title, lines in (("acceptance criteria", ACCEPTANCE_LINES),
+                         ("golden digests", GOLDEN_LINES)):
+        if lines:
+            terminalreporter.section(title)
+            for line in lines:
+                terminalreporter.write_line(line)
 
 from nondim.models import build_latex
 from nondim.scaling import solve_euclidean, solve_subset

@@ -430,19 +430,36 @@ class TestPbe:
         assert summary["settings"]["steps"] == 30
         assert summary["manifest"]["config"]["config"] == str(config)
 
-    def test_non_finite_state_exits_5(self, runner, tmp_path):
+    def blowup(self, runner, tmp_path):
+        """A run whose absurd aggregation coefficient overflows the state."""
         config = tmp_path / "blowup.yaml"
         config.write_text(
             no_nucleation_scenario().replace("  a_m: 1.0", "  a_m: 1.0e300")
             .replace("  n: 0.0", "  n: 1.0").replace("  s_m: 0.0", "  s_m: 1.0")
             .replace("t_max: 0.2", "t_max: 0.5")
         )
-        result = runner.invoke(
-            main, ["--out", str(tmp_path), "--config", str(config), "pbe",
+        return runner.invoke(
+            main, ["--out", str(tmp_path / "out"), "--config", str(config), "pbe",
                    "--steps", "50"]
         )
+
+    def test_non_finite_state_exits_5(self, runner, tmp_path):
+        result = self.blowup(runner, tmp_path)
         assert result.exit_code == 5, result.output
         assert "non-finite" in result.output
+
+    def test_non_finite_state_exits_5_when_runtime_warnings_are_errors(
+        self, runner, tmp_path
+    ):
+        # The state overflows before it stops being finite; that overflow
+        # must not surface as a RuntimeWarning, which -W error turns into a
+        # traceback and exit 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = self.blowup(runner, tmp_path)
+        assert result.exit_code == 5, result.output
+        assert "non-finite" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_negative_horizon_option_exits_64(self, runner, tmp_path):
         result = runner.invoke(

@@ -112,8 +112,11 @@ class TestLatex:
         assert 1e5 < latex_test.ratio < 1e7
 
     def test_headline_spreads(self, latex_problem, latex_eucl):
-        # The abstract's 49 decades unscaled and 4 under Optimal Scaling;
-        # this model spans 42.1 unscaled, and the gap to 49 is unexplained.
+        # The abstract's 49 decades unscaled and 4 under Optimal Scaling.
+        # This model spans 42.1 unscaled in its units (L, s, mol); in m^3
+        # and s it spans 43.146, in cm^3 41.146, and with mixed volume units
+        # 36.1 to 100.4 (see README), so the unscaled spread is a unit
+        # choice.  The spread at the optimum does not depend on units.
         problem, _ = latex_problem
         unscaled = eval_coefficients(problem, np.ones(8))
         assert math.log10(unscaled.max() / unscaled.min()) == pytest.approx(42.146, abs=5e-4)

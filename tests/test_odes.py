@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,16 @@ class TestRk4:
         assert traj.times[-1] == pytest.approx(1.5)
         assert traj.states.shape == (11, 2)
 
+    def test_last_time_is_t1_exactly(self):
+        # The projectile's Euclidean tau_max at 3000 steps: t0 + tau * steps
+        # misses t1 by an ulp there.
+        theta = solve_euclidean(build_projectile()).theta
+        t1 = 5.0 / float(theta[0])
+        assert 0.0 + (t1 / 3000) * 3000 != t1
+        traj = rk4_integrate(lambda t, y: -y, [1.0], 0.0, t1, 3000)
+        assert traj.times[-1] == t1
+        assert np.array_equal(traj.times[:-1], (t1 / 3000) * np.arange(3000))
+
     def test_nonfinite_state_aborts_with_step_index(self):
         with pytest.raises(NonFiniteEvaluationError) as err:
             rk4_integrate(lambda t, y: y**3, [10.0], 0.0, 10.0, 50)
@@ -81,9 +92,10 @@ class TestRk4:
 
 class TestProjectileSystem:
     def test_trajectory_from_the_pole_is_non_finite(self):
-        # 1 + lambda2*w1 = 0 at w1 = -0.5: the rate there is -inf.
-        with pytest.raises(NonFiniteEvaluationError) as err, \
-                np.errstate(divide="ignore"):
+        # 1 + lambda2*w1 = 0 at w1 = -0.5: the rate there is -inf.  The
+        # divide by zero is no warning, so it is no error under -W error.
+        with pytest.raises(NonFiniteEvaluationError) as err, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             rk4_integrate(projectile_system([1.0, 2.0, 3.0]), [-0.5, 0.0], 0.0, 1.0, 10)
         assert err.value.step == 1
 

@@ -160,9 +160,11 @@ class TestSimulate:
     def test_overflowing_dynamics_raise_nonfinite(self):
         # An absurd aggregation coefficient sends the quadratic gain term
         # past the float range once nucleation has seeded some mass.
+        # The overflow on the way is no warning, so it is no error under -W
+        # error either.
         coeffs = unit_coeffs(lam_a_m=1e300)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NonFiniteEvaluationError):
+        with warnings.catch_warnings(), pytest.raises(NonFiniteEvaluationError):
+            warnings.simplefilter("error", RuntimeWarning)
             simulate(coeffs, Grid(16, 0.25), 0.5, 50)
 
     @pytest.mark.parametrize("scenario, mass, first_moment, rel", [
