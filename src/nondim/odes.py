@@ -29,10 +29,6 @@ class Trajectory:
     states: np.ndarray
 
 
-def rk4_step(rhs: Rhs, t: float, y: np.ndarray, tau: float) -> np.ndarray:
-    return rk4_dense_step(rhs, t, y, tau)[0]
-
-
 def rk4_dense_step(
     rhs: Rhs, t: float, y: np.ndarray, tau: float
 ) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
@@ -79,7 +75,7 @@ def rk4_integrate(
     # A blow-up is reported by the finiteness check, not by a warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(steps):
-            y = rk4_step(rhs, times[k], y, tau)
+            y, _ = rk4_dense_step(rhs, times[k], y, tau)
             if not np.isfinite(y).all():
                 raise NonFiniteEvaluationError(
                     f"non-finite state after step {k + 1}", step=k + 1, state=y

@@ -390,8 +390,9 @@ def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
     :func:`growth_law` with its -dg/dv term, and aggregation gain and loss;
     nucleation feeds m, and m migrates into w.  Then the five auxiliary
     ODEs.  Node 0 of both distributions is a boundary condition and gets
-    zero derivative.  A non-finite result or V_p <= 0 raises
-    :class:`NonFiniteEvaluationError`.
+    zero derivative.  V_p <= 0 raises :class:`NonFiniteEvaluationError`; a
+    non-finite result is returned as it is, for :func:`simulate`'s check
+    of the stepped state to report.
     """
     c = ws.coeffs
     n = ws.grid.N
@@ -423,17 +424,17 @@ def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
         -c.lam_p_pol2 * psi / psi1 * (psi + c.Psi_r) / (v_pol2 + c.lam_pol1_pol2),
         c.lam_p_pol2 * psi / psi1,
     )
-    if not np.isfinite(out).all():
-        raise NonFiniteEvaluationError(_diagnose_nonfinite(derivs, out[-5:]))
     return out
 
 
-def _diagnose_nonfinite(derivs, aux) -> str:
-    bad = [f"d{name} at nodes {np.flatnonzero(~np.isfinite(d)).tolist()[:5]}"
-           for name, d in zip("mw", derivs) if not np.isfinite(d).all()]
-    names = ("dV_mat", "dV_cm", "dV_cw", "dPsi", "dV_pol2")
-    bad.extend(name for name, v in zip(names, aux) if not np.isfinite(v))
-    return "non-finite right-hand side: " + "; ".join(bad)
+def _diagnose_nonfinite(y: np.ndarray, n: int) -> str:
+    """What of the packed state ``y`` of an N = n grid is not finite: the
+    first five such nodes of m and of w, then the auxiliary scalars."""
+    dists, aux = split_state(y, n)
+    bad = [f"{name} at nodes {np.flatnonzero(~np.isfinite(d)).tolist()[:5]}"
+           for name, d in zip("mw", dists) if not np.isfinite(d).all()]
+    bad.extend(name for name, v in zip(SERIES, aux) if not math.isfinite(v))
+    return "; ".join(bad)
 
 
 @dataclass(frozen=True)
@@ -521,21 +522,23 @@ def simulate(
 ) -> SimulationReport:
     """Integrate from the empty initial state and collect diagnostics.
 
-    With ``steps`` the run takes that many steps of t_max / steps, the last
-    one ending on t_max by count.  Without, each step is
-    :func:`stable_step` of the current state, capped at the sample spacing
-    t_max / SAMPLES and cut only to end exactly at t_max; the desk run
-    takes 142 steps.  Either way the run samples at the SAMPLES + 1 times
-    t_max * i / SAMPLES.  A sample inside a step is read from the step's
-    continuous extension (:func:`~nondim.odes.rk4_dense_step`), at no extra
-    right-hand side call; a sample on a step's end, t_max among them, is
-    the stepped state.
+    With ``steps`` the run takes that many steps of tau = t_max / steps,
+    step k ending at k tau.  Without, each step is :func:`stable_step` of
+    the current state, capped at the sample spacing t_max / SAMPLES and at
+    t_max - t; the desk run takes 142 steps.  Either way the run samples at
+    the SAMPLES + 1 times t_max * i / SAMPLES, and a step that ends within
+    1e-9 of the spacing of a sample time ends on it, so the last step ends
+    on t_max.  A sample inside a step is read from the step's continuous
+    extension (:func:`~nondim.odes.rk4_dense_step`), at no extra right-hand
+    side call; a sample on a step's end is the stepped state.
 
     Deterministic for identical inputs.  The run stops early, and says why
     in the report's ``aborted``, if the distribution support reaches the
     upper grid boundary, where the truncated aggregation integral stops
-    being a valid approximation.  A run with nucleation on (``lam_n > 0``)
-    whose nucleation volume lam_c lies outside the grid's (0, N h), or whose
+    being a valid approximation.  A step whose state is not finite raises
+    :class:`NonFiniteEvaluationError`, naming the step and what of the
+    state is not finite.  A run with nucleation on (``lam_n > 0``) whose
+    nucleation volume lam_c lies outside the grid's (0, N h), or whose
     discrete source mass is exactly 0, a Gaussian the grid cannot see,
     raises :class:`DomainError` before its first step.
     """
@@ -580,23 +583,21 @@ def simulate(
     dips = array("d")
     aborted = guard_step = None
     # A state that blows up may overflow before it stops being finite; the
-    # finiteness checks below and in rhs_vector report it, not a warning.
+    # finiteness check below reports it, not a warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while len(samples) < len(sample_times):
-            if steps is None:
-                tau = min(stable_step(ws, y), spacing, t_max - t)
-                # A step that ends within rounding of t_max ends on it: t + tau
-                # may round below t_max, and a run of steps of the spacing may
-                # add up to a hair short of it, which is not worth a step.
-                end = t_max if t_max - (t + tau) <= 1e-9 * spacing else t + tau
-            else:
-                tau = t_max / steps
-                end = t_max if taken + 1 == steps else (taken + 1) * tau
+            tau = t_max / steps if steps else min(stable_step(ws, y), spacing, t_max - t)
+            end = (taken + 1) * tau if steps else t + tau
+            # A step that ends within rounding of a sample time ends on it.
+            near = float(sample_times[min(round(end / spacing), SAMPLES)])
+            if abs(end - near) <= 1e-9 * spacing:
+                end = near
             y, dense = rk4_dense_step(rhs, t, y, tau)
             taken += 1
             if not np.isfinite(y).all():
                 raise NonFiniteEvaluationError(
-                    f"state overflow after step {taken}", step=taken, state=y
+                    f"non-finite state after step {taken}: {_diagnose_nonfinite(y, n)}",
+                    step=taken, state=y,
                 )
             tau_min, tau_max = min(tau_min, tau), max(tau_max, tau)
             # Samples strictly inside the step come from its continuous

@@ -108,8 +108,13 @@ class TestScale:
         ("kappa: 2.0, ", "", "monomials[1].kappa"),
         ("kappa: 2.0", "kappa: two", "monomials[1].kappa"),
         ("exponents: [1]}", "exponents: 1}", "monomials[0].exponents"),
+        ("factors: [a]\nmonomials:\n", "", "top level must be a mapping"),
+        ("factors: [a]", "factors: []", "need at least one factor and one monomial"),
+        ("monomials:\n  - {label: l1, kappa: 3.0, exponents: [1]}\n"
+         "  - {label: l2, kappa: 2.0, exponents: [-1]}\n", "monomials: []\n",
+         "need at least one factor and one monomial"),
     ], ids=["unknown-monomial-key", "unknown-top-key", "missing-key", "not-a-number",
-            "not-a-list"])
+            "not-a-list", "top-level-list", "no-factor", "no-monomial"])
     def test_bad_problem_key_is_named(self, runner, tmp_path, old, new, key):
         config = tmp_path / "bad.yaml"
         config.write_text(PROBLEM.replace(old, new, 1))
@@ -188,24 +193,32 @@ def test_ambiguous_label_exits_64_before_writing(runner, tmp_path, command, labe
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args, code", [
-    (["pbe", "--v-window", "1e300", "--steps", "1"], 64),
-    (["pbe", "--nodes", "100000000", "--steps", "1"], 64),
+@pytest.mark.parametrize("args, code, message", [
+    (["pbe", "--v-window", "1e300", "--steps", "1"], 64,
+     "grid spacing h must be > 0 and finite, got --v-window 1e+300"),
+    (["pbe", "--nodes", "100000000", "--steps", "1"], 64, "grid needs N <= 1000000"),
     (["pbe", "--theta", "eucl", "--nodes", "16", "--v-window", "0.05e-16",
-      "--t-horizon", "250"], 64),
-    (["enumerate", "--preset", "projectile", "--cap", "0"], 64),
-    (["enumerate", "--preset", "latex", "--cap", "1000"], 3),
-    (["scale", "--preset", "bogus"], 64),
-    (["--config", "{missing}", "projectile"], 64),
-    (["projectile", "--t-max", "inf"], 64),
+      "--t-horizon", "250"], 64, "is not below N = 16"),
+    (["enumerate", "--preset", "projectile", "--cap", "0"], 64, "cap must be >= 1"),
+    (["enumerate", "--preset", "latex", "--cap", "1000"], 3,
+     "subset count 75582 exceeds cap 1000"),
+    (["scale", "--preset", "bogus"], 64, "'bogus' is not one of"),
+    (["--config", "{missing}", "projectile"], 64, "projectile reads no --config file"),
+    (["projectile", "--t-max", "inf"], 64, "--t-max must be > 0 and finite"),
+    (["--config", "{missing}", "scale"], 64, "cannot read problem file {missing}"),
+    (["--config", "{missing}", "pbe"], 64, "cannot read scenario file {missing}"),
+    (["pbe", "--steps", "0"], 64, "steps must be >= 1"),
 ], ids=["v-window", "oversized-grid", "source-outside", "cap-zero", "cap-exceeded",
-        "usage", "group-config", "t-max"])
-def test_refused_command_leaves_no_out_directory(runner, tmp_path, args, code):
+        "usage", "group-config", "t-max", "unreadable-problem", "unreadable-scenario",
+        "steps-zero"])
+def test_refused_command_leaves_no_out_directory(runner, tmp_path, args, code, message):
     # --out is made with a command's first artifact, never before.
     out = tmp_path / "out"
-    args = [arg.format(missing=tmp_path / "missing.yaml") for arg in args]
+    missing = tmp_path / "missing.yaml"
+    args = [arg.format(missing=missing) for arg in args]
     result = runner.invoke(main, ["--out", str(out), *args])
     assert result.exit_code == code, result.output
+    assert message.format(missing=missing) in result.output
     assert not out.exists()
 
 
@@ -256,8 +269,9 @@ class TestProjectile:
          "projectile reads no --config file"),
         (["projectile", "--theta", "inf", "1"],
          "theta must be finite and > 0, got [inf, 1.0]"),
+        (["projectile", "--flow-grid", "1", "10"], "grid counts must be >= 2"),
     ], ids=["t-max-inf", "t-max-nan", "t-max-negative", "flow-range-inf",
-            "flow-range-nan", "group-config", "theta-inf"])
+            "flow-range-nan", "group-config", "theta-inf", "flow-grid-one"])
     def test_non_finite_input_exits_64_before_writing(self, runner, tmp_path, args, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -385,6 +399,8 @@ class TestPbe:
         ("t_max: 0.2", "t_max: 0.2\nsteps: 100", "unknown steps"),
         ("sigma_c: 0.02", "sigma-c: 0.5", "unknown sigma-c"),
         ("t_max: 0.2", "", "missing t_max"),
+        ("  n: 0.0", "  n: -1.0", "lam_n must be >= 0, got -1.0"),
+        ("v_max: 4.0", "v_max: 5.0e-324", "grid spacing h must be > 0 and finite, got 0.0"),
     ])
     def test_bad_scenario_key_is_named(self, runner, tmp_path, old, new, key):
         config = tmp_path / "bad.yaml"
@@ -444,9 +460,10 @@ class TestPbe:
         )
 
     def test_non_finite_state_exits_5(self, runner, tmp_path):
+        # The first step's state names the nodes of m that overflowed.
         result = self.blowup(runner, tmp_path)
         assert result.exit_code == 5, result.output
-        assert "non-finite" in result.output
+        assert "error: non-finite state after step 1: m at nodes [1, 2, 3, 4, 5]" in result.output
 
     def test_non_finite_state_exits_5_when_runtime_warnings_are_errors(
         self, runner, tmp_path

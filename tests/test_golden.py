@@ -6,7 +6,11 @@ SHA-256 is stored in ``tests/golden.json`` with the numpy version and
 machine that wrote it.  On a host with that key the test compares digests;
 on any other, where ``np.correlate`` and ``np.dot`` may round differently,
 it compares a few stored scalars per artifact within 1e-12 relative.  The
-mode that ran is printed in the terminal summary.
+error series are the exception: on well-scaled runs each ε is a difference
+of near-equal moments (at most 2.4e-12 on ``pbe-full``), so moments that
+move by rounding move the sums of |ε| far past 1e-12.  There each ε column
+must equal :func:`nondim.pbe.error_series` of its own file's t, V_c and F
+columns instead.  The mode that ran is printed in the terminal summary.
 
 A change that moves payload bytes on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
@@ -29,6 +33,7 @@ import pytest
 from click.testing import CliRunner
 
 from nondim.cli import main
+from nondim.pbe import error_series
 
 GOLDEN = Path(__file__).with_name("golden.json")
 REL_TOL = 1e-12
@@ -101,15 +106,29 @@ def scalars(path: Path, data: bytes) -> dict:
 
 
 def run(name: str, out: Path) -> dict:
-    """Run one pinned command into ``out``: each artifact's digest and scalars."""
+    """Run one pinned command into ``out``: each artifact's digest, scalars
+    and payload (which golden.json does not store)."""
     result = CliRunner().invoke(main, ["--out", str(out), *COMMANDS[name]])
     assert result.exit_code == 0, result.output
     artifacts = {}
     for path in sorted(out.iterdir()):
         data = payload(path)
         artifacts[path.name] = {"sha256": hashlib.sha256(data).hexdigest(),
-                                "scalars": scalars(path, data)}
+                                "scalars": scalars(path, data), "payload": data}
     return artifacts
+
+
+def check_error_series(name: str, data: bytes) -> None:
+    """Each ε column of a ``pbe_diagnostics.csv`` payload equals
+    :func:`error_series` of the same file's t, V_c and F columns, or is nan
+    throughout where the series is absent."""
+    header, *rows = csv.reader(io.StringIO(data.decode()))
+    columns = dict(zip(header, np.array(rows, dtype=float).T))
+    for phase in "mw":
+        written = columns[f"eps_{phase}"]
+        want = error_series(columns["t"], columns[f"V_c{phase}"], columns[f"F_{phase}"])
+        assert (np.isnan(written).all() if want is None
+                else np.array_equal(written, want)), f"{name}: eps_{phase} moved"
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +149,12 @@ def compare(name: str, got: dict, expected: dict, exact: bool) -> None:
         values = got[artifact]["scalars"]
         assert sorted(values) == sorted(entry["scalars"]), f"{name}: {artifact}"
         for key, want in entry["scalars"].items():
+            if key.startswith("eps_"):
+                continue  # checked against the file's own moments below
             assert math.isclose(values[key], want, rel_tol=REL_TOL, abs_tol=0.0), (
                 f"{name}: {artifact} {key} = {values[key]!r}, stored {want!r}")
+        if artifact == "pbe_diagnostics.csv":
+            check_error_series(name, got[artifact]["payload"])
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
@@ -146,8 +169,20 @@ def test_scalar_fallback_catches_a_moved_value(golden, tmp_path):
     got = run("pbe-guard", tmp_path)
     compare("pbe-guard", got, commands["pbe-guard"], exact=False)
     scalars = got["pbe_summary.json"]["scalars"]
-    scalars["max_eps_m"] *= 1 + 1e-11
+    written = scalars["max_eps_m"]
+    scalars["max_eps_m"] = written * (1 + 1e-11)
     with pytest.raises(AssertionError, match="max_eps_m"):
+        compare("pbe-guard", got, commands["pbe-guard"], exact=False)
+    scalars["max_eps_m"] = written
+    compare("pbe-guard", got, commands["pbe-guard"], exact=False)
+    # A written eps_m, the last row's, moved by 1e-11 relative.
+    diagnostics = got["pbe_diagnostics.csv"]
+    *rows, last = diagnostics["payload"].decode().splitlines()
+    cells = last.split(",")
+    column = rows[0].split(",").index("eps_m")
+    cells[column] = repr(float(cells[column]) * (1 + 1e-11))
+    diagnostics["payload"] = "\n".join([*rows, ",".join(cells), ""]).encode()
+    with pytest.raises(AssertionError, match="eps_m moved"):
         compare("pbe-guard", got, commands["pbe-guard"], exact=False)
 
 
@@ -158,7 +193,9 @@ def test_every_golden_entry_has_a_command(golden):
 
 def write_golden(workdir: Path) -> None:
     """Run every pinned command under ``workdir`` and rewrite golden.json."""
-    commands = {name: run(name, workdir / name) for name in COMMANDS}
+    commands = {name: {artifact: {key: entry[key] for key in ("sha256", "scalars")}
+                       for artifact, entry in run(name, workdir / name).items()}
+                for name in COMMANDS}
     GOLDEN.write_text(json.dumps({"key": host_key(), "commands": commands},
                                  indent=1, sort_keys=True) + "\n")
 

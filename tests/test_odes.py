@@ -11,7 +11,6 @@ from nondim.odes import (
     projectile_system,
     rk4_dense_step,
     rk4_integrate,
-    rk4_step,
 )
 from nondim.scaling import eval_coefficients, solve_euclidean
 
@@ -20,7 +19,7 @@ class TestRk4:
     def test_exact_on_quartic_polynomial_rhs(self):
         # One RK4 step integrates polynomial time dependence up to t^3
         # exactly; y' = 4 t^3 gives y = t^4 with zero local error.
-        y = rk4_step(lambda t, y: np.array([4.0 * t**3]), 0.0, np.array([0.0]), 1.0)
+        y, _ = rk4_dense_step(lambda t, y: np.array([4.0 * t**3]), 0.0, np.array([0.0]), 1.0)
         assert y[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_fourth_order_convergence_on_exponential(self):
@@ -48,13 +47,13 @@ class TestRk4:
 
     def test_continuous_extension_spans_the_step(self):
         # theta = 0 gives the step's start exactly and theta = 1 its end up
-        # to rounding; the step's state is rk4_step's, bit for bit.
+        # to rounding; the step's state is the one rk4_integrate takes.
         def rhs(t, y):
             return np.array([y[1], -y[0] + np.sin(t)])
 
         y0 = np.array([0.3, -1.2])
-        y1, dense = rk4_dense_step(rhs, 0.1, y0, 0.25)
-        assert np.array_equal(y1, rk4_step(rhs, 0.1, y0, 0.25))
+        y1, dense = rk4_dense_step(rhs, 0.125, y0, 0.25)
+        assert np.array_equal(y1, rk4_integrate(rhs, y0, 0.125, 0.375, 1).states[1])
         assert np.array_equal(dense(0.0), y0)
         np.testing.assert_allclose(dense(1.0), y1, rtol=1e-14, atol=1e-14)
 

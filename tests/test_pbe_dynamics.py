@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nondim import pbe
-from nondim.errors import NonFiniteEvaluationError
-from nondim.odes import rk4_integrate
+from nondim.errors import ConfigError, DomainError, NonFiniteEvaluationError
+from nondim.odes import projectile_system, rk4_integrate
 from nondim.pbe import (
     GmocWorkspace,
     Grid,
@@ -163,9 +163,25 @@ class TestSimulate:
         # The overflow on the way is no warning, so it is no error under -W
         # error either.
         coeffs = unit_coeffs(lam_a_m=1e300)
-        with warnings.catch_warnings(), pytest.raises(NonFiniteEvaluationError):
+        with warnings.catch_warnings(), pytest.raises(NonFiniteEvaluationError) as err:
             warnings.simplefilter("error", RuntimeWarning)
             simulate(coeffs, Grid(16, 0.25), 0.5, 50)
+        assert err.value.step == 1
+        assert str(err.value).startswith("non-finite state after step 1: m at nodes [")
+        assert not np.isfinite(err.value.state).all()
+
+    def test_blow_up_names_what_of_the_state_is_not_finite(self):
+        # The first five non-finite nodes of each distribution, then the
+        # auxiliary scalars by name.
+        grid = Grid(16, 0.25)
+        y = initial_state(grid, 1.0)
+        dists, _ = split_state(y, grid.N)
+        dists[0, 2:10] = np.inf
+        dists[1, 16] = np.nan
+        y[-4] = -np.inf  # V_cm
+        y[-1] = np.nan  # V_pol2
+        assert pbe._diagnose_nonfinite(y, grid.N) == (
+            "m at nodes [2, 3, 4, 5, 6]; w at nodes [16]; V_cm; V_pol2")
 
     @pytest.mark.parametrize("scenario, mass, first_moment, rel", [
         (latex_scenario("eucl"), 1.0, 1.0, 1e-6),
@@ -187,11 +203,12 @@ class TestSimulate:
         assert settings["source_first_moment_ratio"] == pytest.approx(first_moment, rel=rel)
 
     def test_sampling_includes_initial_and_final_times(self, monkeypatch):
-        # A fixed run samples on the adaptive runs' grid.  At 80 steps every
-        # 5th sample falls on a step's end, at 205 every 20th; the others lie
-        # inside a step and are read from its continuous extension, and so
-        # may those whose time and step end differ by rounding (theta within
-        # rounding of 0 or 1).  The last sample is the final state.
+        # A fixed run samples on the adaptive runs' grid.  Sample i falls on
+        # a step's end exactly when i * steps is a multiple of 100 (at 80
+        # steps every 5th sample, at 205 every 20th) and is the stepped state,
+        # also where k * t_max / steps misses the sample time by rounding.
+        # The others lie inside a step and are read from its continuous
+        # extension, well inside it.  The last sample is the final state.
         coeffs, grid, t_max = unit_coeffs(), Grid(16, 0.25), 0.1
         ws = GmocWorkspace(coeffs, grid)
         thetas = []
@@ -207,7 +224,7 @@ class TestSimulate:
             return out, read
 
         monkeypatch.setattr(pbe, "rk4_dense_step", recorded)
-        for steps in (80, 205, 4197):
+        for steps in (3, 7, 80, 99, 101, 205, 250, 1200, 4197):
             thetas.clear()
             report = simulate(coeffs, grid, t_max, steps)
             np.testing.assert_array_equal(report.times, t_max * np.arange(101) / 100)
@@ -218,8 +235,8 @@ class TestSimulate:
             assert settings["tau_min"] == settings["tau_max"] == t_max / steps
             assert all(len(getattr(report, name)) == 101 for name in pbe.SERIES)
             inside = sum(i * steps % 100 != 0 for i in range(101))
-            assert inside <= len(thetas) <= 99
-            assert all(0 < theta < 1 + 1e-9 for theta in thetas)
+            assert len(thetas) == inside
+            assert all(1e-9 < theta < 1 - 1e-9 for theta in thetas)
             assert [report.F_m[-1], report.F_w[-1]] == [
                 float(ws.moment0_weights @ (ws.nodes * d))
                 for d in (report.final_m, report.final_w)]
@@ -229,7 +246,7 @@ class TestAdaptiveSteps:
     def test_lands_on_uniform_samples_with_four_rhs_calls_per_step(self, monkeypatch):
         # The desk defaults, whose stability step is 0.44 to 5.4 sample
         # spacings, and a small grid whose decay rate holds every step below
-        # the spacing.  In both, the last step is cut short to end at t_max.
+        # the spacing.  In both, the last step ends on t_max.
         desk = latex_scenario("eucl")
         scenarios = [(desk.coeffs, desk.grid, desk.t_max, 150),
                      (unit_coeffs(lam_mu_m=1000.0), Grid(16, 0.25), 0.2, 160)]
@@ -269,10 +286,11 @@ class TestAdaptiveSteps:
             assert 0 < settings["tau_min"] <= settings["tau_max"] <= t_max / 100
             assert report.aborted is None
             # Most samples fall strictly inside a step and are read from its
-            # continuous extension, and only those; the last is the final
-            # state, bit for bit.
-            assert len(thetas) == np.setdiff1d(report.times[1:-1], starts).size >= 90
-            assert all(0 < theta < 1 for theta in thetas)
+            # continuous extension, and only those: a step that ends within
+            # rounding of a sample time ends on it, and that sample is the
+            # stepped state.  The last is the final state, bit for bit.
+            assert len(thetas) == np.setdiff1d(report.times[1:-1], starts).size >= 60
+            assert all(1e-9 < theta < 1 - 1e-9 for theta in thetas)
             assert t_max - starts[-1] < t_max / 100
             ws = GmocWorkspace(coeffs, grid)
             dists, aux = split_state(ends[-1], grid.N)
@@ -368,7 +386,35 @@ class TestAdaptiveSteps:
         assert report.times[-1] == 40 * (0.1 / 40)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: growth_law(unit_coeffs(), [0.0, 0.0, 0.0, -2.0, 0.0]),
+     NonFiniteEvaluationError, "state corruption: V_p <= 0"),
+    (lambda: latex_scenario("bogus"), ConfigError, "unknown theta selector 'bogus'"),
+    (lambda: projectile_system([0.0, 1.0, 1.0]), DomainError,
+     "lambdas must be strictly positive"),
+], ids=["swollen-volume", "theta-selector", "projectile-lambda"])
+def test_call_no_command_can_make_is_refused(call, error, message):
+    # Psi = -2 gives V_p < 0; the CLI offers only 'eucl' and 'test' and only
+    # positive projectile coefficients.
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestErrorSeries:
+    @pytest.mark.parametrize("times, v_c, f, eps", [
+        ([0.0, 2.0], [1.0, 3.0], [1.0, 2.0], [0.0, 1.0 / np.sqrt(10.0)]),
+        ([0.0, 0.5, 1.0], [0.0, 3.0, 6.0], [0.0, 3.0, 5.0], [0.0, 0.0, 1.0 / np.sqrt(12.0)]),
+        ([0.0], [1.0], [1.0], None),
+    ], ids=["trapezoid", "simpson", "one-sample"])
+    def test_normalized_by_the_time_integral(self, times, v_c, f, eps):
+        # The L2 norm in time of V_c: the trapezoid on one interval, Simpson
+        # on two (exact for V_c^2 = 36 t^2), and none at a single sample.
+        got = error_series(np.array(times), np.array(v_c), np.array(f))
+        if eps is None:
+            assert got is None
+        else:
+            np.testing.assert_allclose(got, eps, rtol=1e-15)
+
     def test_consistent_series_has_small_error(self):
         scenario = latex_scenario("eucl", n_nodes=64, v_window=0.25e-16,
                                   t_horizon=120.0)

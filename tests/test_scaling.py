@@ -57,9 +57,13 @@ class TestValidation:
         with pytest.raises(DomainError):
             eval_coefficients(toy_problem(), [1.0, -1.0])
 
-    @pytest.mark.parametrize("theta", [[math.inf, 1.0], [1.0, math.nan]])
-    def test_theta_must_be_finite(self, theta):
-        with pytest.raises(DomainError, match=r"theta must be finite and > 0, got \["):
+    @pytest.mark.parametrize("theta, message", [
+        ([math.inf, 1.0], r"theta must be finite and > 0, got \["),
+        ([1.0, math.nan], r"theta must be finite and > 0, got \["),
+        ([1.0], r"theta must have length 2, got shape \(1,\)"),
+    ], ids=["theta0", "theta1", "wrong-length"])
+    def test_theta_must_be_finite(self, theta, message):
+        with pytest.raises(DomainError, match=message):
             eval_coefficients(toy_problem(), theta)
 
 
