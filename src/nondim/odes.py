@@ -13,10 +13,11 @@ from .errors import DomainError, NonFiniteEvaluationError
 
 Rhs = Callable[[float, np.ndarray], np.ndarray]
 
-#: Largest step count and lattice (in points) that rk4_integrate and
-#: flow_field accept, refused before anything is allocated.  At its peak,
-#: writing the CSV, the projectile command holds 314 bytes a step and 97 a
-#: point (tracemalloc, 10^5 to 4 * 10^5 of each): each bound is about 300 MB.
+#: Largest step count of any RK4 run (rk4_integrate's, and pbe.simulate's
+#: fixed or adaptive steps) and largest lattice (in points) that flow_field
+#: accepts.  At its peak, writing the CSV, the projectile command holds 25
+#: to 30 bytes a step and 48 a point (tracemalloc, 10^5 to 4 * 10^5 steps,
+#: 10^6 points): the bounds are about 30 MB and 150 MB.
 MAX_RK4_STEPS = 1_000_000
 MAX_FLOW_POINTS = 3_000_000
 
@@ -65,7 +66,7 @@ def rk4_integrate(
     if not -math.inf < t0 < t1 < math.inf:
         raise DomainError(f"need finite t0 < t1, got t0={t0}, t1={t1}")
     if not 1 <= steps <= MAX_RK4_STEPS:
-        raise DomainError(f"steps must be in 1..{MAX_RK4_STEPS} (300 bytes a step), got {steps}")
+        raise DomainError(f"steps must be in 1..{MAX_RK4_STEPS} (30 bytes a step), got {steps}")
     y = np.array(y0, dtype=float)
     tau = (t1 - t0) / steps
     times = t0 + tau * np.arange(steps + 1)

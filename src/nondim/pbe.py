@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, NonFiniteEvaluationError
 from .models import LatexConstants
-from .odes import rk4_dense_step
+from .odes import MAX_RK4_STEPS, rk4_dense_step
 
 TRUNCATION_TOLERANCE = 1e-6
 #: A distribution is negative where it falls below -NONNEG_TOL times its
@@ -117,6 +117,14 @@ class LatexCoefficients:
             raise DomainError(f"Phi_s must be < 1, got {self.Phi_s!r}")
         if self.lam_c / self.sigma_c < 10.0:
             raise DomainError("lam_c must dominate sigma_c (ratio >= 10)")
+        # Psi only falls along a solution, so the aggregation prefactor's
+        # (Psi + 1)^(14/3) (see _rates) is finite on a run if it is here.
+        try:
+            (self.Psi_bar + 1.0) ** (14.0 / 3.0)
+        except OverflowError:
+            raise DomainError(
+                f"Psi_bar must keep (Psi_bar + 1)^(14/3) finite, got {self.Psi_bar!r}"
+            ) from None
 
     @classmethod
     def from_labels(
@@ -540,12 +548,17 @@ def simulate(
     state is not finite.  A run with nucleation on (``lam_n > 0``) whose
     nucleation volume lam_c lies outside the grid's (0, N h), or whose
     discrete source mass is exactly 0, a Gaussian the grid cannot see,
-    raises :class:`DomainError` before its first step.
+    raises :class:`DomainError` before its first step.  So do more than
+    :data:`~nondim.odes.MAX_RK4_STEPS` fixed steps; an adaptive step whose
+    stable step is below t_max / MAX_RK4_STEPS raises it when it is reached,
+    so no run takes more than about that many steps.
     """
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be > 0 and finite, got {t_max!r}")
     if steps is not None and steps < 1:
         raise DomainError("steps must be >= 1")
+    if steps is not None and steps > MAX_RK4_STEPS:
+        raise DomainError(f"steps must be <= {MAX_RK4_STEPS}, got {steps}")
     spacing = t_max / SAMPLES
     sample_times = t_max * np.arange(SAMPLES + 1) / SAMPLES
     sample_times[-1] = t_max  # t_max * SAMPLES / SAMPLES may round off it
@@ -586,8 +599,19 @@ def simulate(
     # finiteness check below reports it, not a warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while len(samples) < len(sample_times):
-            tau = t_max / steps if steps else min(stable_step(ws, y), spacing, t_max - t)
-            end = (taken + 1) * tau if steps else t + tau
+            if steps:
+                tau = t_max / steps
+                end = (taken + 1) * tau
+            else:
+                stable = stable_step(ws, y)
+                if stable * MAX_RK4_STEPS < t_max:
+                    raise DomainError(
+                        f"the run needs more than {MAX_RK4_STEPS} steps: step {taken + 1}'s "
+                        f"stable step {stable:.3e} is below t_max / {MAX_RK4_STEPS} "
+                        f"(t_max = {t_max!r})"
+                    )
+                tau = min(stable, spacing, t_max - t)
+                end = t + tau
             # A step that ends within rounding of a sample time ends on it.
             near = float(sample_times[min(round(end / spacing), SAMPLES)])
             if abs(end - near) <= 1e-9 * spacing:

@@ -205,27 +205,22 @@ def _quote(cell: str) -> str:
     return '"' + cell.replace('"', '""') + '"'
 
 
-def _cells(column):
-    """A column's cells in lists of :data:`CSV_CHUNK` strings, the last
-    list possibly shorter.
+def _cells(column) -> list:
+    """One slice of a column, as the text of its cells.
 
     A float array's cells are ``repr(float(v))``, which never needs
-    quoting.  Its distinct values, told apart by bit pattern (so ``-0.0``
+    quoting; its distinct values, told apart by bit pattern (so ``-0.0``
     and ``0.0`` stay distinct, and every nan of one pattern is formatted
-    once), are each formatted once, and each chunk is one gather from that
-    table.  Any other column is an iterable of such lists of strings, whose
-    cells go through :func:`_quote`; a chunk whose joined text holds no
-    :data:`_CSV_SPECIAL` character is passed as it is, with one search in
-    place of one per cell.
+    once), are each formatted once.  A list of strings goes through
+    :func:`_quote`, or is passed as it is when its joined text holds no
+    :data:`_CSV_SPECIAL` character, with one search in place of one per
+    cell.
     """
     if not isinstance(column, np.ndarray):
-        return (chunk if not _needs_quoting("".join(chunk)) else [*map(_quote, chunk)]
-                for chunk in column)
-    column = np.ascontiguousarray(column, dtype=float)
-    bits, index = np.unique(column.view(np.uint64), return_inverse=True)
-    text = np.array([*map(repr, bits.view(float).tolist())], dtype=object)
-    return (text[index[start:start + CSV_CHUNK]].tolist()
-            for start in range(0, len(column), CSV_CHUNK))
+        return column if not _needs_quoting("".join(column)) else [*map(_quote, column)]
+    bits, index = np.unique(np.ascontiguousarray(column, dtype=float).view(np.uint64),
+                            return_inverse=True)
+    return np.array([*map(repr, bits.view(float).tolist())], dtype=object)[index].tolist()
 
 
 def _create(path, **options):
@@ -237,17 +232,18 @@ def _create(path, **options):
 def _write_csv(path, manifest: RunManifest, header, columns) -> None:
     """Manifest line, header, then one row per entry of the columns.
 
-    A column is a float array or an iterable of chunks of strings (see
-    :func:`_cells`).  The header and each row are their cells, quoted by
-    :func:`_quote`, joined by ``,`` and ended by ``\\r\\n``: what
-    ``csv.writer``'s default dialect writes for them.  The rows are built
-    and written :data:`CSV_CHUNK` at a time, so the file is never held
-    whole in memory.
+    A column is a float array or a list of strings, all of one length.
+    The header and each row are their cells, quoted by :func:`_quote`,
+    joined by ``,`` and ended by ``\\r\\n``: what ``csv.writer``'s default
+    dialect writes for them.  The rows are formatted (see :func:`_cells`)
+    and written :data:`CSV_CHUNK` at a time, so neither the file nor a
+    column's text is ever held whole in memory.
     """
     with _create(path, newline="") as fh:
         fh.write(manifest.header_line() + "\n")
         fh.write(",".join(map(_quote, header)) + "\r\n")
-        for chunk in zip(*map(_cells, columns)):
+        for start in range(0, len(columns[0]), CSV_CHUNK):
+            chunk = [_cells(column[start:start + CSV_CHUNK]) for column in columns]
             fh.write("\r\n".join(map(",".join, zip(*chunk))) + "\r\n")
 
 
@@ -261,7 +257,7 @@ def write_solution_csv(
         ["method", "cost", "ratio"]
         + [f"theta_{_slug(name)}" for name in problem.factor_names]
         + [f"lambda_{label}" for label in problem.labels],
-        [[[solution.method_tag]], *values[:, None]],
+        [[solution.method_tag], *values[:, None]],
     )
 
 
@@ -270,8 +266,7 @@ def write_enumeration_csv(
 ) -> None:
     """All solvable subsets sorted by ratio, then factor values per row."""
     labels = np.array(problem.labels, dtype=object)
-    subsets = ([*map(";".join, labels[result.subsets[start:start + CSV_CHUNK]].tolist())]
-               for start in range(0, len(result.subsets), CSV_CHUNK))
+    subsets = [*map(";".join, labels[result.subsets].tolist())]
     _write_csv(
         path, manifest,
         ["subset", "ratio", "cost"]

@@ -208,9 +208,10 @@ def test_ambiguous_label_exits_64_before_writing(runner, tmp_path, command, labe
     (["--config", "{missing}", "scale"], 64, "cannot read problem file {missing}"),
     (["--config", "{missing}", "pbe"], 64, "cannot read scenario file {missing}"),
     (["pbe", "--steps", "0"], 64, "steps must be >= 1"),
+    (["pbe", "--steps", "1000001"], 64, "steps must be <= 1000000, got 1000001"),
 ], ids=["v-window", "oversized-grid", "source-outside", "cap-zero", "cap-exceeded",
         "usage", "group-config", "t-max", "unreadable-problem", "unreadable-scenario",
-        "steps-zero"])
+        "steps-zero", "steps-over-budget"])
 def test_refused_command_leaves_no_out_directory(runner, tmp_path, args, code, message):
     # --out is made with a command's first artifact, never before.
     out = tmp_path / "out"
@@ -285,9 +286,9 @@ class TestProjectile:
         ("MAX_FLOW_POINTS", ["--flow-grid", "10", "10"], ["--flow-grid", "11", "10"],
          "lattice needs at most 100 points, got 11 x 10"),
         ("MAX_RK4_STEPS", ["--steps", "100"], ["--steps", "101"],
-         "steps must be in 1..100 (300 bytes a step), got 101"),
+         "steps must be in 1..100 (30 bytes a step), got 101"),
         ("MAX_RK4_STEPS", ["--steps", "100", "--roundtrip"], ["--steps", "101", "--roundtrip"],
-         "steps must be in 1..100 (300 bytes a step), got 101"),
+         "steps must be in 1..100 (30 bytes a step), got 101"),
     ], ids=["flow-grid", "steps", "steps-roundtrip"])
     def test_oversized_run_exits_64_before_writing(
         self, runner, tmp_path, monkeypatch, bound, fits, over, message
@@ -401,15 +402,20 @@ class TestPbe:
         ("t_max: 0.2", "", "missing t_max"),
         ("  n: 0.0", "  n: -1.0", "lam_n must be >= 0, got -1.0"),
         ("v_max: 4.0", "v_max: 5.0e-324", "grid spacing h must be > 0 and finite, got 0.0"),
+        ("Psi_bar: 1.0", "Psi_bar: 1.0e+70", "Psi_bar must keep (Psi_bar + 1)^(14/3) finite"),
+        # With no --steps the run steps adaptively, and its stable step is
+        # 1.35e-15 against t_max = 0.2.
+        ("  mu_m: 1.0", "  mu_m: 1.0e+15",
+         "the run needs more than 1000000 steps: step 1's stable step"),
     ])
     def test_bad_scenario_key_is_named(self, runner, tmp_path, old, new, key):
         config = tmp_path / "bad.yaml"
         config.write_text(no_nucleation_scenario().replace(old, new))
-        result = runner.invoke(
-            main, ["--out", str(tmp_path), "--config", str(config), "pbe"]
-        )
-        assert result.exit_code == 64
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--out", str(out), "--config", str(config), "pbe"])
+        assert result.exit_code == 64, result.output
         assert key in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, named", [
         (["--nodes", "400"], ["--nodes"]),

@@ -5,7 +5,7 @@ import pytest
 
 from nondim import pbe
 from nondim.errors import ConfigError, DomainError, NonFiniteEvaluationError
-from nondim.odes import projectile_system, rk4_integrate
+from nondim.odes import MAX_RK4_STEPS, projectile_system, rk4_integrate
 from nondim.pbe import (
     GmocWorkspace,
     Grid,
@@ -377,6 +377,14 @@ class TestAdaptiveSteps:
             g_n / h + decay * pbe.TRANSPORT_LIMIT / pbe.RK4_REAL_LIMIT)
         tau = stable_step(GmocWorkspace(coeffs, grid), y)
         assert tau == pytest.approx(expected, rel=1e-12)
+
+    def test_a_run_past_the_step_budget_is_refused(self):
+        # The stable step is 1.35e-15 against a sample spacing of 0.002, so
+        # the run would take about 1.5e14 steps; it is refused at its first.
+        with pytest.raises(DomainError, match=(
+                f"more than {MAX_RK4_STEPS} steps: step 1's stable step 1.352e-15 "
+                rf"is below t_max / {MAX_RK4_STEPS} \(t_max = 0.2\)")):
+            simulate(unit_coeffs(lam_mu_m=1e15), Grid(16, 0.25), 0.2)
 
     def test_fixed_steps_report_their_constant_step(self):
         coeffs = unit_coeffs()
