@@ -4,8 +4,8 @@ Exit codes are stable contracts:
 
 * 0 — success (including runs whose summary flags issues like singular
   flow points or negative minima under a poorly-scaled preset)
-* 2 — degenerate exponent structure (rank reported), or a singular
-  one-equals-one subset
+* 2 — degenerate exponent structure (rank reported), a singular
+  one-equals-one subset, or an enumeration with no solvable subset
 * 3 — enumeration size exceeds the cap
 * 4 — non-negativity guard violated under the optimally-scaled preset:
   ``pbe --theta eucl`` whose report holds
@@ -13,13 +13,16 @@ Exit codes are stable contracts:
   summary names a ``settings.first_negative`` step (m or w below
   -:data:`~nondim.pbe.NONNEG_TOL` times that distribution's final peak).
 * 5 — solver state stopped being finite, a projectile trajectory that
-  reaches the pole 1 + lambda2*w1 = 0 among them
+  reaches the pole 1 + lambda2*w1 = 0, scaling factors that are not normal
+  floats and a corrupted PBE state among them
 * 64 — malformed configuration or command line
 
 :data:`EXIT_CODES` maps each toolkit error to its code, for every command.
-Every artifact embeds a manifest of the run's inputs only, so the same
-inputs write byte-identical artifacts into any ``--out`` directory.  That
-directory is made with the first artifact, so a refused command leaves none.
+Every command computes and reports everything before :func:`_write` writes
+its artifacts, so a refused or failed command writes nothing and leaves no
+``--out`` directory.  Each artifact embeds the one manifest of the run's
+inputs, so the same inputs write byte-identical artifacts into any
+``--out`` directory.
 """
 
 from __future__ import annotations
@@ -91,6 +94,25 @@ def _solve(problem: ScalingProblem, method: str, **anneal) -> ScalingSolution:
     return anneal_minimize(problem, config=AnnealConfig(**anneal))
 
 
+def _write(ctx: click.Context, artifacts, **resolved) -> None:
+    """Write each ``(name, writer, *payload)`` of ``artifacts`` as
+    ``writer(<--out>/name, *payload, manifest)``, and print its path.
+
+    The manifest is the command's parameters, the group's ``--config`` and
+    what the command ``resolved`` from them, which replaces a parameter of
+    the same name.  A command calls this last, after it has reported.
+    """
+    manifest = runio.RunManifest(
+        command=ctx.info_name,
+        config={**ctx.params, "config": ctx.obj["config"], **resolved},
+        seed=ctx.obj["seed"],
+    )
+    for name, writer, *payload in artifacts:
+        path = ctx.obj["out"] / name
+        writer(path, *payload, manifest)
+        click.echo(f"wrote {path}")
+
+
 class _Cli(click.Group):
     """A group whose commands exit by :data:`EXIT_CODES`."""
 
@@ -129,46 +151,29 @@ def main(ctx, out, seed, config):
 @click.option("--method", type=click.Choice(["euclid", "anneal-max"]), default="euclid")
 @click.option("--q", type=int, default=3, help="Size-separation decades (ldg preset).")
 @click.option("--max-evals", type=int, default=100_000)
-@click.pass_obj
-def scale(obj, preset, method, q, max_evals):
+@click.pass_context
+def scale(ctx, preset, method, q, max_evals):
     """Compute scaling factors by one method and write the solution CSV."""
-    problem = _load_preset(preset, obj["config"], q)
-    solution = _solve(problem, method, max_evaluations=max_evals, seed=obj["seed"])
-
-    manifest = runio.RunManifest(
-        command="scale",
-        config={"preset": preset, "config": obj["config"], "method": method,
-                "q": q, "max_evals": max_evals},
-        seed=obj["seed"],
-    )
-    path = obj["out"] / "scale_solution.csv"
-    runio.write_solution_csv(path, problem, solution, manifest)
+    problem = _load_preset(preset, ctx.obj["config"], q)
+    solution = _solve(problem, method, max_evaluations=max_evals, seed=ctx.obj["seed"])
     for name, value in zip(problem.factor_names, solution.theta):
         click.echo(f"theta  {name:>14} = {value:.6e}")
     for label, value in zip(problem.labels, solution.lambdas):
         click.echo(f"lambda {label:>14} = {value:.6e}")
     click.echo(f"cost  = {solution.cost:.6e}")
     click.echo(f"ratio = {solution.ratio:.6e}")
-    click.echo(f"wrote {path}")
+    _write(ctx, [("scale_solution.csv", runio.write_solution_csv, problem, solution)])
 
 
 @main.command("enumerate")
 @click.option("--preset", type=click.Choice(list(PRESETS)), default=None)
 @click.option("--q", type=int, default=3)
 @click.option("--cap", type=int, default=10**6, help="Largest allowed subset count.")
-@click.pass_obj
-def enumerate_cmd(obj, preset, q, cap):
+@click.pass_context
+def enumerate_cmd(ctx, preset, q, cap):
     """Survey all traditional one-equals-one scalings, sorted by ratio."""
-    problem = _load_preset(preset, obj["config"], q)
+    problem = _load_preset(preset, ctx.obj["config"], q)
     result = enumerate_traditional(problem, cap=cap)
-
-    manifest = runio.RunManifest(
-        command="enumerate",
-        config={"preset": preset, "config": obj["config"], "q": q, "cap": cap},
-        seed=obj["seed"],
-    )
-    path = obj["out"] / "enumeration.csv"
-    runio.write_enumeration_csv(path, problem, result, manifest)
     click.echo(f"candidate subsets : {result.total_subsets}")
     click.echo(f"solvable subsets  : {result.solvable_count}")
     click.echo(f"fraction r > 1e10 : {result.fraction_with_ratio_above(1e10):.4f}")
@@ -177,7 +182,7 @@ def enumerate_cmd(obj, preset, q, cap):
                    + ",".join(problem.labels[c] for c in result.subsets[row]))
         click.echo(f"       theta_{tag} = "
                    + " ".join(f"{v:.6e}" for v in 10.0 ** result.rho[row]))
-    click.echo(f"wrote {path}")
+    _write(ctx, [("enumeration.csv", runio.write_enumeration_csv, problem, result)])
 
 
 @main.command()
@@ -192,10 +197,10 @@ def enumerate_cmd(obj, preset, q, cap):
 @click.option("--flow-grid", type=int, nargs=2, default=(21, 21))
 @click.option("--roundtrip", is_flag=True,
               help="Check the scaled run against the dimensional one.")
-@click.pass_obj
-def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtrip):
+@click.pass_context
+def projectile(ctx, method, theta, steps, t_max, flow_range, flow_grid, roundtrip):
     """Integrate the scaled throw and sample its phase-plane flow."""
-    if obj["config"] is not None:
+    if ctx.obj["config"] is not None:
         raise ConfigError("projectile reads no --config file; drop --config")
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"--t-max must be > 0 and finite, got {t_max!r}")
@@ -204,28 +209,13 @@ def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtri
         method = None  # the manifest records that no solve chose theta
         theta = np.asarray(theta, dtype=float)
     else:
-        theta = _solve(problem, method, seed=obj["seed"]).theta
+        theta = _solve(problem, method, seed=ctx.obj["seed"]).theta
     lambdas = eval_coefficients(problem, theta)
     t_c = float(theta[0])
     tau_max = t_max / t_c
     rhs = projectile_system(lambdas)
     trajectory = rk4_integrate(rhs, [0.0, lambdas[2]], 0.0, tau_max, steps)
     flow = flow_field(lambdas, flow_range[:2], flow_range[2:], flow_grid)
-
-    manifest = runio.RunManifest(
-        command="projectile",
-        config={"method": method, "theta": [float(v) for v in theta],
-                "steps": steps, "t_max": t_max,
-                "flow_range": list(flow_range), "flow_grid": list(flow_grid),
-                "roundtrip": roundtrip},
-        seed=obj["seed"],
-    )
-    out = obj["out"]
-    runio.write_trajectory_csv(
-        out / "projectile_trajectory.csv", trajectory.times, trajectory.states,
-        ["w1", "w2"], manifest,
-    )
-    runio.write_flow_csv(out / "projectile_flow.csv", flow, manifest)
 
     summary = {
         "theta": [float(v) for v in theta],
@@ -247,16 +237,18 @@ def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtri
         deviation = float(np.max(np.abs(rescaled - dimensional.states[:, 0])) / scale_ref)
         summary["roundtrip_max_relative_deviation"] = deviation
         click.echo(f"roundtrip max relative deviation = {deviation:.3e}")
-    runio.write_summary_json(out / "projectile_summary.json", summary, manifest)
     if flow.singular_points:
         click.echo(f"singular flow points: {len(flow.singular_points)} (see summary)")
-    click.echo(f"wrote {out / 'projectile_trajectory.csv'}")
-    click.echo(f"wrote {out / 'projectile_flow.csv'}")
-    click.echo(f"wrote {out / 'projectile_summary.json'}")
+    _write(ctx, [
+        ("projectile_trajectory.csv", runio.write_trajectory_csv,
+         trajectory.times, trajectory.states, ["w1", "w2"]),
+        ("projectile_flow.csv", runio.write_flow_csv, flow),
+        ("projectile_summary.json", runio.write_summary_json, summary),
+    ], method=method, theta=summary["theta"])
 
 
 @main.command()
-@click.option("--theta", "theta_sel", type=click.Choice(["eucl", "test"]), default="eucl",
+@click.option("--theta", type=click.Choice(["eucl", "test"]), default="eucl",
               help="Scaling: 'eucl', the Euclidean optimum, or 'test', a poorly-"
                    "scaled one-equals-one subset.  Either runs the window the "
                    "other options give.")
@@ -271,10 +263,9 @@ def projectile(obj, method, theta, steps, t_max, flow_range, flow_grid, roundtri
 @click.option("--sigma-rule", type=float, default=None,
               help="Gaussian width divisor: sigma_c = lambda_c / RULE.")
 @click.pass_context
-def pbe(ctx, theta_sel, desk, nodes, steps, v_window, t_horizon, sigma_rule):
+def pbe(ctx, theta, desk, nodes, steps, v_window, t_horizon, sigma_rule):
     """Run the population balance solver and write its artifacts."""
-    obj = ctx.obj
-    if obj["config"] is not None:
+    if ctx.obj["config"] is not None:
         fixed = [
             "/".join(param.opts + param.secondary_opts) for param in ctx.command.params
             if param.name != "steps"
@@ -283,26 +274,14 @@ def pbe(ctx, theta_sel, desk, nodes, steps, v_window, t_horizon, sigma_rule):
         if fixed:
             raise ConfigError("the --config scenario file fixes the window; drop "
                               + ", ".join(fixed))
-        scenario = runio.load_lambda_config(obj["config"])
+        scenario = runio.load_lambda_config(ctx.obj["config"])
     else:
         scenario = scenarios.latex_scenario(
-            theta_sel, n_nodes=nodes, v_window=v_window,
+            theta, n_nodes=nodes, v_window=v_window,
             t_horizon=t_horizon, sigma_rule=sigma_rule, desk=desk,
         )
     coeffs, grid, t_max = scenario.coeffs, scenario.grid, scenario.t_max
     report = simulate(coeffs, grid, t_max, steps)
-
-    manifest = runio.RunManifest(
-        command="pbe",
-        config={"theta": scenario.theta_tag, "config": obj["config"], "desk": desk,
-                "N": grid.N, "h": grid.h, "t_max": t_max,
-                "steps": report.settings["steps"] if steps is None else steps,
-                "sigma_c": coeffs.sigma_c},
-        seed=obj["seed"],
-    )
-    out = obj["out"]
-    runio.write_distributions_csv(out / "pbe_distributions.csv", grid, report, manifest)
-    runio.write_diagnostics_csv(out / "pbe_diagnostics.csv", report, manifest)
 
     summary = {
         "theta": scenario.theta_tag,
@@ -313,15 +292,18 @@ def pbe(ctx, theta_sel, desk, nodes, steps, v_window, t_horizon, sigma_rule):
         "aborted": report.aborted,
         "settings": report.settings,
     }
-    runio.write_summary_json(out / "pbe_summary.json", summary, manifest)
     click.echo(f"min m = {report.min_m:.6e}  min w = {report.min_w:.6e}")
     click.echo(f"max eps_m = {report.max_eps_m}  max eps_w = {report.max_eps_w}")
     if report.aborted:
         click.echo(f"early stop: {report.aborted}")
     if report.negative_minima:
         click.echo("negative minima beyond tolerance")
-    for name in ("pbe_distributions.csv", "pbe_diagnostics.csv", "pbe_summary.json"):
-        click.echo(f"wrote {out / name}")
+    _write(ctx, [
+        ("pbe_distributions.csv", runio.write_distributions_csv, grid, report),
+        ("pbe_diagnostics.csv", runio.write_diagnostics_csv, report),
+        ("pbe_summary.json", runio.write_summary_json, summary),
+    ], theta=scenario.theta_tag, N=grid.N, h=grid.h, t_max=t_max, sigma_c=coeffs.sigma_c,
+        steps=report.settings["steps"] if steps is None else steps)
     if report.negative_minima and scenario.theta_tag == "eucl":
         sys.exit(EXIT_NONNEG)
 

@@ -12,15 +12,15 @@ class DomainError(NondimError):
 class DegenerateExponentsError(NondimError):
     """The exponent table does not determine the scaling factors.
 
-    Carries the numerical rank of the exponent matrix and its column count.
+    Carries the numerical rank of the exponent matrix and its column count;
+    ``reason`` replaces the message where the rank is full but the factors
+    are still not determined.
     """
 
-    def __init__(self, rank: int, size: int):
+    def __init__(self, rank: int, size: int, reason: str | None = None):
         self.rank = rank
         self.size = size
-        super().__init__(
-            f"degenerate exponent structure: rank {rank} < {size}"
-        )
+        super().__init__(reason or f"degenerate exponent structure: rank {rank} < {size}")
 
 
 class UnsolvableSubsetError(NondimError):

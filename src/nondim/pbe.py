@@ -25,6 +25,7 @@ develops the negative oscillations the diagnostics here are built to expose.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, fields
 
@@ -41,6 +42,9 @@ NONNEG_TOL = 1e-8
 #: Every run samples at the SAMPLES + 1 uniform times t_max * i / SAMPLES, and
 #: no adaptive step is longer than their spacing.
 SAMPLES = 100
+#: The shortest run: below it the sample spacing t_max / SAMPLES is
+#: subnormal, too coarse to tell a step's end from a sample time.
+MIN_T_MAX = SAMPLES * sys.float_info.min
 #: The sampled series of a run, in the order :func:`_sample` returns them.
 SERIES = ("V_mat", "V_cm", "V_cw", "Psi", "V_pol2", "F_m", "F_w")
 #: Stability limits of classical RK4 with fd4 transport: tau * max|g| / h
@@ -64,6 +68,9 @@ MIN_GRID_N = 8  # the five-point stencils need nodes 0..4 and N-4..N apart
 #: N = 4000 and 10,000.  So the largest grid needs about 300 MB, and a
 #: larger one is refused before anything is allocated.
 MAX_GRID_N = 1_000_000
+#: Grid spans N h must stay below this, the square root of the largest
+#: float, so that the first-moment weights h v of every node are floats.
+MAX_GRID_SPAN = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,8 @@ class LatexCoefficients:
     """The 19 dimensionless rate coefficients plus scale-free constants.
 
     ``sigma_c`` is the width of the Gaussian standing in for the nucleation
-    point mass; it must stay well below the nucleation volume ``lam_c``.
+    point mass; it must stay well below the nucleation volume ``lam_c``,
+    and wide enough that the Gaussian's peak is a float.
     Every value is finite and positive, but ``lam_n`` and ``lam_s_m`` may
     be zero and ``Phi_s`` stays below 1 (the domain of
     :class:`nondim.models.LatexParams`).
@@ -117,6 +125,9 @@ class LatexCoefficients:
             raise DomainError(f"Phi_s must be < 1, got {self.Phi_s!r}")
         if self.lam_c / self.sigma_c < 10.0:
             raise DomainError("lam_c must dominate sigma_c (ratio >= 10)")
+        if 1.0 / (float(self.sigma_c) * math.sqrt(2.0 * math.pi)) == math.inf:
+            raise DomainError("sigma_c must keep the Gaussian's peak 1/(sigma_c sqrt(2 pi)) "
+                              f"finite, got {self.sigma_c!r}")
         # Psi only falls along a solution, so the aggregation prefactor's
         # (Psi + 1)^(14/3) (see _rates) is finite on a run if it is here.
         try:
@@ -146,16 +157,25 @@ class Grid:
     h: float
 
     def __post_init__(self):
-        if self.N < MIN_GRID_N:
-            raise DomainError(f"grid needs N >= {MIN_GRID_N} (five-point stencils)")
-        if self.N > MAX_GRID_N:
-            raise DomainError(f"grid needs N <= {MAX_GRID_N} (about 300 bytes a node), "
-                              f"got {self.N}")
+        self.check_nodes(self.N)
         if not 0 < self.h < math.inf:
             raise DomainError(f"grid spacing h must be > 0 and finite, got {self.h!r}")
+        if not self.N * self.h < MAX_GRID_SPAN:
+            raise DomainError(f"grid span N h must be below {MAX_GRID_SPAN:.4g}, "
+                              f"got {self.N * self.h:.4g}")
+
+    @staticmethod
+    def check_nodes(N: int) -> None:
+        """Refuse a node count outside [MIN_GRID_N, MAX_GRID_N]."""
+        if N < MIN_GRID_N:
+            raise DomainError(f"grid needs N >= {MIN_GRID_N} (five-point stencils)")
+        if N > MAX_GRID_N:
+            raise DomainError(f"grid needs N <= {MAX_GRID_N} (about 300 bytes a node), "
+                              f"got {N}")
 
     @classmethod
     def from_vmax(cls, N: int, v_max: float) -> "Grid":
+        cls.check_nodes(N)  # before N divides: N = 0 would warn, not refuse
         return cls(N=N, h=v_max / N)
 
     def nodes(self) -> np.ndarray:
@@ -166,8 +186,9 @@ def gaussian_delta(v: float, lc: float, sc: float):
     """Gaussian density of mean lc and width sc, the mollified point mass."""
     if not sc > 0:
         raise DomainError("sigma must be > 0")
-    z = (np.asarray(v, dtype=float) - lc) / sc
-    with np.errstate(over="ignore"):  # z * z = inf far out, where exp gives the right 0
+    # z or z * z = inf far out, where exp gives the right 0.
+    with np.errstate(over="ignore"):
+        z = (np.asarray(v, dtype=float) - lc) / sc
         return np.exp(-0.5 * z * z) / (sc * math.sqrt(2.0 * math.pi))
 
 
@@ -176,7 +197,7 @@ def growth_law(coeffs: LatexCoefficients, aux) -> tuple[float, float, float]:
     g(v) = a v^(2/3) + b v: surface growth and dilation.
 
     ``aux`` holds the five auxiliary scalars of the packed state.  A swollen
-    volume V_p <= 0, a corrupted state, raises
+    volume V_p <= 0 or a Psi + 1 <= 0, a corrupted state, raises
     :class:`NonFiniteEvaluationError`.
     """
     v_mat, v_cm, v_cw, psi, _ = aux
@@ -190,6 +211,8 @@ def growth_law(coeffs: LatexCoefficients, aux) -> tuple[float, float, float]:
     )
     if v_p <= 0:
         raise NonFiniteEvaluationError("state corruption: V_p <= 0")
+    if psi1 <= 0:  # (Psi + 1)^(2/3) and ^(14/3) would be complex
+        raise NonFiniteEvaluationError("state corruption: Psi + 1 <= 0")
     return phi, coeffs.lam_d * phi * psi1 ** (2.0 / 3.0), coeffs.lam_p * psi / v_p
 
 
@@ -398,9 +421,9 @@ def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
     :func:`growth_law` with its -dg/dv term, and aggregation gain and loss;
     nucleation feeds m, and m migrates into w.  Then the five auxiliary
     ODEs.  Node 0 of both distributions is a boundary condition and gets
-    zero derivative.  V_p <= 0 raises :class:`NonFiniteEvaluationError`; a
-    non-finite result is returned as it is, for :func:`simulate`'s check
-    of the stepped state to report.
+    zero derivative.  A corrupted state (see :func:`growth_law`) raises
+    :class:`NonFiniteEvaluationError`; a non-finite result is returned as
+    it is, for :func:`simulate`'s check of the stepped state to report.
     """
     c = ws.coeffs
     n = ws.grid.N
@@ -548,13 +571,17 @@ def simulate(
     state is not finite.  A run with nucleation on (``lam_n > 0``) whose
     nucleation volume lam_c lies outside the grid's (0, N h), or whose
     discrete source mass is exactly 0, a Gaussian the grid cannot see,
-    raises :class:`DomainError` before its first step.  So do more than
-    :data:`~nondim.odes.MAX_RK4_STEPS` fixed steps; an adaptive step whose
-    stable step is below t_max / MAX_RK4_STEPS raises it when it is reached,
-    so no run takes more than about that many steps.
+    raises :class:`DomainError` before its first step.  So do a t_max below
+    :data:`MIN_T_MAX` and more than :data:`~nondim.odes.MAX_RK4_STEPS`
+    fixed steps; an adaptive step whose stable step is below t_max /
+    MAX_RK4_STEPS raises it when it is reached, so no run takes more than
+    about that many steps.
     """
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be > 0 and finite, got {t_max!r}")
+    if t_max < MIN_T_MAX:
+        raise DomainError(f"t_max must be >= {MIN_T_MAX!r}, so that the sample spacing "
+                          f"t_max / {SAMPLES} is a normal float, got {float(t_max)!r}")
     if steps is not None and steps < 1:
         raise DomainError("steps must be >= 1")
     if steps is not None and steps > MAX_RK4_STEPS:

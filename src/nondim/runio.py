@@ -24,7 +24,7 @@ from . import __version__
 from .errors import ConfigError
 from .models import LATEX_LABELS, LatexConstants
 from .pbe import MAX_GRID_N, MIN_GRID_N, SERIES, Grid, LatexCoefficients, SimulationReport
-from .scaling import EnumerationResult, Monomial, ScalingProblem, ScalingSolution
+from .scaling import EnumerationResult, Monomial, ScalingProblem, ScalingSolution, factor_column
 from .scenarios import FULL, LatexScenario
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -49,10 +49,6 @@ class RunManifest:
 
     def header_line(self) -> str:
         return "# manifest: " + json.dumps(asdict(self), sort_keys=True)
-
-
-def _slug(name: str) -> str:
-    return name.split("[")[0].strip().replace(" ", "_")
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +122,10 @@ def _list(path, key: str, value) -> list:
 
 
 def _number(path, key: str, value) -> float:
+    """``value`` as a float; YAML's ``yes``, ``no``, ``true`` and the like
+    read as bools, which are refused rather than taken as 1 and 0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{path}: {key} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -254,8 +254,7 @@ def write_solution_csv(
     values = np.concatenate([[solution.cost, solution.ratio], solution.theta, solution.lambdas])
     _write_csv(
         path, manifest,
-        ["method", "cost", "ratio"]
-        + [f"theta_{_slug(name)}" for name in problem.factor_names]
+        ["method", "cost", "ratio", *map(factor_column, problem.factor_names)]
         + [f"lambda_{label}" for label in problem.labels],
         [[solution.method_tag], *values[:, None]],
     )
@@ -269,8 +268,7 @@ def write_enumeration_csv(
     subsets = [*map(";".join, labels[result.subsets].tolist())]
     _write_csv(
         path, manifest,
-        ["subset", "ratio", "cost"]
-        + [f"theta_{_slug(name)}" for name in problem.factor_names],
+        ["subset", "ratio", "cost", *map(factor_column, problem.factor_names)],
         [subsets, result.ratio, result.cost, *(10.0**result.rho).T],
     )
 

@@ -28,6 +28,7 @@ from .errors import (
     DegenerateExponentsError,
     DomainError,
     EnumerationCapError,
+    NonFiniteEvaluationError,
     UnsolvableSubsetError,
 )
 
@@ -73,13 +74,20 @@ class Monomial:
                     f"monomial {self.label!r}: {name} must be finite, got {value!r}")
 
 
+def factor_column(name: str) -> str:
+    """The CSV column of the factor ``name``: ``theta_`` and the name up to
+    any ``[`` (a unit), stripped, with its spaces as ``_``."""
+    return "theta_" + name.split("[")[0].strip().replace(" ", "_")
+
+
 @dataclass(frozen=True)
 class ScalingProblem:
     """A set of monomial coefficients over named positive scaling factors.
 
     Monomial labels are unique and hold no ``;``, which joins the labels of
-    a forced subset in the enumeration's output; :class:`DomainError` names
-    a label that breaks either rule.
+    a forced subset in the enumeration's output, and no two factor names
+    share a :func:`factor_column`; :class:`DomainError` names a label or
+    the factor names that break a rule.
     """
 
     factor_names: tuple[str, ...]
@@ -90,8 +98,13 @@ class ScalingProblem:
         object.__setattr__(self, "monomials", tuple(self.monomials))
         if len(self.factor_names) < 1 or len(self.monomials) < 1:
             raise DomainError("need at least one factor and one monomial")
-        if len(set(self.factor_names)) != len(self.factor_names):
-            raise DomainError("factor names must be unique")
+        columns = {}
+        for name in self.factor_names:
+            column = factor_column(name)
+            if column in columns:
+                raise DomainError(f"factor names {columns[column]!r} and {name!r} "
+                                  f"share the CSV column {column!r}")
+            columns[column] = name
         seen = set()
         for mono in self.monomials:
             if ";" in mono.label:
@@ -207,7 +220,23 @@ def _ratio(log_lam: np.ndarray):
     Taken from the logs, it is ``inf`` exactly where the spread passes
     about 308 decades, even where min(lambda) itself underflows.
     """
-    return 10.0 ** (np.max(log_lam, axis=-1) - np.min(log_lam, axis=-1))
+    with np.errstate(over="ignore"):
+        return 10.0 ** (np.max(log_lam, axis=-1) - np.min(log_lam, axis=-1))
+
+
+def _in_range(rho: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Over the last axis: whether every factor 10**rho is a normal float
+    (0, a subnormal or ``inf`` no longer solves for it) and every log
+    residual is finite."""
+    with np.errstate(over="ignore"):
+        theta = 10.0**rho
+    normal = (theta >= np.finfo(float).tiny) & (theta < math.inf)
+    return normal.all(axis=-1) & np.isfinite(res).all(axis=-1)
+
+
+def _out_of_range(tag: str, rho: np.ndarray) -> NonFiniteEvaluationError:
+    return NonFiniteEvaluationError(
+        f"{tag}: the factors leave the normal floats, log10 theta = {rho.tolist()}")
 
 
 def eval_coefficients(problem: ScalingProblem, theta) -> np.ndarray:
@@ -227,15 +256,21 @@ def evaluate_cost(problem: ScalingProblem, theta, kind: str) -> float:
 
 
 def _solution(problem: ScalingProblem, rho: np.ndarray, kind: str, tag: str) -> ScalingSolution:
-    res = _log_residuals(problem)(rho)
-    log_lam = res + problem.targets()
-    return ScalingSolution(
-        theta=10.0**rho,
-        lambdas=10.0**log_lam,
-        cost=float(_cost(kind)(res)),
-        ratio=float(_ratio(log_lam)),
-        method_tag=tag,
-    )
+    """The solution at ``rho``; :class:`NonFiniteEvaluationError` if a
+    factor leaves the normal floats (see :func:`_in_range`).  A coefficient
+    whose log10 passes the float range is 0 or ``inf``, as its target asks."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _log_residuals(problem)(rho)
+        if not _in_range(rho, res):
+            raise _out_of_range(tag, rho)
+        log_lam = res + problem.targets()
+        return ScalingSolution(
+            theta=10.0**rho,
+            lambdas=10.0**log_lam,
+            cost=float(_cost(kind)(res)),
+            ratio=float(_ratio(log_lam)),
+            method_tag=tag,
+        )
 
 
 def solve_euclidean(problem: ScalingProblem) -> ScalingSolution:
@@ -300,7 +335,8 @@ def _solve_subsets(A: np.ndarray, forced: np.ndarray, idx: np.ndarray):
         (np.bitwise_or.reduce(support[idx], axis=1) == every_column).all(axis=1))
     mats = A[idx[covered]]  # (B_covered, N_x, N_x)
     dets = np.zeros(len(idx))
-    dets[covered] = np.linalg.det(mats)
+    with np.errstate(over="ignore"):  # a det past the float range is inf, and solvable
+        dets[covered] = np.linalg.det(mats)
     solvable = np.abs(dets) > SINGULARITY_EPS
     keep = solvable[covered]
     rhos = np.linalg.solve(mats[keep], forced[idx[covered[keep]]][..., None])[..., 0]
@@ -447,7 +483,10 @@ def enumerate_traditional(problem: ScalingProblem, cap: int = 10**6) -> Enumerat
     Subsets are solved in vectorized slices of :data:`ENUMERATION_CHUNK`
     rows of the table; the results do not depend on the slicing.  A cap
     below 1 raises :class:`DomainError`; a count above it,
-    :class:`EnumerationCapError`.
+    :class:`EnumerationCapError`; no solvable subset,
+    :class:`DegenerateExponentsError`, naming the exponents' rank where it
+    is below N_x; a solvable subset whose factors leave the normal floats,
+    :class:`NonFiniteEvaluationError`, as in :func:`_solution`.
     """
     if cap < 1:
         raise DomainError(f"the subset cap must be >= 1, got --cap {cap!r}")
@@ -468,10 +507,20 @@ def enumerate_traditional(problem: ScalingProblem, cap: int = 10**6) -> Enumerat
     for start in range(0, count, ENUMERATION_CHUNK):
         idx = table[start:start + ENUMERATION_CHUNK]  # (B, N_x)
         _, solvable, rhos = _solve_subsets(A, forced, idx)
-        res = residuals(rhos)
-        parts.append((idx[solvable], rhos, cost(res), _ratio(res + targets)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = residuals(rhos)
+        solved = idx[solvable]
+        bad = np.flatnonzero(~_in_range(rhos, res))
+        if len(bad):
+            subset = ",".join(map(str, solved[bad[0]].tolist()))
+            raise _out_of_range(f"subset:{subset}", rhos[bad[0]])
+        parts.append((solved, rhos, cost(res), _ratio(res + targets)))
 
     subsets, rhos, costs, ratios = (np.concatenate(p) for p in zip(*parts))
+    if not len(ratios):
+        rank = int(np.linalg.matrix_rank(A))
+        raise DegenerateExponentsError(rank, n_x, None if rank < n_x else (
+            f"no subset is solvable: all {count} have |det| <= {SINGULARITY_EPS:g}"))
     # The table is in lexicographic order, so a stable sort by ratio breaks
     # ties by subset.
     order = np.argsort(ratios, kind="stable")

@@ -44,6 +44,15 @@ DESK = dict(n_nodes=200, v_window=0.5e-16, t_horizon=250.0, sigma_rule=10.0)
 MATCHED_STEPS = 16000
 
 
+#: The scaled value each window option sets, as a refusal of the option names it.
+_SCALED = {"v_window": "grid spacing h", "t_horizon": "t_max", "sigma_rule": "sigma_c"}
+
+
+def _refused(key: str, value: float) -> DomainError:
+    option = "--" + key.replace("_", "-")
+    return DomainError(f"{_SCALED[key]} must be > 0 and finite, got {option} {value!r}")
+
+
 @dataclass(frozen=True)
 class LatexScenario:
     """simulate()'s inputs but the step count, tagged with their scaling."""
@@ -78,12 +87,9 @@ def latex_scenario(
     defaults = DESK if desk else FULL
     window = {key: defaults[key] if value is None else value
               for key, value in given.items()}
-    for key, scaled in (("v_window", "grid spacing h"), ("t_horizon", "t_max"),
-                        ("sigma_rule", "sigma_c")):
+    for key in _SCALED:
         if not 0 < window[key] < math.inf:
-            option = "--" + key.replace("_", "-")
-            raise DomainError(f"{scaled} must be > 0 and finite, "
-                              f"got {option} {window[key]!r}")
+            raise _refused(key, window[key])
     problem, constants = build_latex()
     if theta == "eucl":
         solution = solve_euclidean(problem)
@@ -92,16 +98,17 @@ def latex_scenario(
     else:
         raise ConfigError(f"unknown theta selector {theta!r} (want 'eucl' or 'test')")
     lambdas = dict(zip(problem.labels, solution.lambdas))
-    coeffs = LatexCoefficients.from_labels(
-        lambdas, constants, sigma_c=lambdas["c"] / window["sigma_rule"]
-    )
     nu0, t0 = solution.theta[0], solution.theta[1]
+    # A finite option may overflow once scaled: nu0 is about 1e-17, and
+    # sigma_rule may be subnormal.
     with np.errstate(over="ignore"):
-        v_max = window["v_window"] / nu0
-    if v_max == math.inf:  # nu0 is about 1e-17, so a finite window may overflow
-        raise DomainError("grid spacing h must be > 0 and finite, "
-                          f"got --v-window {window['v_window']!r}")
-    grid = Grid.from_vmax(window["n_nodes"], v_max)
+        scaled = {"sigma_rule": lambdas["c"] / window["sigma_rule"],
+                  "v_window": window["v_window"] / nu0}
+    for key, value in scaled.items():
+        if value == math.inf:
+            raise _refused(key, window[key])
+    coeffs = LatexCoefficients.from_labels(lambdas, constants, sigma_c=scaled["sigma_rule"])
+    grid = Grid.from_vmax(window["n_nodes"], scaled["v_window"])
     return LatexScenario(theta, coeffs, grid, window["t_horizon"] / t0)
 
 

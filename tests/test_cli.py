@@ -107,6 +107,7 @@ class TestScale:
         ("factors: [a]", "factors: [a]\nfactor: [b]", "unknown factor"),
         ("kappa: 2.0, ", "", "monomials[1].kappa"),
         ("kappa: 2.0", "kappa: two", "monomials[1].kappa"),
+        ("kappa: 2.0", "kappa: true", "monomials[1].kappa must be a number, got True"),
         ("exponents: [1]}", "exponents: 1}", "monomials[0].exponents"),
         ("factors: [a]\nmonomials:\n", "", "top level must be a mapping"),
         ("factors: [a]", "factors: []", "need at least one factor and one monomial"),
@@ -114,7 +115,7 @@ class TestScale:
          "  - {label: l2, kappa: 2.0, exponents: [-1]}\n", "monomials: []\n",
          "need at least one factor and one monomial"),
     ], ids=["unknown-monomial-key", "unknown-top-key", "missing-key", "not-a-number",
-            "not-a-list", "top-level-list", "no-factor", "no-monomial"])
+            "bool", "not-a-list", "top-level-list", "no-factor", "no-monomial"])
     def test_bad_problem_key_is_named(self, runner, tmp_path, old, new, key):
         config = tmp_path / "bad.yaml"
         config.write_text(PROBLEM.replace(old, new, 1))
@@ -146,6 +147,29 @@ class TestEnumerate:
         assert ratios == sorted(ratios)
         assert ratios[0] == pytest.approx(316.2, rel=1e-3)
 
+    @pytest.mark.parametrize("command, factors, exponents, code, message", [
+        ("enumerate", "[a, b]", ("[1, 0]", "[2, 0]", "[3, 0]"), 2,
+         "degenerate exponent structure: rank 1 < 2"),
+        ("enumerate", "[a, b]", ("[1.0e-7, 0]", "[0, 1.0e-7]", "[1.0e-7, 1.0e-7]"), 2,
+         "no subset is solvable: all 3 have |det| <= 1e-12"),
+        # log10 theta_a = -log10(2) / 1e-11 sends theta_a to 0.
+        ("enumerate", "[a]", ("[1.0e-11]", "[1]"), 5,
+         "subset:0: the factors leave the normal floats, log10 theta = ["),
+        ("scale", "[a, b]", ("[1.0e-7, 0]", "[0, 1.0e-7]", "[1.0e-7, 1.0e-7]"), 5,
+         "euclid: the factors leave the normal floats, log10 theta = ["),
+    ], ids=["rank-deficient", "every-det-tiny", "subset-past-normal", "euclid-past-normal"])
+    def test_problem_with_no_usable_factors_exits_before_writing(
+            self, runner, tmp_path, command, factors, exponents, code, message):
+        config = tmp_path / "problem.yaml"
+        config.write_text(f"factors: {factors}\nmonomials:\n" + "".join(
+            f"  - {{label: l{i}, kappa: {i + 2}.0, exponents: {row}}}\n"
+            for i, row in enumerate(exponents)))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--out", str(out), "--config", str(config), command])
+        assert result.exit_code == code, result.output
+        assert f"error: {message}" in result.output
+        assert not out.exists()
+
     def test_cap_exceeded_exits_3(self, runner, tmp_path):
         result = runner.invoke(
             main, ["--out", str(tmp_path), "enumerate", "--preset", "latex",
@@ -176,20 +200,26 @@ def test_non_finite_problem_value_exits_64_before_writing(
 
 
 @pytest.mark.parametrize("command", [["scale"], ["enumerate"]], ids=["scale", "enumerate"])
-@pytest.mark.parametrize("labels, named", [
-    (("x;y", "x", "z"), "'x;y' holds ';'"),
-    (("l1", "l2", "l1"), "'l1' is not unique"),
-], ids=["semicolon", "duplicate"])
-def test_ambiguous_label_exits_64_before_writing(runner, tmp_path, command, labels, named):
-    # A forced subset is written as its labels joined by ';'.
+@pytest.mark.parametrize("factors, labels, named", [
+    (("a",), ("x;y", "x", "z"), "monomial label 'x;y' holds ';'"),
+    (("a",), ("l1", "l2", "l1"), "monomial label 'l1' is not unique"),
+    (("x [m]", "x [s]"), ("l1", "l2", "l3"),
+     "factor names 'x [m]' and 'x [s]' share the CSV column 'theta_x'"),
+    (("a b", "a_b"), ("l1", "l2", "l3"),
+     "factor names 'a b' and 'a_b' share the CSV column 'theta_a_b'"),
+], ids=["semicolon", "duplicate", "unit", "space"])
+def test_ambiguous_label_exits_64_before_writing(runner, tmp_path, command, factors, labels,
+                                                 named):
+    # A forced subset is written as its labels joined by ';', and a factor
+    # as the column theta_<name up to '[', spaces as '_'>.
     config = tmp_path / "problem.yaml"
-    config.write_text("factors: [a]\nmonomials:\n" + "".join(
-        f"  - {{label: '{label}', kappa: {i + 2}.0, exponents: [{(-1) ** i}]}}\n"
+    config.write_text(f"factors: {list(factors)}\nmonomials:\n" + "".join(
+        f"  - {{label: '{label}', kappa: {i + 2}.0, exponents: {[(-1) ** i] * len(factors)}}}\n"
         for i, label in enumerate(labels)))
     out = tmp_path / "out"
     result = runner.invoke(main, ["--out", str(out), "--config", str(config), *command])
     assert result.exit_code == 64, result.output
-    assert f"monomial label {named}" in result.output
+    assert named in result.output
     assert not out.exists()
 
 
@@ -390,7 +420,9 @@ class TestPbe:
         ("N: 16", "N: 100000000", "grid.N must be in [8, 1000000], got 100000000"),
         ("v_max: 4.0", "v_max: 0.0", "grid.v_max"),
         ("v_max: 4.0", "v_max: .inf", "grid.v_max"),
+        ("v_max: 4.0", "v_max: 1.0e+300", "grid span N h must be below 1.341e+154, got 1e+300"),
         ("sigma_c: 0.02", "sigma_c: 0.0", "sigma_c"),
+        ("sigma_c: 0.02", "sigma_c: 5.0e-324", "sigma_c must keep the Gaussian's peak"),
         ("  a_w: 1.0", "  a_w: .inf", "lam_a_w must be finite"),
         ("Psi_bar: 1.0", "Psi_bar: .nan", "Psi_bar must be finite"),
         ("Psi_r: 1.05", "Psi_r: 0.0", "Psi_r must be > 0"),
@@ -407,6 +439,10 @@ class TestPbe:
         # 1.35e-15 against t_max = 0.2.
         ("  mu_m: 1.0", "  mu_m: 1.0e+15",
          "the run needs more than 1000000 steps: step 1's stable step"),
+        ("t_max: 0.2", "t_max: 1.0e-320", "t_max must be >= 2.2250738585072014e-306"),
+        ("Psi_r: 1.05", "Psi_r: yes", "constants.Psi_r must be a number, got True"),
+        ("  n: 0.0\n", "  n: false\n", "lambdas.n must be a number, got False"),
+        ("t_max: 0.2", "t_max: true", "t_max must be a number, got True"),
     ])
     def test_bad_scenario_key_is_named(self, runner, tmp_path, old, new, key):
         config = tmp_path / "bad.yaml"
@@ -471,6 +507,25 @@ class TestPbe:
         assert result.exit_code == 5, result.output
         assert "error: non-finite state after step 1: m at nodes [1, 2, 3, 4, 5]" in result.output
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("  p_pol1: 1.0", "  p_pol1: 1.0e-310", "state corruption: Psi + 1 <= 0"),
+        ("  p_pol2: 1.0", "  p_pol2: 3.0", "state corruption: V_p <= 0"),
+    ], ids=["psi", "v_p"])
+    def test_corrupted_state_exits_5_before_writing(self, runner, tmp_path, old, new, message):
+        # One step of the whole horizon drives Psi below -1, where
+        # (Psi + 1)^(2/3) would be complex.
+        config = tmp_path / "corrupt.yaml"
+        config.write_text(
+            no_nucleation_scenario().replace("  n: 0.0", "  n: 1.0")
+            .replace("  s_m: 0.0", "  s_m: 1.0").replace("t_max: 0.2", "t_max: 5.0")
+            .replace(old, new))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--out", str(out), "--config", str(config), "pbe",
+                                      "--steps", "1"])
+        assert result.exit_code == 5, result.output
+        assert f"error: {message}" in result.output
+        assert not out.exists()
+
     def test_non_finite_state_exits_5_when_runtime_warnings_are_errors(
         self, runner, tmp_path
     ):
@@ -512,6 +567,11 @@ class TestPbe:
         # Finite, but it overflows once divided by nu0 (about 1e-17).
         ("--v-window", "1e300", "grid spacing h must be > 0 and finite, got --v-window 1e+300"),
         ("--t-horizon", "nan", "t_max must be > 0 and finite, got --t-horizon nan"),
+        # A subnormal sample spacing would end the run off its last sample.
+        ("--t-horizon", "1e-310", "t_max must be >= 2.2250738585072014e-306"),
+        # Finite, but lambda_c over it overflows.
+        ("--sigma-rule", "1e-310", "sigma_c must be > 0 and finite, got --sigma-rule 1e-310"),
+        ("--nodes", "0", "grid needs N >= 8"),
     ])
     def test_window_option_out_of_domain_exits_64_without_warning(
             self, runner, tmp_path, option, value, named):

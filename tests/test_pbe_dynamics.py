@@ -393,6 +393,23 @@ class TestAdaptiveSteps:
         assert report.settings["tau_min"] == report.settings["tau_max"] == 0.1 / 40
         assert report.times[-1] == 40 * (0.1 / 40)
 
+    @pytest.mark.parametrize("t_max, steps", [
+        (1e-320, 250), (1e-310, 3), (np.nextafter(pbe.MIN_T_MAX, 0.0), None),
+    ])
+    def test_a_subnormal_sample_spacing_is_refused(self, t_max, steps):
+        # Below MIN_T_MAX the sample spacing is subnormal, and a step's end
+        # could overshoot the last sample (an IndexError) or fall short of it.
+        with pytest.raises(DomainError, match=(
+                rf"t_max must be >= 2.2250738585072014e-306, .* got {float(t_max)!r}")):
+            simulate(unit_coeffs(), Grid(16, 0.25), t_max, steps)
+
+    @pytest.mark.parametrize("steps", [None, 3, 7, 13])
+    def test_the_shortest_run_takes_its_steps_and_every_sample(self, steps):
+        report = simulate(unit_coeffs(), Grid(16, 0.25), pbe.MIN_T_MAX, steps)
+        assert report.settings["steps"] == (steps or pbe.SAMPLES)
+        assert len(report.times) == pbe.SAMPLES + 1
+        assert report.times[-1] == pbe.MIN_T_MAX
+
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: growth_law(unit_coeffs(), [0.0, 0.0, 0.0, -2.0, 0.0]),
