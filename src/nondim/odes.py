@@ -94,8 +94,8 @@ def projectile_system(lambdas) -> Rhs:
     the rate is -inf, which :func:`rk4_integrate` reports as non-finite.
     """
     lam1, lam2, lam3 = (float(v) for v in lambdas)
-    if min(lam1, lam2, lam3) <= 0:
-        raise DomainError("lambdas must be strictly positive")
+    if not all(0 < lam < math.inf for lam in (lam1, lam2, lam3)):
+        raise DomainError("lambdas must be positive and finite")
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         # One product, not ``** 2``: on a numpy scalar that calls libm pow,
@@ -120,22 +120,26 @@ class FlowField:
 def flow_field(lambdas, w1_range, w2_range, grid_counts) -> FlowField:
     """Sample (w1', w2') on a lattice spanning the given ranges.
 
-    Both ranges must be finite and nonempty.  Points where the rate is not
-    finite (the pole) are reported in row-major order, not silently
-    skipped; their tangent entries are NaN.
+    Both ranges must be finite and nonempty, with a finite width hi - lo.
+    Points where the rate is not finite (the pole) are reported in
+    row-major order, not silently skipped; their tangent entries are NaN.
     """
-    (w1_lo, w1_hi), (w2_lo, w2_hi) = w1_range, w2_range
+    # Python floats: a numpy scalar's hi - lo would warn where it overflows.
+    (w1_lo, w1_hi), (w2_lo, w2_hi) = ((float(lo), float(hi)) for lo, hi in (w1_range, w2_range))
     n1, n2 = grid_counts
     if n1 < 2 or n2 < 2:
         raise DomainError("grid counts must be >= 2")
     if n1 * n2 > MAX_FLOW_POINTS:
         raise DomainError(f"lattice needs at most {MAX_FLOW_POINTS} points, got {n1} x {n2}")
-    if not (-math.inf < w1_lo < w1_hi < math.inf and -math.inf < w2_lo < w2_hi < math.inf):
-        raise DomainError(f"ranges must be finite and nonempty, got w1 {w1_range}, "
-                          f"w2 {w2_range}")
+    # hi - lo > 0 exactly where lo < hi, and it is inf or nan where an end
+    # is not finite or the width overflows.
+    if not (0 < w1_hi - w1_lo < math.inf and 0 < w2_hi - w2_lo < math.inf):
+        raise DomainError(f"ranges must be finite and nonempty with a finite width hi - lo, "
+                          f"got w1 {w1_range}, w2 {w2_range}")
     w1 = np.linspace(w1_lo, w1_hi, n1)
     w2 = np.linspace(w2_lo, w2_hi, n2)
-    with np.errstate(divide="ignore"):
+    # A rate that underflows past d * d = inf is -0.0, correctly rounded.
+    with np.errstate(over="ignore", divide="ignore"):
         dw1, dw2 = projectile_system(lambdas)(0.0, np.array(np.meshgrid(w1, w2)))
     pole = ~np.isfinite(dw2)
     dw1[pole] = dw2[pole] = np.nan

@@ -4,8 +4,8 @@ A scaling problem collects the dimensionless coefficients of an equation as
 monomials ``lambda_i = kappa_i * prod_j theta_j**alpha_ij`` over strictly
 positive factors ``theta``.  Everything here works on ``rho = log10(theta)``,
 where each ``log10(lambda_i)`` is affine and the Euclidean cost is a linear
-least-squares problem.  All solvers report through one log residual, one
-dispatch on the cost kind and one ratio, taken from the logs.
+least-squares problem.  Every solver and evaluation reports through one
+log residual, range check, cost dispatch and ratio: :func:`_evaluate`.
 
 Solvers provided:
 
@@ -220,29 +220,37 @@ def _ratio(log_lam: np.ndarray):
     Taken from the logs, it is ``inf`` exactly where the spread passes
     about 308 decades, even where min(lambda) itself underflows.
     """
-    with np.errstate(over="ignore"):
-        return 10.0 ** (np.max(log_lam, axis=-1) - np.min(log_lam, axis=-1))
+    return 10.0 ** (np.max(log_lam, axis=-1) - np.min(log_lam, axis=-1))
 
 
 def _in_range(rho: np.ndarray, res: np.ndarray) -> np.ndarray:
     """Over the last axis: whether every factor 10**rho is a normal float
     (0, a subnormal or ``inf`` no longer solves for it) and every log
     residual is finite."""
-    with np.errstate(over="ignore"):
-        theta = 10.0**rho
+    theta = 10.0**rho
     normal = (theta >= np.finfo(float).tiny) & (theta < math.inf)
     return normal.all(axis=-1) & np.isfinite(res).all(axis=-1)
 
 
-def _out_of_range(tag: str, rho: np.ndarray) -> NonFiniteEvaluationError:
-    return NonFiniteEvaluationError(
-        f"{tag}: the factors leave the normal floats, log10 theta = {rho.tolist()}")
+def _evaluate(problem: ScalingProblem, rho: np.ndarray, kind: str, tag):
+    """Log residuals, cost ``kind`` and ratio at one rho or a batch of rows.
+
+    Raises :class:`NonFiniteEvaluationError` naming ``tag(i)`` for the
+    first row i whose factors leave the normal floats (see :func:`_in_range`).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _log_residuals(problem)(rho)
+        bad = np.flatnonzero(~_in_range(rho, res))
+        if len(bad):
+            raise NonFiniteEvaluationError(f"{tag(bad[0])}: the factors leave the normal floats, "
+                                           f"log10 theta = {np.atleast_2d(rho)[bad[0]].tolist()}")
+        return res, _cost(kind)(res), _ratio(res + problem.targets())
 
 
 def eval_coefficients(problem: ScalingProblem, theta) -> np.ndarray:
     """Realized coefficients lambda_i = kappa_i * prod_j theta_j**alpha_ij."""
-    theta = _check_theta(problem, theta)
-    return 10.0 ** (_log_residuals(problem)(np.log10(theta)) + problem.targets())
+    rho = np.log10(_check_theta(problem, theta))
+    return _solution(problem, rho, "euclid", "theta").lambdas
 
 
 def evaluate_cost(problem: ScalingProblem, theta, kind: str) -> float:
@@ -251,26 +259,18 @@ def evaluate_cost(problem: ScalingProblem, theta, kind: str) -> float:
     ``kind='euclid'`` is the sum of squared log10 deviations; ``kind='max'``
     the largest absolute log10 deviation.
     """
-    theta = _check_theta(problem, theta)
-    return float(_cost(kind)(_log_residuals(problem)(np.log10(theta))))
+    rho = np.log10(_check_theta(problem, theta))
+    return _solution(problem, rho, kind, "theta").cost
 
 
 def _solution(problem: ScalingProblem, rho: np.ndarray, kind: str, tag: str) -> ScalingSolution:
-    """The solution at ``rho``; :class:`NonFiniteEvaluationError` if a
-    factor leaves the normal floats (see :func:`_in_range`).  A coefficient
-    whose log10 passes the float range is 0 or ``inf``, as its target asks."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = _log_residuals(problem)(rho)
-        if not _in_range(rho, res):
-            raise _out_of_range(tag, rho)
-        log_lam = res + problem.targets()
-        return ScalingSolution(
-            theta=10.0**rho,
-            lambdas=10.0**log_lam,
-            cost=float(_cost(kind)(res)),
-            ratio=float(_ratio(log_lam)),
-            method_tag=tag,
-        )
+    """The solution at ``rho``, evaluated by :func:`_evaluate`.  A
+    coefficient whose log10 passes the float range is 0 or ``inf``, as its
+    target asks."""
+    res, cost, ratio = _evaluate(problem, rho, kind, lambda i: tag)
+    with np.errstate(over="ignore"):
+        lambdas = 10.0 ** (res + problem.targets())
+    return ScalingSolution(10.0**rho, lambdas, float(cost), float(ratio), tag)
 
 
 def solve_euclidean(problem: ScalingProblem) -> ScalingSolution:
@@ -320,8 +320,10 @@ def _solve_subsets(A: np.ndarray, forced: np.ndarray, idx: np.ndarray):
     """Solve a batch of subsets: ``idx`` holds one subset of rows per line.
 
     Returns each subset matrix's determinant, the mask of those with
-    |det| > :data:`SINGULARITY_EPS`, and the factors (log10) of the masked
-    subsets, from ``A[subset] rho = forced[subset]``.
+    |det| > :data:`SINGULARITY_EPS` times Hadamard's bound, the product of
+    their rows' norms, and the factors (log10) of the masked subsets, from
+    ``A[subset] rho = forced[subset]``.  So rescaling the exponents moves no
+    verdict; compared in logs, a det that overflows to ``inf`` is solvable.
 
     A subset whose rows leave some factor's column all zero is singular by
     structure: the OR of its rows' column-support bits misses that column.
@@ -333,13 +335,15 @@ def _solve_subsets(A: np.ndarray, forced: np.ndarray, idx: np.ndarray):
     every_column = np.packbits(np.ones(A.shape[1], dtype=bool))
     covered = np.flatnonzero(
         (np.bitwise_or.reduce(support[idx], axis=1) == every_column).all(axis=1))
-    mats = A[idx[covered]]  # (B_covered, N_x, N_x)
-    dets = np.zeros(len(idx))
-    with np.errstate(over="ignore"):  # a det past the float range is inf, and solvable
-        dets[covered] = np.linalg.det(mats)
-    solvable = np.abs(dets) > SINGULARITY_EPS
-    keep = solvable[covered]
-    rhos = np.linalg.solve(mats[keep], forced[idx[covered[keep]]][..., None])[..., 0]
+    rows = idx[covered]
+    mats = A[rows]  # (B_covered, N_x, N_x)
+    with np.errstate(over="ignore", divide="ignore"):
+        det = np.linalg.det(mats)
+        log_norms = np.log(np.hypot.reduce(np.abs(A), axis=1))  # finite past 1e154
+        keep = np.log(np.abs(det)) > math.log(SINGULARITY_EPS) + log_norms[rows].sum(axis=1)
+    dets, solvable = np.zeros(len(idx)), np.zeros(len(idx), dtype=bool)
+    dets[covered], solvable[covered] = det, keep
+    rhos = np.linalg.solve(mats[keep], forced[rows[keep]][..., None])[..., 0]
     return dets, solvable, rhos
 
 
@@ -476,17 +480,18 @@ def enumerate_traditional(problem: ScalingProblem, cap: int = 10**6) -> Enumerat
     Builds all C(N_d, N_x) subsets as one :func:`subset_table`, at most
     cap x N_x x itemsize bytes (one byte per entry for up to 256
     coefficients), discards the subsets whose exponent submatrix has
-    |det| <= 1e-12, and sorts the solvable ones by the ratio of their
-    realized coefficients.  A subset whose rows leave a factor's column all
-    zero is discarded by a bit test alone, before any matrix is built (see
-    :func:`_solve_subsets`); on latex that is 50,639 of the 75,582 subsets.
+    |det| <= 1e-12 times the product of its rows' norms, and sorts the
+    solvable ones by the ratio of their realized coefficients.  A subset
+    whose rows leave a factor's column all zero is discarded by a bit test
+    alone, before any matrix is built (see :func:`_solve_subsets`); on
+    latex that is 50,639 of the 75,582 subsets.
     Subsets are solved in vectorized slices of :data:`ENUMERATION_CHUNK`
     rows of the table; the results do not depend on the slicing.  A cap
     below 1 raises :class:`DomainError`; a count above it,
     :class:`EnumerationCapError`; no solvable subset,
     :class:`DegenerateExponentsError`, naming the exponents' rank where it
     is below N_x; a solvable subset whose factors leave the normal floats,
-    :class:`NonFiniteEvaluationError`, as in :func:`_solution`.
+    :class:`NonFiniteEvaluationError`, as in :func:`_evaluate`.
     """
     if cap < 1:
         raise DomainError(f"the subset cap must be >= 1, got --cap {cap!r}")
@@ -498,29 +503,23 @@ def enumerate_traditional(problem: ScalingProblem, cap: int = 10**6) -> Enumerat
         raise EnumerationCapError(count, cap)
 
     A = problem.exponent_matrix()
-    targets = problem.targets()
-    forced = targets - problem.log_kappas()  # A rho on the chosen rows
-    residuals = _log_residuals(problem)
-    cost = _cost("euclid")
+    forced = problem.targets() - problem.log_kappas()  # A rho on the chosen rows
     table = subset_table(n_d, n_x)
     parts = []
     for start in range(0, count, ENUMERATION_CHUNK):
         idx = table[start:start + ENUMERATION_CHUNK]  # (B, N_x)
         _, solvable, rhos = _solve_subsets(A, forced, idx)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = residuals(rhos)
         solved = idx[solvable]
-        bad = np.flatnonzero(~_in_range(rhos, res))
-        if len(bad):
-            subset = ",".join(map(str, solved[bad[0]].tolist()))
-            raise _out_of_range(f"subset:{subset}", rhos[bad[0]])
-        parts.append((solved, rhos, cost(res), _ratio(res + targets)))
+        _, costs, ratios = _evaluate(problem, rhos, "euclid", lambda i: "subset:" + ",".join(
+            map(str, solved[i].tolist())))
+        parts.append((solved, rhos, costs, ratios))
 
     subsets, rhos, costs, ratios = (np.concatenate(p) for p in zip(*parts))
     if not len(ratios):
         rank = int(np.linalg.matrix_rank(A))
         raise DegenerateExponentsError(rank, n_x, None if rank < n_x else (
-            f"no subset is solvable: all {count} have |det| <= {SINGULARITY_EPS:g}"))
+            f"no subset is solvable: all {count} have |det| <= {SINGULARITY_EPS:g} "
+            "x the product of their rows' norms"))
     # The table is in lexicographic order, so a stable sort by ratio breaks
     # ties by subset.
     order = np.argsort(ratios, kind="stable")

@@ -150,14 +150,23 @@ class TestEnumerate:
     @pytest.mark.parametrize("command, factors, exponents, code, message", [
         ("enumerate", "[a, b]", ("[1, 0]", "[2, 0]", "[3, 0]"), 2,
          "degenerate exponent structure: rank 1 < 2"),
-        ("enumerate", "[a, b]", ("[1.0e-7, 0]", "[0, 1.0e-7]", "[1.0e-7, 1.0e-7]"), 2,
-         "no subset is solvable: all 3 have |det| <= 1e-12"),
+        # Every pair of rows is 1e-13 of Hadamard's bound from collinear,
+        # though the rank is 2; scale solves it past the normal floats.
+        ("enumerate", "[a, b]", ("[1, 0]", "[1, 1.0e-13]", "[1, 2.0e-13]"), 2,
+         "no subset is solvable: all 3 have |det| <= 1e-12 x the product of their rows' norms"),
+        ("scale", "[a, b]", ("[1, 0]", "[1, 1.0e-13]", "[1, 2.0e-13]"), 5,
+         "euclid: the factors leave the normal floats, log10 theta = ["),
+        # Every det is 1e-14, but each subset is 1e-7 times a well-posed one,
+        # so both commands solve it, past the normal floats.
+        ("enumerate", "[a, b]", ("[1.0e-7, 0]", "[0, 1.0e-7]", "[1.0e-7, 1.0e-7]"), 5,
+         "subset:0,1: the factors leave the normal floats, log10 theta = ["),
         # log10 theta_a = -log10(2) / 1e-11 sends theta_a to 0.
         ("enumerate", "[a]", ("[1.0e-11]", "[1]"), 5,
          "subset:0: the factors leave the normal floats, log10 theta = ["),
         ("scale", "[a, b]", ("[1.0e-7, 0]", "[0, 1.0e-7]", "[1.0e-7, 1.0e-7]"), 5,
          "euclid: the factors leave the normal floats, log10 theta = ["),
-    ], ids=["rank-deficient", "every-det-tiny", "subset-past-normal", "euclid-past-normal"])
+    ], ids=["rank-deficient", "near-collinear", "near-collinear-scale", "every-det-tiny",
+            "subset-past-normal", "euclid-past-normal"])
     def test_problem_with_no_usable_factors_exits_before_writing(
             self, runner, tmp_path, command, factors, exponents, code, message):
         config = tmp_path / "problem.yaml"
@@ -287,6 +296,25 @@ class TestProjectile:
         assert len(nan_rows) == 3
         assert all(math.isnan(float(r["dw2"])) for r in nan_rows)
 
+    def test_subnormal_theta_exits_5_before_writing(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--out", str(out), "projectile", "--theta", "1", "1e-320"])
+        assert result.exit_code == 5, result.output
+        assert "error: theta: the factors leave the normal floats, log10 theta = [0.0, -320.0" \
+            in result.output
+        assert not out.exists()
+
+    def test_lattice_rate_past_the_float_range_is_minus_zero(self, runner, tmp_path):
+        # lambda2 = 1.568e293, so d * d overflows off the column w1 = 0 and
+        # the rate rounds to -0.0, with no warning and no singular point.
+        result = runner.invoke(main, ["--out", str(tmp_path), "projectile", "--steps", "10",
+                                      "--theta", "1", "1e300", "--flow-grid", "3", "2"])
+        assert result.exit_code == 0, result.output
+        _, rows = read_csv(tmp_path / "projectile_flow.csv")
+        assert [r["dw2"] for r in rows if r["w1"] != "0.0"] == ["-0.0"] * 4
+        with open(tmp_path / "projectile_summary.json") as fh:
+            assert json.load(fh)["singular_flow_points"] == []
+
     @pytest.mark.parametrize("args, message", [
         (["projectile", "--t-max", "inf", "--steps", "10"],
          "--t-max must be > 0 and finite, got inf"),
@@ -301,8 +329,17 @@ class TestProjectile:
         (["projectile", "--theta", "inf", "1"],
          "theta must be finite and > 0, got [inf, 1.0]"),
         (["projectile", "--flow-grid", "1", "10"], "grid counts must be >= 2"),
+        (["projectile", "--flow-range", "-1e308", "1e308", "-1", "1", "--flow-grid", "3", "3"],
+         "ranges must be finite and nonempty with a finite width hi - lo, "
+         "got w1 (-1e+308, 1e+308), w2 (-1.0, 1.0)"),
+        (["projectile", "--theta", "1e300", "1e-300"], "lambdas must be positive and finite"),
+        (["projectile", "--theta", "1e-200", "1e200"], "lambdas must be positive and finite"),
+        (["projectile", "--roundtrip", "--theta", "1e200", "1"],
+         "lambdas must be positive and finite"),
     ], ids=["t-max-inf", "t-max-nan", "t-max-negative", "flow-range-inf",
-            "flow-range-nan", "group-config", "theta-inf", "flow-grid-one"])
+            "flow-range-nan", "group-config", "theta-inf", "flow-grid-one",
+            "flow-range-width-overflows", "lambda-inf", "lambda-underflows-to-0",
+            "roundtrip-lambda-inf"])
     def test_non_finite_input_exits_64_before_writing(self, runner, tmp_path, args, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

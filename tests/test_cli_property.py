@@ -1,10 +1,11 @@
 """Every command exits with a documented code, and one that fails writes nothing.
 
 The runs are drawn: problem files for ``scale`` and ``enumerate``, scenario
-files for ``pbe``, and ``pbe`` option runs, valid and corrupted.  A
-corrupted value is non-finite, overflowing, subnormal, a bool, null, text,
-a list or a mapping; a corrupted file also misses keys or has unknown ones.
-Runs stay small: at most 64 nodes and 5 steps.
+files for ``pbe``, and ``pbe`` and ``projectile`` option runs, valid and
+corrupted.  A corrupted value is non-finite, overflowing, subnormal, a bool,
+null, text, a list or a mapping; a corrupted file also misses keys or has
+unknown ones.  Runs stay small: at most 64 nodes and 5 steps for ``pbe``,
+and 50 steps and 5 x 5 lattice points for ``projectile``.
 """
 
 import copy
@@ -130,6 +131,23 @@ def pbe_runs(draw):
     return None, args
 
 
+@st.composite
+def projectile_runs(draw):
+    # Factors from the subnormals to 1e308, lattice ends up to +-1e308.
+    args = ["projectile", "--steps", str(draw(st.integers(1, 50))),
+            "--flow-grid", *(str(draw(st.integers(2, 5))) for _ in range(2))]
+    if draw(st.booleans()):
+        args += ["--theta", *(draw(numbers(5e-324, 1e308)) for _ in range(2))]
+    if draw(st.booleans()):
+        args += ["--flow-range", *(draw(numbers(-1e308, 1e308)) for _ in range(4))]
+    if draw(st.booleans()):
+        args += ["--t-max", draw(st.one_of(numbers(1e-300, 1e300), st.sampled_from(
+            ["0", "-1", "inf", "nan"])))]
+    if draw(st.booleans()):
+        args.append("--roundtrip")
+    return None, args
+
+
 #: No subset of these exponents is solvable: the rank is 1 of 2.
 NO_SOLVABLE_SUBSET = (
     "factors: [a, b]\n"
@@ -140,10 +158,16 @@ NO_SOLVABLE_SUBSET = (
 )
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(run=st.one_of(problem_runs(), scenario_runs(), pbe_runs()))
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(run=st.one_of(problem_runs(), scenario_runs(), pbe_runs(), projectile_runs()))
 @example(run=(NO_SOLVABLE_SUBSET, ["enumerate"]))
 @example(run=(None, ["pbe", "--t-horizon", "1e-310", "--steps", "3"]))  # subnormal spacing
+@example(run=(None, ["projectile", "--theta", "1", "1e-320"]))  # subnormal factor
+@example(run=(None, ["projectile", "--theta", "1e300", "1e-300"]))  # infinite lambda
+@example(run=(None, ["projectile", "--roundtrip", "--theta", "1e200", "1"]))  # likewise
+@example(run=(None, ["projectile", "--theta", "1", "1e300"]))  # d * d overflows
+@example(run=(None, ["projectile", "--flow-range", "-1e308", "1e308", "-1", "1",
+                     "--flow-grid", "3", "3"]))  # the lattice's width overflows
 def test_every_exit_is_documented_and_a_failure_writes_nothing(run):
     config, args = run
     with tempfile.TemporaryDirectory() as tmp:

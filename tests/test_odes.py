@@ -98,6 +98,14 @@ class TestProjectileSystem:
             rk4_integrate(projectile_system([1.0, 2.0, 3.0]), [-0.5, 0.0], 0.0, 1.0, 10)
         assert err.value.step == 1
 
+    @pytest.mark.parametrize("lam", [[0.0, 1.0, 1.0], [1.0, math.inf, 1.0], [1.0, 1.0, math.nan]],
+                             ids=["zero", "inf", "nan"])
+    def test_lambdas_must_be_positive_and_finite(self, lam):
+        # projectile --theta reaches 0 and inf: 1e-200 1e200 underflows
+        # lambda1, and 1e300 1e-300 overflows it.
+        with pytest.raises(DomainError, match="lambdas must be positive and finite"):
+            projectile_system(lam)
+
     def test_small_lambda2_recovers_flat_gravity(self):
         # With lambda2 -> 0 the equation is w2' = -lambda1; apex time
         # is lambda3 / lambda1 for initial slope lambda3.
@@ -186,8 +194,16 @@ class TestFlowField:
             flow_field([1.0, 1.0, 1.0], (1.0, 0.0), (0.0, 1.0), (3, 3))
 
     @pytest.mark.parametrize("w1, w2", [((0.0, math.inf), (0.0, 1.0)),
-                                        ((0.0, 1.0), (-math.inf, 1.0))],
-                             ids=["w1-inf", "w2-inf"])
+                                        ((0.0, 1.0), (-math.inf, 1.0)),
+                                        ((np.float64(-1e308), np.float64(1e308)), (0.0, 1.0))],
+                             ids=["w1-inf", "w2-inf", "w1-width-overflows"])
     def test_non_finite_range(self, w1, w2):
         with pytest.raises(DomainError, match="finite"):
             flow_field([1.0, 1.0, 1.0], w1, w2, (3, 3))
+
+    def test_rate_past_the_float_range_is_minus_zero(self):
+        # d * d overflows off w1 = 0: the rate is -0.0, correctly rounded,
+        # with no warning (an error under this suite's filter).
+        flow = flow_field([1.0, 1e300, 1.0], (0.0, 1.0), (-1.0, 1.0), (3, 2))
+        assert flow.dw2.tolist() == [[-1.0, -0.0, -0.0]] * 2
+        assert np.signbit(flow.dw2).all() and flow.singular_points == []

@@ -5,7 +5,7 @@ import pytest
 
 from nondim import pbe
 from nondim.errors import ConfigError, DomainError, NonFiniteEvaluationError
-from nondim.odes import MAX_RK4_STEPS, projectile_system, rk4_integrate
+from nondim.odes import MAX_RK4_STEPS, rk4_integrate
 from nondim.pbe import (
     GmocWorkspace,
     Grid,
@@ -114,6 +114,12 @@ class TestRhsStructure:
         dists, (_, dv_cm, _, _, _) = state_derivative(coeffs, grid, y)
         assert np.all(dists == 0.0)
         assert dv_cm == 0.0
+
+    def test_swollen_volume_is_refused(self):
+        # Psi = -2 gives V_p < 0; pbe --config reaches such a state too, and
+        # exits 5 (test_cli's TestPbe pins that route).
+        with pytest.raises(NonFiniteEvaluationError, match="state corruption: V_p <= 0"):
+            growth_law(unit_coeffs(), [0.0, 0.0, 0.0, -2.0, 0.0])
 
     def test_psi_decreases_monotonically(self):
         coeffs = unit_coeffs()
@@ -412,15 +418,10 @@ class TestAdaptiveSteps:
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: growth_law(unit_coeffs(), [0.0, 0.0, 0.0, -2.0, 0.0]),
-     NonFiniteEvaluationError, "state corruption: V_p <= 0"),
     (lambda: latex_scenario("bogus"), ConfigError, "unknown theta selector 'bogus'"),
-    (lambda: projectile_system([0.0, 1.0, 1.0]), DomainError,
-     "lambdas must be strictly positive"),
-], ids=["swollen-volume", "theta-selector", "projectile-lambda"])
+], ids=["theta-selector"])
 def test_call_no_command_can_make_is_refused(call, error, message):
-    # Psi = -2 gives V_p < 0; the CLI offers only 'eucl' and 'test' and only
-    # positive projectile coefficients.
+    # The CLI offers only 'eucl' and 'test'.
     with pytest.raises(error, match=message):
         call()
 

@@ -286,24 +286,27 @@ def planted_problem():
     )
 
 
+PRESETS = [lambda: build_latex()[0], build_ldg, build_projectile, build_schrodinger]
+PRESET_IDS = ["latex", "ldg", "projectile", "schrodinger"]
+
+
 class TestStructuralSingularity:
     """Oracle for the column-support test: one ``np.linalg.det`` per subset.
 
     A subset whose rows leave a factor's column all zero is never factored;
     its det must be the exact 0 the LU gives such a matrix, so every verdict
-    and every factor is the per-subset loop's.
+    and every factor is the per-subset loop's.  A verdict compares |det|
+    with Hadamard's bound, the product of the rows' norms.
     """
 
-    @pytest.mark.parametrize("build", [
-        lambda: build_latex()[0], build_ldg, build_projectile, build_schrodinger,
-        planted_problem,
-    ], ids=["latex", "ldg", "projectile", "schrodinger", "planted"])
+    @pytest.mark.parametrize("build", PRESETS + [planted_problem], ids=PRESET_IDS + ["planted"])
     def test_verdicts_match_a_det_per_subset(self, build, monkeypatch):
         problem = build()
         A = problem.exponent_matrix()
         forced = problem.targets() - problem.log_kappas()
         idx = subset_table(*A.shape)
         reference = np.array([np.linalg.det(A[list(s)]) for s in idx])
+        hadamard = np.abs(reference) / [np.prod(np.linalg.norm(A[list(s)], axis=1)) for s in idx]
         missing = (A[idx] == 0).all(axis=1)  # (subsets, factors): column all zero
         uncovered = missing.any(axis=1)
 
@@ -315,15 +318,29 @@ class TestStructuralSingularity:
         assert np.all(reference[uncovered] == 0.0)
         assert np.array_equal(dets, reference)
         assert not np.signbit(dets[uncovered]).any()
-        np.testing.assert_array_equal(solvable, np.abs(reference) > SINGULARITY_EPS)
+        np.testing.assert_array_equal(solvable, hadamard > SINGULARITY_EPS)
         direct = [np.linalg.solve(A[list(s)], forced[list(s)]) for s in idx[solvable]]
         np.testing.assert_array_equal(rhos, np.reshape(direct, rhos.shape))
         if build is planted_problem:
             covered_singular = ~uncovered & ~solvable
             assert uncovered.any() and covered_singular.any() and solvable.any()
-            assert np.all(np.abs(reference[covered_singular]) <= SINGULARITY_EPS)
+            assert np.all(hadamard[covered_singular] <= SINGULARITY_EPS)
             # Some subsets miss only column 9, whose bit is in the second byte.
             assert (missing[:, 9] & ~missing[:, :9].any(axis=1)).any()
+
+    @pytest.mark.parametrize("build", PRESETS, ids=PRESET_IDS)
+    def test_rescaled_exponents_keep_every_verdict(self, build):
+        # Times 2^-20, each det scales by 2^(-20 N_x) and each factor by
+        # 2^20; an absolute bound on |det| would drop every latex subset.
+        problem = build()
+        A = problem.exponent_matrix()
+        forced = problem.targets() - problem.log_kappas()
+        idx = subset_table(*A.shape)
+        _, solvable, rhos = scaling._solve_subsets(A, forced, idx)
+        _, scaled_solvable, scaled_rhos = scaling._solve_subsets(A * 2.0**-20, forced, idx)
+        assert solvable.any()
+        np.testing.assert_array_equal(scaled_solvable, solvable)
+        np.testing.assert_array_equal(scaled_rhos, rhos * 2.0**20)
 
     def test_uncovered_subset_is_unsolvable_with_zero_det(self):
         problem = build_latex()[0]
