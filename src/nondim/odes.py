@@ -4,6 +4,7 @@ extension) and the projectile phase-space flow."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,15 +61,20 @@ def rk4_integrate(
     """Classical fourth-order Runge-Kutta with constant step (t1-t0)/steps.
 
     The trajectory includes both endpoints, the last one t1 exactly.  The
-    interval must be finite with t0 < t1.  A non-finite state aborts with
-    the offending step index and state snapshot attached.
+    interval must be finite with t0 < t1, and the step a normal float.  A
+    non-finite state aborts with the offending step index and state
+    snapshot attached.
     """
     if not -math.inf < t0 < t1 < math.inf:
         raise DomainError(f"need finite t0 < t1, got t0={t0}, t1={t1}")
     if not 1 <= steps <= MAX_RK4_STEPS:
         raise DomainError(f"steps must be in 1..{MAX_RK4_STEPS} (30 bytes a step), got {steps}")
-    y = np.array(y0, dtype=float)
     tau = (t1 - t0) / steps
+    # A subnormal step would stall the time grid, or end it off t1.
+    if not sys.float_info.min <= tau < math.inf:
+        raise DomainError(f"the step (t1 - t0) / steps must be a normal float, got {tau!r} "
+                          f"from t0={t0}, t1={t1}, steps={steps}")
+    y = np.array(y0, dtype=float)
     times = t0 + tau * np.arange(steps + 1)
     times[-1] = t1  # t0 + tau * steps may round off it
     states = np.empty((steps + 1, y.size))

@@ -88,6 +88,12 @@ class TestRk4:
         with pytest.raises(DomainError, match="finite"):
             rk4_integrate(lambda t, y: y, [1.0], t0, t1, 10)
 
+    @pytest.mark.parametrize("t1, steps", [(1e-318, 10**6), (1e-320, 2000), (1e308, 1)])
+    def test_step_that_is_not_a_normal_float(self, t1, steps):
+        # A subnormal step, one that underflows to 0 and one that overflows.
+        with pytest.raises(DomainError, match="must be a normal float"):
+            rk4_integrate(lambda t, y: y, [1.0], -t1 if t1 > 1 else 0.0, t1, steps)
+
 
 class TestProjectileSystem:
     def test_trajectory_from_the_pole_is_non_finite(self):

@@ -117,7 +117,7 @@ class TestRhsStructure:
 
     def test_swollen_volume_is_refused(self):
         # Psi = -2 gives V_p < 0; pbe --config reaches such a state too, and
-        # exits 5 (test_cli's TestPbe pins that route).
+        # exits 5 (the CLI repro table pins that route).
         with pytest.raises(NonFiniteEvaluationError, match="state corruption: V_p <= 0"):
             growth_law(unit_coeffs(), [0.0, 0.0, 0.0, -2.0, 0.0])
 
