@@ -45,7 +45,7 @@ from .errors import (
     UnsolvableSubsetError,
 )
 from .odes import flow_field, projectile_system, rk4_integrate
-from .pbe import simulate
+from .pbe import GmocWorkspace, simulate
 from .scaling import (
     AnnealConfig,
     ScalingProblem,
@@ -211,11 +211,11 @@ def projectile(ctx, method, theta, steps, t_max, flow_range, flow_grid, roundtri
     else:
         theta = _solve(problem, method, seed=ctx.obj["seed"]).theta
     lambdas = eval_coefficients(problem, theta)
+    flow = flow_field(lambdas, flow_range[:2], flow_range[2:], flow_grid)
     t_c = float(theta[0])
     tau_max = t_max / t_c
     rhs = projectile_system(lambdas)
     trajectory = rk4_integrate(rhs, [0.0, lambdas[2]], 0.0, tau_max, steps)
-    flow = flow_field(lambdas, flow_range[:2], flow_range[2:], flow_grid)
 
     summary = {
         "theta": [float(v) for v in theta],
@@ -281,7 +281,7 @@ def pbe(ctx, theta, desk, nodes, steps, v_window, t_horizon, sigma_rule):
             t_horizon=t_horizon, sigma_rule=sigma_rule, desk=desk,
         )
     coeffs, grid, t_max = scenario.coeffs, scenario.grid, scenario.t_max
-    report = simulate(coeffs, grid, t_max, steps)
+    report = simulate(GmocWorkspace(coeffs, grid), t_max, steps)
 
     summary = {
         "theta": scenario.theta_tag,

@@ -5,8 +5,12 @@ aggregation system for the non-equilibrium distribution ``m`` and the
 equilibrium distribution ``w`` is semi-discretized on a fixed uniform volume
 grid, with central fourth-order five-point (fd4) transport, composite
 Simpson aggregation integrals and classical RK4 in time.
-:class:`GmocWorkspace` only carries the paper's Generalised Method of
-Characteristics name; nothing moves along characteristics.
+:class:`GmocWorkspace` is the one spatial operator; it only carries the
+paper's Generalised Method of Characteristics name, as nothing moves along
+characteristics.  :func:`simulate` is the time loop, and reaches the state
+only through the operator's methods ``initial_state``, ``rhs``,
+``stable_step``, ``sample``, ``lows``, ``guard``, ``describe_nonfinite``,
+``distributions`` and ``settings``.
 The aggregation gain is evaluated from truncated correlations: the Simpson
 weight of an inner node depends only on its parity, so the two parity
 weights of each product add to 2h in an odd row and depend only on the
@@ -45,7 +49,7 @@ SAMPLES = 100
 #: The shortest run: below it the sample spacing t_max / SAMPLES is
 #: subnormal, too coarse to tell a step's end from a sample time.
 MIN_T_MAX = SAMPLES * sys.float_info.min
-#: The sampled series of a run, in the order :func:`_sample` returns them.
+#: The sampled series of a run, in the order :meth:`GmocWorkspace.sample` returns them.
 SERIES = ("V_mat", "V_cm", "V_cw", "Psi", "V_pol2", "F_m", "F_w")
 #: Stability limits of classical RK4 with fd4 transport: tau * max|g| / h
 #: (2 sqrt 2 over the peak 1.372 of the central stencil's symbol; the
@@ -129,7 +133,7 @@ class LatexCoefficients:
             raise DomainError("sigma_c must keep the Gaussian's peak 1/(sigma_c sqrt(2 pi)) "
                               f"finite, got {self.sigma_c!r}")
         # Psi only falls along a solution, so the aggregation prefactor's
-        # (Psi + 1)^(14/3) (see _rates) is finite on a run if it is here.
+        # (Psi + 1)^(14/3) (see GmocWorkspace._rates) is finite on a run if it is here.
         try:
             (self.Psi_bar + 1.0) ** (14.0 / 3.0)
         except OverflowError:
@@ -272,11 +276,18 @@ def _cache_aligned(size: int) -> np.ndarray:
 
 
 class GmocWorkspace:
-    """Grid-dependent precomputations for the right-hand side of the fixed-grid
-    method of lines with central fd4 transport.  The class only carries the
-    paper's Generalised Method of Characteristics name."""
+    """The spatial operator of :func:`simulate`: fd4 transport on ``grid``,
+    with its grid-dependent precomputations.  With nucleation on
+    (``lam_n > 0``), a nucleation volume lam_c outside the grid's (0, N h),
+    or a discrete source mass of exactly 0, a Gaussian the grid cannot see,
+    raises :class:`DomainError`."""
 
     def __init__(self, coeffs: LatexCoefficients, grid: Grid):
+        if coeffs.lam_n > 0 and coeffs.lam_c >= grid.N * grid.h:
+            raise DomainError(
+                "the nucleation volume lies outside the grid: "
+                f"lambda_c/h = {coeffs.lam_c / grid.h:.3e} is not below N = {grid.N}"
+            )
         self.coeffs = coeffs
         self.grid = grid
         n = grid.N
@@ -338,6 +349,13 @@ class GmocWorkspace:
         self.surface_integrand = nodes ** (2.0 / 3.0)
         self.surface_weights = self.moment0_weights * self.surface_integrand
         self.nucleation_shape = gaussian_delta(nodes, coeffs.lam_c, coeffs.sigma_c)
+        self.source_mass = float(self.moment0_weights @ self.nucleation_shape)
+        if coeffs.lam_n > 0 and self.source_mass == 0.0:
+            raise DomainError(
+                "the grid cannot see the nucleation source: its discrete mass is 0 "
+                f"(sigma_c/h = {coeffs.sigma_c / grid.h:.3e}, "
+                f"lambda_c/h = {coeffs.lam_c / grid.h:.3e})"
+            )
 
     def aggregation(self, dist: np.ndarray, prefactor: float) -> tuple[np.ndarray, np.ndarray]:
         """(gain, loss) at nodes 1..N for kernel prefactor*(v^-1/3 + u^-1/3).
@@ -387,85 +405,134 @@ class GmocWorkspace:
         loss = prefactor * dist * (self.inv_cbrt * s0 + s1)
         return gain[1:], loss[1:]
 
+    def initial_state(self) -> np.ndarray:
+        """The empty packed state: m and w on nodes 0..N, then the five
+        auxiliary scalars V_mat, V_cm, V_cw, Psi = Psi_bar and V_pol2."""
+        y = np.zeros(2 * self.grid.N + 7)
+        y[-2] = self.coeffs.Psi_bar
+        return y
 
-def initial_state(grid: Grid, psi_bar: float) -> np.ndarray:
-    """The empty packed state: m and w on nodes 0..N, then the five
-    auxiliary scalars V_mat, V_cm, V_cw, Psi = psi_bar and V_pol2."""
-    y = np.zeros(2 * grid.N + 7)
-    y[-2] = psi_bar
-    return y
+    def distributions(self, y: np.ndarray) -> np.ndarray:
+        """The (2, N+1) view of m and w in the packed state ``y``."""
+        return y[: 2 * self.grid.N + 2].reshape(2, -1)
 
+    def _rates(self, aux) -> tuple[float, float, np.ndarray, np.ndarray, tuple]:
+        """Phi, the dilation rate b, g and dg/dv at nodes 1..N, and the
+        aggregation prefactors lam_a_m (Psi+1)^(14/3) and lam_a_w (Psi+1)^(14/3)
+        of m and w, at the auxiliary scalars ``aux``."""
+        c = self.coeffs
+        phi, a, b = growth_law(c, aux)
+        g = a * self.surface_integrand[1:] + b * self.nodes[1:]
+        dg = (2.0 / 3.0) * a * self.inv_cbrt[1:] + b
+        factor = (aux[3] + 1.0) ** (14.0 / 3.0)
+        return phi, b, g, dg, (c.lam_a_m * factor, c.lam_a_w * factor)
 
-def split_state(y: np.ndarray, n: int) -> tuple[np.ndarray, list[float]]:
-    """The (2, N+1) view of m and w in the packed state ``y`` of an N = n
-    grid, and its five auxiliary scalars as floats."""
-    return y[: 2 * n + 2].reshape(2, n + 1), y[-5:].tolist()
+    def rhs(self, y: np.ndarray) -> np.ndarray:
+        """Time derivative of the packed state ``y`` (see :meth:`initial_state`).
 
+        Per distribution: transport at the growth rate g(v) of
+        :func:`growth_law` with its -dg/dv term, and aggregation gain and loss;
+        nucleation feeds m, and m migrates into w.  Then the five auxiliary
+        ODEs.  Node 0 of both distributions is a boundary condition and gets
+        zero derivative.  A corrupted state (see :func:`growth_law`) raises
+        :class:`NonFiniteEvaluationError`; a non-finite result is returned as
+        it is, for :func:`simulate`'s check of the stepped state to report.
+        """
+        c = self.coeffs
+        dists, aux = self.distributions(y), y[-5:].tolist()
+        m, w = dists
+        v_mat, v_cm, v_cw, psi, v_pol2 = aux
+        phi, dilation, g, dg, (agg_m, agg_w) = self._rates(aux)
+        psi1 = psi + 1.0
+        sigma_m, sigma_w = psi1 ** (2.0 / 3.0) * (dists @ self.surface_weights)
 
-def _rates(ws: GmocWorkspace, aux) -> tuple[float, float, np.ndarray, np.ndarray, tuple]:
-    """Phi, the dilation rate b, g and dg/dv at nodes 1..N, and the
-    aggregation prefactors lam_a_m (Psi+1)^(14/3) and lam_a_w (Psi+1)^(14/3)
-    of m and w, at the auxiliary scalars ``aux``."""
-    c = ws.coeffs
-    phi, a, b = growth_law(c, aux)
-    g = a * ws.surface_integrand[1:] + b * ws.nodes[1:]
-    dg = (2.0 / 3.0) * a * ws.inv_cbrt[1:] + b
-    factor = (aux[3] + 1.0) ** (14.0 / 3.0)
-    return phi, b, g, dg, (c.lam_a_m * factor, c.lam_a_w * factor)
+        out = np.empty_like(y)
+        derivs = self.distributions(out)
+        # Per distribution: its aggregation prefactor, its decay beyond dg/dv
+        # and what feeds it.
+        for dist, deriv, prefactor, decay, feed in (
+            (m, derivs[0], agg_m, dg + c.lam_mu_m, c.lam_n * phi * self.nucleation_shape[1:]),
+            (w, derivs[1], agg_w, dg, c.lam_mu_w * m[1:]),
+        ):
+            gain, loss = self.aggregation(dist, prefactor)
+            deriv[0] = 0.0
+            deriv[1:] = (-g * fd4_derivative(dist, self.grid.h) - decay * dist[1:] + feed
+                         + gain - loss)
 
+        out[-5:] = (
+            dilation * (v_mat + c.lam_pol1_mat) - phi * (
+                c.lam_s_mat + c.lam_dm_mat * sigma_m + c.lam_dw_mat * sigma_w),
+            dilation * v_cm + phi * (c.lam_s_m + c.lam_d * sigma_m) - c.lam_mu_m * v_cm,
+            dilation * v_cw + c.lam_d * phi * sigma_w + c.lam_mu_w * v_cm,
+            -c.lam_p_pol2 * psi / psi1 * (psi + c.Psi_r) / (v_pol2 + c.lam_pol1_pol2),
+            c.lam_p_pol2 * psi / psi1,
+        )
+        return out
 
-def rhs_vector(ws: GmocWorkspace, y: np.ndarray) -> np.ndarray:
-    """Time derivative of the packed state ``y`` (see :func:`initial_state`).
+    def stable_step(self, y: np.ndarray) -> float:
+        """Largest RK4 step the state ``y`` allows (``inf`` when nothing limits it).
 
-    Per distribution: transport at the growth rate g(v) of
-    :func:`growth_law` with its -dg/dv term, and aggregation gain and loss;
-    nucleation feeds m, and m migrates into w.  Then the five auxiliary
-    ODEs.  Node 0 of both distributions is a boundary condition and gets
-    zero derivative.  A corrupted state (see :func:`growth_law`) raises
-    :class:`NonFiniteEvaluationError`; a non-finite result is returned as
-    it is, for :func:`simulate`'s check of the stepped state to report.
-    """
-    c = ws.coeffs
-    n = ws.grid.N
-    h = ws.grid.h
-    dists, aux = split_state(y, n)
-    m, w = dists
-    v_mat, v_cm, v_cw, psi, v_pol2 = aux
-    phi, dilation, g, dg, (agg_m, agg_w) = _rates(ws, aux)
-    psi1 = psi + 1.0
-    sigma_m, sigma_w = psi1 ** (2.0 / 3.0) * (dists @ ws.surface_weights)
+        Transport puts the eigenvalues of the fd4 operator near the imaginary
+        axis, up to 1.372 max|g| / h, where RK4 is stable up to 2 sqrt 2: tau
+        max|g| / h may reach TRANSPORT_LIMIT.  g = a v^(2/3) + b v grows with v,
+        so max|g| is |g| at node N.  The diagonal decay rate (dg/dv + lam_mu_m +
+        aggregation loss of m, dg/dv + aggregation loss of w) is largest at
+        node 1 and puts eigenvalues on the negative real axis, where RK4 is
+        stable up to RK4_REAL_LIMIT.  The line between the two axis limits lies
+        inside RK4's stability region, so the step keeps tau (max|g| / h +
+        decay TRANSPORT_LIMIT / RK4_REAL_LIMIT) at COURANT.  No right-hand side
+        is evaluated: g, dg/dv, the aggregation prefactors and each
+        distribution's loss sums come from the same calls as :meth:`rhs`'s.
+        """
+        dists, aux = self.distributions(y), y[-5:].tolist()
+        _, _, g, dg, agg = self._rates(aux)
+        sums = [np.dot(self.loss_weights, d) for d in dists]
+        loss_m, loss_w = (p * (self.inv_cbrt[1] * s0 + s1) for p, (s0, s1) in zip(agg, sums))
+        decay = dg[0] + max(self.coeffs.lam_mu_m + loss_m, loss_w)
+        rate = abs(g[-1]) / self.grid.h + max(decay, 0.0) * TRANSPORT_LIMIT / RK4_REAL_LIMIT
+        return COURANT / rate if rate > 0 else math.inf
 
-    out = np.empty_like(y)
-    derivs, _ = split_state(out, n)
-    # Per distribution: its aggregation prefactor, its decay beyond dg/dv
-    # and what feeds it.
-    for dist, deriv, prefactor, decay, feed in (
-        (m, derivs[0], agg_m, dg + c.lam_mu_m, c.lam_n * phi * ws.nucleation_shape[1:]),
-        (w, derivs[1], agg_w, dg, c.lam_mu_w * m[1:]),
-    ):
-        gain, loss = ws.aggregation(dist, prefactor)
-        deriv[0] = 0.0
-        deriv[1:] = -g * fd4_derivative(dist, h) - decay * dist[1:] + feed + gain - loss
+    def sample(self, y: np.ndarray) -> list[float]:
+        """The :data:`SERIES` of ``y``: the five auxiliary scalars, then the
+        first moments F_m and F_w."""
+        dists, aux = self.distributions(y), y[-5:].tolist()
+        return aux + [float(self.moment0_weights @ (self.nodes * d)) for d in dists]
 
-    out[-5:] = (
-        dilation * (v_mat + c.lam_pol1_mat) - phi * (
-            c.lam_s_mat + c.lam_dm_mat * sigma_m + c.lam_dw_mat * sigma_w),
-        dilation * v_cm + phi * (c.lam_s_m + c.lam_d * sigma_m) - c.lam_mu_m * v_cm,
-        dilation * v_cw + c.lam_d * phi * sigma_w + c.lam_mu_w * v_cm,
-        -c.lam_p_pol2 * psi / psi1 * (psi + c.Psi_r) / (v_pol2 + c.lam_pol1_pol2),
-        c.lam_p_pol2 * psi / psi1,
-    )
-    return out
+    def lows(self, y: np.ndarray) -> tuple[list[float], list[int]]:
+        """The minimum of m and of w in ``y``, and the node of each."""
+        dists = self.distributions(y)
+        return dists.min(axis=1).tolist(), dists.argmin(axis=1).tolist()
 
+    def guard(self, y: np.ndarray, step: int) -> str | None:
+        """Why the run stops after step ``step`` at state ``y``, or None: m at
+        node N above TRUNCATION_TOLERANCE max(m), support at the upper grid
+        boundary, where the truncated aggregation integral stops being valid."""
+        m = self.distributions(y)[0]
+        high = m.max()
+        if high > 0 and m[-1] > TRUNCATION_TOLERANCE * high:
+            return (f"support reached the grid boundary at step {step}: "
+                    f"m_N = {m[-1]:.3e} vs max(m) = {high:.3e}")
+        return None
 
-def _diagnose_nonfinite(y: np.ndarray, n: int) -> str:
-    """What of the packed state ``y`` of an N = n grid is not finite: the
-    first five such nodes of m and of w, then the auxiliary scalars."""
-    dists, aux = split_state(y, n)
-    bad = [f"{name} at nodes {np.flatnonzero(~np.isfinite(d)).tolist()[:5]}"
-           for name, d in zip("mw", dists) if not np.isfinite(d).all()]
-    bad.extend(name for name, v in zip(SERIES, aux) if not math.isfinite(v))
-    return "; ".join(bad)
+    def describe_nonfinite(self, y: np.ndarray) -> str:
+        """What of the packed state ``y`` is not finite: the first five such
+        nodes of m and of w, then the auxiliary scalars."""
+        dists, aux = self.distributions(y), y[-5:].tolist()
+        bad = [f"{name} at nodes {np.flatnonzero(~np.isfinite(d)).tolist()[:5]}"
+               for name, d in zip("mw", dists) if not np.isfinite(d).all()]
+        bad.extend(name for name, v in zip(SERIES, aux) if not math.isfinite(v))
+        return "; ".join(bad)
+
+    def settings(self) -> dict:
+        """The grid, the nucleation Gaussian's centre and width in grid
+        spacings, and its discrete source's Simpson mass ``source_mass`` and
+        first moment over lambda_c ``source_first_moment_ratio`` (each 1 for
+        a resolved unit Gaussian; the auxiliary ODEs assume both are)."""
+        c, h = self.coeffs, self.grid.h
+        first = float(self.moment0_weights @ (self.nodes * self.nucleation_shape))
+        return {"N": self.grid.N, "h": h, "sigma_c": c.sigma_c, "lam_c": c.lam_c,
+                "lam_c_over_h": c.lam_c / h, "sigma_c_over_h": c.sigma_c / h,
+                "source_mass": self.source_mass, "source_first_moment_ratio": first / c.lam_c}
 
 
 @dataclass(frozen=True)
@@ -473,21 +540,16 @@ class SimulationReport:
     """Sampled series, diagnostics, and final distributions of one run.
 
     ``eps_m`` and ``eps_w`` are the :func:`error_series` of the two phases.
-    ``settings["first_negative"]`` is the first step at which m or w falls
-    below -NONNEG_TOL times that distribution's final peak (``max_m``,
-    ``max_w``, clamped at 0), or None; ``negative_minima``, the verdict
-    behind exit code 4, says whether there is one.  ``min_m`` and ``min_w``
-    are the minima over the run.
-    ``settings["lam_c_over_h"]`` and ``settings["sigma_c_over_h"]`` give
-    the nucleation Gaussian's centre and width in grid spacings; with
-    nucleation on, a centre not below N is refused before the run.
-    ``settings["source_mass"]`` is the discrete source's Simpson mass
-    ``moment0_weights @ nucleation_shape`` (1 for a resolved unit Gaussian) and
-    ``settings["source_first_moment_ratio"]`` its first moment over
-    lambda_c (also 1 when resolved); the auxiliary ODEs assume both are 1.
+    ``settings`` holds the operator's own settings (for
+    :class:`GmocWorkspace`, see :meth:`GmocWorkspace.settings`) and what
+    :func:`simulate` adds.  ``settings["first_negative"]`` is the first step
+    at which m or w falls below -NONNEG_TOL times that distribution's final
+    peak (``max_m``, ``max_w``, clamped at 0), or None; ``negative_minima``,
+    the verdict behind exit code 4, says whether there is one.  ``min_m``
+    and ``min_w`` are the minima over the run.
     ``settings["rhs_evaluations"]`` counts right-hand side calls, four per
     RK4 step.  ``aborted`` says why the run stopped early, or is None, and
-    ``settings["guard_step"]`` is the step at which the truncation guard
+    ``settings["guard_step"]`` is the step at which the operator's guard
     stopped it, or None.
     """
 
@@ -505,11 +567,14 @@ class SimulationReport:
     min_w: float
     max_m: float
     max_w: float
-    negative_minima: bool
     final_m: np.ndarray
     final_w: np.ndarray
     settings: dict
     aborted: str | None
+
+    @property
+    def negative_minima(self) -> bool:
+        return self.settings["first_negative"] is not None
 
     @property
     def max_eps_m(self) -> float | None:
@@ -520,62 +585,29 @@ class SimulationReport:
         return None if self.eps_w is None else float(np.max(self.eps_w))
 
 
-def stable_step(ws: GmocWorkspace, y: np.ndarray) -> float:
-    """Largest RK4 step the state ``y`` allows (``inf`` when nothing limits it).
-
-    Transport puts the eigenvalues of the fd4 operator near the imaginary
-    axis, up to 1.372 max|g| / h, where RK4 is stable up to 2 sqrt 2: tau
-    max|g| / h may reach TRANSPORT_LIMIT.  g = a v^(2/3) + b v grows with v,
-    so max|g| is |g| at node N.  The diagonal decay rate (dg/dv + lam_mu_m +
-    aggregation loss of m, dg/dv + aggregation loss of w) is largest at
-    node 1 and puts eigenvalues on the negative real axis, where RK4 is
-    stable up to RK4_REAL_LIMIT.  The line between the two axis limits lies
-    inside RK4's stability region, so the step keeps tau (max|g| / h +
-    decay TRANSPORT_LIMIT / RK4_REAL_LIMIT) at COURANT.  No right-hand side
-    is evaluated: g, dg/dv, the aggregation prefactors and each
-    distribution's loss sums come from the same calls as
-    :func:`rhs_vector`'s.
-    """
-    dists, aux = split_state(y, ws.grid.N)
-    _, _, g, dg, agg = _rates(ws, aux)
-    sums = [np.dot(ws.loss_weights, d) for d in dists]
-    loss_m, loss_w = (p * (ws.inv_cbrt[1] * s0 + s1) for p, (s0, s1) in zip(agg, sums))
-    decay = dg[0] + max(ws.coeffs.lam_mu_m + loss_m, loss_w)
-    rate = abs(g[-1]) / ws.grid.h + max(decay, 0.0) * TRANSPORT_LIMIT / RK4_REAL_LIMIT
-    return COURANT / rate if rate > 0 else math.inf
-
-
-def simulate(
-    coeffs: LatexCoefficients,
-    grid: Grid,
-    t_max: float,
-    steps: int | None = None,
-) -> SimulationReport:
-    """Integrate from the empty initial state and collect diagnostics.
+def simulate(op, t_max: float, steps: int | None = None) -> SimulationReport:
+    """Integrate the spatial operator ``op`` from its initial state, through
+    the methods the module docstring names, and collect diagnostics.
 
     With ``steps`` the run takes that many steps of tau = t_max / steps,
-    step k ending at k tau.  Without, each step is :func:`stable_step` of
-    the current state, capped at the sample spacing t_max / SAMPLES and at
-    t_max - t; the desk run takes 142 steps.  Either way the run samples at
-    the SAMPLES + 1 times t_max * i / SAMPLES, and a step that ends within
-    1e-9 of the spacing of a sample time ends on it, so the last step ends
-    on t_max.  A sample inside a step is read from the step's continuous
-    extension (:func:`~nondim.odes.rk4_dense_step`), at no extra right-hand
-    side call; a sample on a step's end is the stepped state.
+    step k ending at k tau.  Without, each step is the operator's stable
+    step of the current state, capped at the sample spacing t_max / SAMPLES
+    and at t_max - t; the desk run takes 142 steps.  Either way the run
+    samples at the SAMPLES + 1 times t_max * i / SAMPLES, and a step that
+    ends within 1e-9 of the spacing of a sample time ends on it, so the last
+    step ends on t_max.  A sample inside a step is read from the step's
+    continuous extension (:func:`~nondim.odes.rk4_dense_step`), at no extra
+    right-hand side call; a sample on a step's end is the stepped state.
 
     Deterministic for identical inputs.  The run stops early, and says why
-    in the report's ``aborted``, if the distribution support reaches the
-    upper grid boundary, where the truncated aggregation integral stops
-    being a valid approximation.  A step whose state is not finite raises
-    :class:`NonFiniteEvaluationError`, naming the step and what of the
-    state is not finite.  A run with nucleation on (``lam_n > 0``) whose
-    nucleation volume lam_c lies outside the grid's (0, N h), or whose
-    discrete source mass is exactly 0, a Gaussian the grid cannot see,
-    raises :class:`DomainError` before its first step.  So do a t_max below
-    :data:`MIN_T_MAX` and more than :data:`~nondim.odes.MAX_RK4_STEPS`
-    fixed steps; an adaptive step whose stable step is below t_max /
-    MAX_RK4_STEPS raises it when it is reached, so no run takes more than
-    about that many steps.
+    in the report's ``aborted``, once the operator's ``guard`` names a
+    reason.  A step whose state is not finite raises
+    :class:`NonFiniteEvaluationError`, naming the step and what of the state
+    is not finite.  A t_max below :data:`MIN_T_MAX` and more than
+    :data:`~nondim.odes.MAX_RK4_STEPS` fixed steps raise
+    :class:`DomainError` before the first step; an adaptive step whose
+    stable step is below t_max / MAX_RK4_STEPS raises it when it is reached,
+    so no run takes more than about that many steps.
     """
     if not 0 < t_max < math.inf:
         raise DomainError(f"t_max must be > 0 and finite, got {t_max!r}")
@@ -589,30 +621,16 @@ def simulate(
     spacing = t_max / SAMPLES
     sample_times = t_max * np.arange(SAMPLES + 1) / SAMPLES
     sample_times[-1] = t_max  # t_max * SAMPLES / SAMPLES may round off it
-    if coeffs.lam_n > 0 and coeffs.lam_c >= grid.N * grid.h:
-        raise DomainError(
-            "the nucleation volume lies outside the grid: "
-            f"lambda_c/h = {coeffs.lam_c / grid.h:.3e} is not below N = {grid.N}"
-        )
-    ws = GmocWorkspace(coeffs, grid)
-    source_mass = float(ws.moment0_weights @ ws.nucleation_shape)
-    if coeffs.lam_n > 0 and source_mass == 0.0:
-        raise DomainError(
-            "the grid cannot see the nucleation source: its discrete mass is 0 "
-            f"(sigma_c/h = {coeffs.sigma_c / grid.h:.3e}, "
-            f"lambda_c/h = {coeffs.lam_c / grid.h:.3e})"
-        )
 
     evaluations = 0
 
     def rhs(t, y):
         nonlocal evaluations
         evaluations += 1
-        return rhs_vector(ws, y)
+        return op.rhs(y)
 
-    n = grid.N
-    y = initial_state(grid, coeffs.Psi_bar)
-    samples = [_sample(ws, y)]
+    y = op.initial_state()
+    samples = [op.sample(y)]
     t = 0.0
     taken = 0
     tau_min, tau_max = math.inf, 0.0
@@ -630,7 +648,7 @@ def simulate(
                 tau = t_max / steps
                 end = (taken + 1) * tau
             else:
-                stable = stable_step(ws, y)
+                stable = op.stable_step(y)
                 if stable * MAX_RK4_STEPS < t_max:
                     raise DomainError(
                         f"the run needs more than {MAX_RK4_STEPS} steps: step {taken + 1}'s "
@@ -647,36 +665,30 @@ def simulate(
             taken += 1
             if not np.isfinite(y).all():
                 raise NonFiniteEvaluationError(
-                    f"non-finite state after step {taken}: {_diagnose_nonfinite(y, n)}",
+                    f"non-finite state after step {taken}: {op.describe_nonfinite(y)}",
                     step=taken, state=y,
                 )
             tau_min, tau_max = min(tau_min, tau), max(tau_max, tau)
             # Samples strictly inside the step come from its continuous
             # extension, one on its end from the stepped state.
             while sample_times[len(samples)] < end:
-                samples.append(_sample(ws, dense((sample_times[len(samples)] - t) / tau)))
+                samples.append(op.sample(dense((sample_times[len(samples)] - t) / tau)))
             if sample_times[len(samples)] == end:
-                samples.append(_sample(ws, y))
+                samples.append(op.sample(y))
             del dense  # frees the stages before the next step makes its own
             t = end
-            dists, _ = split_state(y, n)
-            lows = dists.min(axis=1).tolist()
+            lows, nodes = op.lows(y)
             if lows[0] < min_m or lows[1] < min_w:
                 min_m, min_w = min(min_m, lows[0]), min(min_w, lows[1])
-                dips.extend([taken, t, *lows, *dists.argmin(axis=1).tolist()])
-            m = dists[0]
-            high = m.max()
-            if high > 0 and m[n] > TRUNCATION_TOLERANCE * high:
+                dips.extend([taken, t, *lows, *nodes])
+            aborted = op.guard(y, taken)
+            if aborted is not None:
                 guard_step = taken
-                aborted = (
-                    f"support reached the grid boundary at step {taken}: "
-                    f"m_N = {m[n]:.3e} vs max(m) = {high:.3e}"
-                )
                 break
 
     times = sample_times[: len(samples)]
     series = dict(zip(SERIES, np.array(samples).T))
-    final_m, final_w = split_state(y, n)[0].copy()
+    final_m, final_w = op.distributions(y).copy()
     max_m, max_w = float(max(final_m.max(), 0.0)), float(max(final_w.max(), 0.0))
     rows = np.reshape(dips, (-1, 6))
     below = rows[:, 2:4] < [-NONNEG_TOL * max_m, -NONNEG_TOL * max_w]
@@ -691,27 +703,15 @@ def simulate(
         eps_m=error_series(times, series["V_cm"], series["F_m"]),
         eps_w=error_series(times, series["V_cw"], series["F_w"]),
         min_m=min_m, min_w=min_w, max_m=max_m, max_w=max_w,
-        negative_minima=first_negative is not None,
         final_m=final_m, final_w=final_w,
         settings={
-            "N": n, "h": grid.h, "t_max": t_max, "steps": taken,
-            "sigma_c": coeffs.sigma_c, "lam_c": coeffs.lam_c,
-            "lam_c_over_h": coeffs.lam_c / grid.h, "sigma_c_over_h": coeffs.sigma_c / grid.h,
-            "source_mass": source_mass,
-            "source_first_moment_ratio":
-                float(ws.moment0_weights @ (ws.nodes * ws.nucleation_shape)) / coeffs.lam_c,
+            **op.settings(), "t_max": t_max, "steps": taken,
             "tau_min": float(tau_min), "tau_max": float(tau_max),
             "rhs_evaluations": evaluations, "guard_step": guard_step,
             "first_negative": first_negative,
         },
         aborted=aborted,
     )
-
-
-def _sample(ws: GmocWorkspace, y: np.ndarray) -> list[float]:
-    """The five auxiliary scalars, then the first moments F_m and F_w."""
-    dists, aux = split_state(y, ws.grid.N)
-    return aux + [float(ws.moment0_weights @ (ws.nodes * d)) for d in dists]
 
 
 def _time_integral(times: np.ndarray, values: np.ndarray) -> float:

@@ -56,8 +56,9 @@ def report(criterion, passed, detail):
 def desk_eucl_report():
     """The desk scenario, its run, and the wall time of simulate() alone."""
     scenario = latex_scenario("eucl")  # desk defaults, steps from the stability limit
+    op = GmocWorkspace(scenario.coeffs, scenario.grid)
     start = time.perf_counter()
-    rep = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
+    rep = simulate(op, scenario.t_max)
     return scenario, rep, time.perf_counter() - start
 
 
@@ -180,8 +181,8 @@ def test_criterion_7a_non_negativity_desk(desk_eucl_report):
 
 def test_criterion_7b_scaling_contrast():
     eucl, test = matched_pair()
-    rep_e = simulate(eucl.coeffs, eucl.grid, eucl.t_max, MATCHED_STEPS)
-    rep_t = simulate(test.coeffs, test.grid, test.t_max, MATCHED_STEPS)
+    rep_e = simulate(GmocWorkspace(eucl.coeffs, eucl.grid), eucl.t_max, MATCHED_STEPS)
+    rep_t = simulate(GmocWorkspace(test.coeffs, test.grid), test.t_max, MATCHED_STEPS)
     max_m_e = max(float(rep_e.final_m.max()), 0.0)
     peak_t = max(float(np.max(np.abs(rep_t.final_m))), 1e-300)
     ok = (rep_t.max_eps_m > rep_e.max_eps_m
@@ -198,7 +199,7 @@ def test_criterion_7c_refinement_monotonicity():
     errors = []
     for n, steps in ((100, 4197), (200, 8395), (400, 16790)):
         level = latex_scenario("eucl", n_nodes=n, t_horizon=200.0)
-        rep = simulate(level.coeffs, level.grid, level.t_max, steps)
+        rep = simulate(GmocWorkspace(level.coeffs, level.grid), level.t_max, steps)
         errors.append(rep.max_eps_m)
     ok = errors[0] > errors[1] > errors[2]
     report("7c", ok,
@@ -256,7 +257,7 @@ def test_criterion_9_auxiliary_oracle_decoupling():
     coeffs = unit_coeffs(lam_n=0.0, lam_s_m=0.0)
     grid = Grid(16, 0.25)
     steps = 500
-    rep = simulate(coeffs, grid, 1.0, steps)
+    rep = simulate(GmocWorkspace(coeffs, grid), 1.0, steps)
     oracle = rk4_integrate(
         auxiliary_oracle_rhs(coeffs), [0.0, 0.0, 0.0, coeffs.Psi_bar, 0.0],
         0.0, 1.0, steps,

@@ -145,6 +145,19 @@ class TestProjectile:
 
     test_non_finite_input_exits_64_before_writing = group_test(cli_repros.PROJECTILE_INPUTS)
 
+    def test_lattice_is_refused_before_the_trajectory_runs(self, monkeypatch):
+        # The lattice needs only the coefficients, so each of the table's
+        # lattice refusals exits 64 with its message before any RK4 step.
+        def trajectory(*args, **kwargs):
+            raise AssertionError("the trajectory ran before the lattice was checked")
+
+        monkeypatch.setattr(nondim.cli, "rk4_integrate", trajectory)
+        lattice = [repro for repro in cli_repros.REPROS
+                   if repro.args.startswith("projectile") and "--flow-" in repro.args
+                   and repro.code == 64]
+        assert len(lattice) == 5
+        assert [fault for repro in lattice for fault in invoke(repro)] == []
+
     @pytest.mark.parametrize("bound, fits, over, message", [
         ("MAX_FLOW_POINTS", ["--flow-grid", "10", "10"], ["--flow-grid", "11", "10"],
          "lattice needs at most 100 points, got 11 x 10"),

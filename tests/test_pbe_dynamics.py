@@ -11,15 +11,16 @@ from nondim.pbe import (
     Grid,
     error_series,
     growth_law,
-    initial_state,
-    rhs_vector,
     simulate,
-    split_state,
-    stable_step,
 )
 from nondim.scenarios import latex_scenario, matched_pair
 
 from test_pbe_kernels import unit_coeffs
+
+
+def run(scenario, steps=None):
+    """:func:`simulate` of a latex scenario on its own operator."""
+    return simulate(GmocWorkspace(scenario.coeffs, scenario.grid), scenario.t_max, steps)
 
 
 def auxiliary_oracle_rhs(coeffs):
@@ -50,14 +51,14 @@ class TestZeroNucleation:
     def test_distributions_stay_identically_zero(self):
         coeffs = unit_coeffs(lam_n=0.0, lam_s_m=0.0)
         grid = Grid(16, 0.25)
-        report = simulate(coeffs, grid, 0.5, 200)
+        report = simulate(GmocWorkspace(coeffs, grid), 0.5, 200)
         assert np.all(report.final_m == 0.0)
         assert np.all(report.final_w == 0.0)
         assert report.min_m == 0.0 and report.min_w == 0.0
 
     def test_error_series_absent_without_cluster_volume(self):
         coeffs = unit_coeffs(lam_n=0.0, lam_s_m=0.0)
-        report = simulate(coeffs, Grid(16, 0.25), 0.5, 100)
+        report = simulate(GmocWorkspace(coeffs, Grid(16, 0.25)), 0.5, 100)
         assert report.eps_m is None
         assert report.eps_w is None
         assert report.max_eps_m is None
@@ -66,7 +67,7 @@ class TestZeroNucleation:
         coeffs = unit_coeffs(lam_n=0.0, lam_s_m=0.0)
         grid = Grid(16, 0.25)
         steps = 400
-        report = simulate(coeffs, grid, 1.0, steps)
+        report = simulate(GmocWorkspace(coeffs, grid), 1.0, steps)
         y0 = [0.0, 0.0, 0.0, coeffs.Psi_bar, 0.0]
         oracle = rk4_integrate(auxiliary_oracle_rhs(coeffs), y0, 0.0, 1.0, steps)
         final = oracle.states[-1]
@@ -77,19 +78,21 @@ class TestZeroNucleation:
         assert report.V_pol2[-1] == pytest.approx(final[4], abs=1e-10)
 
 
-def state_derivative(coeffs, grid, y):
-    """The solver's own right-hand side at one packed state, split."""
-    return split_state(rhs_vector(GmocWorkspace(coeffs, grid), y), grid.N)
+def state_derivative(ws, y):
+    """The solver's own right-hand side at one packed state: the
+    distributions' part and the five auxiliary scalars."""
+    out = ws.rhs(y)
+    return ws.distributions(out), out[-5:].tolist()
 
 
 class TestRhsStructure:
     def test_boundary_node_derivative_is_zero(self):
-        coeffs = unit_coeffs()
         grid = Grid(16, 0.25)
-        y = initial_state(grid, coeffs.Psi_bar)
+        ws = GmocWorkspace(unit_coeffs(), grid)
+        y = ws.initial_state()
         y[-5] = 0.5  # V_mat
         y[1 : grid.N + 1] = np.linspace(0.0, 1.0, grid.N + 1)[1:]  # m
-        (dm, dw), _ = state_derivative(coeffs, grid, y)
+        (dm, dw), _ = state_derivative(ws, y)
         assert dm[0] == 0.0
         assert dw[0] == 0.0
 
@@ -97,21 +100,21 @@ class TestRhsStructure:
         # At the empty state the only cluster-volume fluxes are the direct
         # source terms; dV_cm picks up Phi * lam_s_m exactly.
         coeffs = unit_coeffs()
-        grid = Grid(16, 0.25)
-        y = initial_state(grid, coeffs.Psi_bar)
+        ws = GmocWorkspace(coeffs, Grid(16, 0.25))
+        y = ws.initial_state()
         y[-5] = 0.5  # V_mat
-        phi, _, _ = growth_law(coeffs, split_state(y, grid.N)[1])
-        _, (_, dv_cm, _, _, _) = state_derivative(coeffs, grid, y)
+        phi, _, _ = growth_law(coeffs, y[-5:].tolist())
+        _, (_, dv_cm, _, _, _) = state_derivative(ws, y)
         assert dv_cm == pytest.approx(phi * coeffs.lam_s_m)
 
     def test_no_monomer_supply_means_no_nucleation(self):
         # V_mat = 0 clamps the availability Phi at 0, so with empty
         # distributions nothing nucleates and no cluster volume appears.
         coeffs = unit_coeffs()
-        grid = Grid(16, 0.25)
-        y = initial_state(grid, coeffs.Psi_bar)
-        assert growth_law(coeffs, split_state(y, grid.N)[1])[0] == 0.0
-        dists, (_, dv_cm, _, _, _) = state_derivative(coeffs, grid, y)
+        ws = GmocWorkspace(coeffs, Grid(16, 0.25))
+        y = ws.initial_state()
+        assert growth_law(coeffs, y[-5:].tolist())[0] == 0.0
+        dists, (_, dv_cm, _, _, _) = state_derivative(ws, y)
         assert np.all(dists == 0.0)
         assert dv_cm == 0.0
 
@@ -123,7 +126,7 @@ class TestRhsStructure:
 
     def test_psi_decreases_monotonically(self):
         coeffs = unit_coeffs()
-        report = simulate(coeffs, Grid(16, 0.25), 0.1, 200)
+        report = simulate(GmocWorkspace(coeffs, Grid(16, 0.25)), 0.1, 200)
         assert np.all(np.diff(report.Psi) <= 0)
         assert np.all(np.diff(report.V_pol2) >= 0)
 
@@ -131,8 +134,8 @@ class TestRhsStructure:
 class TestSimulate:
     def test_bitwise_deterministic(self):
         scenario = latex_scenario("eucl", n_nodes=32)
-        a = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 150)
-        b = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 150)
+        a = run(scenario, 150)
+        b = run(scenario, 150)
         assert np.array_equal(a.final_m, b.final_m)
         assert np.array_equal(a.final_w, b.final_w)
         assert np.array_equal(a.V_cm, b.V_cm)
@@ -146,7 +149,7 @@ class TestSimulate:
                                   t_horizon=250.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
+            report = run(scenario)
         prefix = "support reached the grid boundary at step "
         assert report.aborted.startswith(prefix)
         assert report.times[-1] < scenario.t_max
@@ -158,7 +161,7 @@ class TestSimulate:
         # The desk window: the poorly-scaled run falls below -1e-8 of its
         # final peak at step 3, the optimally scaled one never does.
         scenario = latex_scenario(theta)
-        report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
+        report = run(scenario)
         assert report.negative_minima is dips
         assert report.negative_minima == (report.settings["first_negative"] is not None)
         assert report.aborted is None and report.settings["guard_step"] is None
@@ -171,7 +174,7 @@ class TestSimulate:
         coeffs = unit_coeffs(lam_a_m=1e300)
         with warnings.catch_warnings(), pytest.raises(NonFiniteEvaluationError) as err:
             warnings.simplefilter("error", RuntimeWarning)
-            simulate(coeffs, Grid(16, 0.25), 0.5, 50)
+            simulate(GmocWorkspace(coeffs, Grid(16, 0.25)), 0.5, 50)
         assert err.value.step == 1
         assert str(err.value).startswith("non-finite state after step 1: m at nodes [")
         assert not np.isfinite(err.value.state).all()
@@ -179,14 +182,14 @@ class TestSimulate:
     def test_blow_up_names_what_of_the_state_is_not_finite(self):
         # The first five non-finite nodes of each distribution, then the
         # auxiliary scalars by name.
-        grid = Grid(16, 0.25)
-        y = initial_state(grid, 1.0)
-        dists, _ = split_state(y, grid.N)
+        ws = GmocWorkspace(unit_coeffs(), Grid(16, 0.25))
+        y = ws.initial_state()
+        dists = ws.distributions(y)
         dists[0, 2:10] = np.inf
         dists[1, 16] = np.nan
         y[-4] = -np.inf  # V_cm
         y[-1] = np.nan  # V_pol2
-        assert pbe._diagnose_nonfinite(y, grid.N) == (
+        assert ws.describe_nonfinite(y) == (
             "m at nodes [2, 3, 4, 5, 6]; w at nodes [16]; V_cm; V_pol2")
 
     @pytest.mark.parametrize("scenario, mass, first_moment, rel", [
@@ -204,7 +207,7 @@ class TestSimulate:
     def test_source_moments_in_settings(self, scenario, mass, first_moment, rel):
         # The discrete source's Simpson mass and first moment over lam_c;
         # a resolved unit Gaussian gives 1 and 1.
-        settings = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 1).settings
+        settings = run(scenario, 1).settings
         assert settings["source_mass"] == pytest.approx(mass, rel=rel)
         assert settings["source_first_moment_ratio"] == pytest.approx(first_moment, rel=rel)
 
@@ -232,7 +235,7 @@ class TestSimulate:
         monkeypatch.setattr(pbe, "rk4_dense_step", recorded)
         for steps in (3, 7, 80, 99, 101, 205, 250, 1200, 4197):
             thetas.clear()
-            report = simulate(coeffs, grid, t_max, steps)
+            report = simulate(ws, t_max, steps)
             np.testing.assert_array_equal(report.times, t_max * np.arange(101) / 100)
             assert report.times[0] == 0.0 and report.times[-1] == t_max
             settings = report.settings
@@ -257,11 +260,11 @@ class TestAdaptiveSteps:
         scenarios = [(desk.coeffs, desk.grid, desk.t_max, 150),
                      (unit_coeffs(lam_mu_m=1000.0), Grid(16, 0.25), 0.2, 160)]
         calls, starts, ends, thetas = [], [], [], []
-        step = pbe.rk4_dense_step
+        step, rhs = pbe.rk4_dense_step, GmocWorkspace.rhs
 
         def counted(ws, y):
             calls.append(None)
-            return rhs_vector(ws, y)
+            return rhs(ws, y)
 
         def recorded(rhs, t, y, tau):
             out, dense = step(rhs, t, y, tau)
@@ -274,7 +277,7 @@ class TestAdaptiveSteps:
 
             return out, read
 
-        monkeypatch.setattr(pbe, "rhs_vector", counted)
+        monkeypatch.setattr(GmocWorkspace, "rhs", counted)
         monkeypatch.setattr(pbe, "rk4_dense_step", recorded)
         reports = []
         for coeffs, grid, t_max, most_steps in scenarios:
@@ -282,7 +285,8 @@ class TestAdaptiveSteps:
             starts.clear()
             ends.clear()
             thetas.clear()
-            report = simulate(coeffs, grid, t_max)
+            ws = GmocWorkspace(coeffs, grid)
+            report = simulate(ws, t_max)
             reports.append(report)
             np.testing.assert_array_equal(report.times, t_max * np.arange(101) / 100)
             assert report.times[-1] == t_max
@@ -298,8 +302,7 @@ class TestAdaptiveSteps:
             assert len(thetas) == np.setdiff1d(report.times[1:-1], starts).size >= 60
             assert all(1e-9 < theta < 1 - 1e-9 for theta in thetas)
             assert t_max - starts[-1] < t_max / 100
-            ws = GmocWorkspace(coeffs, grid)
-            dists, aux = split_state(ends[-1], grid.N)
+            dists, aux = ws.distributions(ends[-1]), ends[-1][-5:].tolist()
             final = aux + [float(ws.moment0_weights @ (ws.nodes * d)) for d in dists]
             assert [getattr(report, name)[-1] for name in pbe.SERIES] == final
         assert reports[0].settings["first_negative"] is None  # the desk run
@@ -308,17 +311,17 @@ class TestAdaptiveSteps:
         # The under-resolved N = 64 grid dips below -1e-8 of the final peak.
         scenario = latex_scenario("eucl", n_nodes=64, v_window=0.25e-16,
                                   t_horizon=120.0)
-        n = scenario.grid.N
+        ws = GmocWorkspace(scenario.coeffs, scenario.grid)
         history = []
         step = pbe.rk4_dense_step
 
         def recorded(rhs, t, y, tau):
             out, dense = step(rhs, t, y, tau)
-            history.append((t + tau, split_state(out, n)[0].copy()))
+            history.append((t + tau, ws.distributions(out).copy()))
             return out, dense
 
         monkeypatch.setattr(pbe, "rk4_dense_step", recorded)
-        report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
+        report = simulate(ws, scenario.t_max)
         dists = np.array([d for _, d in history])
         peaks = np.maximum(dists[-1].max(axis=1), 0.0)
         negative = dists.min(axis=2) < -1e-8 * peaks
@@ -337,9 +340,10 @@ class TestAdaptiveSteps:
     def test_without_transport_the_decay_rate_limits_the_step(self):
         # Psi = 0 and V_mat = 0 make g vanish; on empty distributions the
         # diagonal decay rate is lam_mu_m alone.
-        coeffs = unit_coeffs(lam_mu_m=50.0)
-        grid = Grid(16, 0.25)
-        tau = stable_step(GmocWorkspace(coeffs, grid), initial_state(grid, 0.0))
+        ws = GmocWorkspace(unit_coeffs(lam_mu_m=50.0), Grid(16, 0.25))
+        y = ws.initial_state()
+        y[-2] = 0.0  # Psi
+        tau = ws.stable_step(y)
         assert tau == pytest.approx(
             pbe.COURANT * pbe.RK4_REAL_LIMIT / (pbe.TRANSPORT_LIMIT * 50.0))
 
@@ -354,7 +358,8 @@ class TestAdaptiveSteps:
         grid = Grid(16, 0.25)
         n, h, v = grid.N, grid.h, grid.nodes()
         v_mat, psi1 = 0.5, coeffs.Psi_bar + 1.0
-        y = initial_state(grid, coeffs.Psi_bar)
+        ws = GmocWorkspace(coeffs, grid)
+        y = ws.initial_state()
         y[-5] = v_mat
         shape = v * np.exp(-v)
         y[: n + 1] = m_scale * shape
@@ -381,7 +386,7 @@ class TestAdaptiveSteps:
         decay = dg_1 + max(coeffs.lam_mu_m + loss_m, loss_w)
         expected = pbe.COURANT / (
             g_n / h + decay * pbe.TRANSPORT_LIMIT / pbe.RK4_REAL_LIMIT)
-        tau = stable_step(GmocWorkspace(coeffs, grid), y)
+        tau = ws.stable_step(y)
         assert tau == pytest.approx(expected, rel=1e-12)
 
     def test_a_run_past_the_step_budget_is_refused(self):
@@ -390,11 +395,11 @@ class TestAdaptiveSteps:
         with pytest.raises(DomainError, match=(
                 f"more than {MAX_RK4_STEPS} steps: step 1's stable step 1.352e-15 "
                 rf"is below t_max / {MAX_RK4_STEPS} \(t_max = 0.2\)")):
-            simulate(unit_coeffs(lam_mu_m=1e15), Grid(16, 0.25), 0.2)
+            simulate(GmocWorkspace(unit_coeffs(lam_mu_m=1e15), Grid(16, 0.25)), 0.2)
 
     def test_fixed_steps_report_their_constant_step(self):
         coeffs = unit_coeffs()
-        report = simulate(coeffs, Grid(16, 0.25), 0.1, 40)
+        report = simulate(GmocWorkspace(coeffs, Grid(16, 0.25)), 0.1, 40)
         assert report.settings["steps"] == 40
         assert report.settings["tau_min"] == report.settings["tau_max"] == 0.1 / 40
         assert report.times[-1] == 40 * (0.1 / 40)
@@ -407,11 +412,11 @@ class TestAdaptiveSteps:
         # could overshoot the last sample (an IndexError) or fall short of it.
         with pytest.raises(DomainError, match=(
                 rf"t_max must be >= 2.2250738585072014e-306, .* got {float(t_max)!r}")):
-            simulate(unit_coeffs(), Grid(16, 0.25), t_max, steps)
+            simulate(GmocWorkspace(unit_coeffs(), Grid(16, 0.25)), t_max, steps)
 
     @pytest.mark.parametrize("steps", [None, 3, 7, 13])
     def test_the_shortest_run_takes_its_steps_and_every_sample(self, steps):
-        report = simulate(unit_coeffs(), Grid(16, 0.25), pbe.MIN_T_MAX, steps)
+        report = simulate(GmocWorkspace(unit_coeffs(), Grid(16, 0.25)), pbe.MIN_T_MAX, steps)
         assert report.settings["steps"] == (steps or pbe.SAMPLES)
         assert len(report.times) == pbe.SAMPLES + 1
         assert report.times[-1] == pbe.MIN_T_MAX
@@ -444,13 +449,13 @@ class TestErrorSeries:
     def test_consistent_series_has_small_error(self):
         scenario = latex_scenario("eucl", n_nodes=64, v_window=0.25e-16,
                                   t_horizon=120.0)
-        report = simulate(scenario.coeffs, scenario.grid, scenario.t_max)
+        report = run(scenario)
         assert report.max_eps_m < 1e-3
         assert report.max_eps_w < 1e-3
 
     def test_recompute_matches_report(self):
         scenario = latex_scenario("eucl", n_nodes=32)
-        report = simulate(scenario.coeffs, scenario.grid, scenario.t_max, 200)
+        report = run(scenario, 200)
         np.testing.assert_array_equal(
             error_series(report.times, report.V_cm, report.F_m), report.eps_m)
         np.testing.assert_array_equal(

@@ -7,15 +7,15 @@ from ``build_latex``'s exponent table, the grid from the physical volume
 window and t_max from the physical horizon, and runs the same fixed steps.
 The nucleation site lies at the physical volume v_c / (nu0 delta0), so every
 direction keeps nu0 delta0 fixed.  This ties the exponent table to the rate
-laws of ``rhs_vector``: a term whose coefficient carries the wrong factors
-moves the physical solution.
+laws of ``GmocWorkspace.rhs``: a term whose coefficient carries the wrong
+factors moves the physical solution.
 """
 
 import numpy as np
 import pytest
 
 from nondim.models import LATEX_FACTOR_NAMES, build_latex
-from nondim.pbe import SERIES, Grid, LatexCoefficients, simulate
+from nondim.pbe import SERIES, GmocWorkspace, Grid, LatexCoefficients, simulate
 from nondim.scaling import eval_coefficients, solve_euclidean
 
 FACTORS = tuple(name.split()[0] for name in LATEX_FACTOR_NAMES)
@@ -53,7 +53,7 @@ def physical_run(direction: dict) -> dict:
     coeffs = LatexCoefficients.from_labels(lambdas, constants,
                                            sigma_c=lambdas["c"] / SIGMA_RULE)
     grid = Grid.from_vmax(N_NODES, V_WINDOW / factor["nu0"])
-    report = simulate(coeffs, grid, T_HORIZON / factor["t0"], STEPS)
+    report = simulate(GmocWorkspace(coeffs, grid), T_HORIZON / factor["t0"], STEPS)
     assert report.aborted is None
     return {
         name: getattr(report, name) * np.prod([factor[f] ** e for f, e in units.items()])

@@ -28,6 +28,13 @@ def unit_coeffs(**overrides):
     return LatexCoefficients(**values)
 
 
+def kernel_workspace(grid):
+    """A workspace for the aggregation kernel alone.  Nucleation is off, so
+    a grid that cannot hold the unit source (span below lam_c = 1, or
+    nodes too far apart to see a width of 0.02) is not refused."""
+    return GmocWorkspace(unit_coeffs(lam_n=0.0, lam_s_m=0.0), grid)
+
+
 def direct_aggregation(grid, dist, pref, exact=False):
     """(gain, loss) at nodes 1..N as direct sums, the reference for
     :meth:`GmocWorkspace.aggregation`.
@@ -157,12 +164,12 @@ class TestAggregation:
         n = int(rng.integers(8, 41))
         h = float(rng.uniform(0.1, 1.0))
         grid = Grid(n, h)
-        coeffs = unit_coeffs(lam_a_m=float(rng.uniform(0.5, 2.0)))
+        lam_a_m = float(rng.uniform(0.5, 2.0))
         dist = rng.uniform(0.0, 2.0, n + 1)
         dist[0] = 0.0
         psi = float(rng.uniform(0.1, 1.5))
-        pref = coeffs.lam_a_m * (psi + 1.0) ** (14.0 / 3.0)
-        gain, loss = GmocWorkspace(coeffs, grid).aggregation(dist, pref)
+        pref = lam_a_m * (psi + 1.0) ** (14.0 / 3.0)
+        gain, loss = kernel_workspace(grid).aggregation(dist, pref)
         expected_gain, expected_loss = direct_aggregation(grid, dist, pref)
         assert gain == pytest.approx(expected_gain, rel=1e-12, abs=1e-12)
         assert loss == pytest.approx(expected_loss, rel=1e-12, abs=1e-12)
@@ -193,7 +200,7 @@ class TestAggregation:
         phi = grid.nodes()
         z = (phi - a) / (b - a)
         dist = np.where((z > 0.0) & (z < 1.0), np.sin(np.pi * z) ** 4, 0.0)
-        gain, loss = GmocWorkspace(unit_coeffs(), grid).aggregation(dist, 1.0)
+        gain, loss = kernel_workspace(grid).aggregation(dist, 1.0)
         weights = simpson_weights(n, grid.h)
         net = weights @ np.concatenate(([0.0], phi[1:] * (gain - loss)))
         lost = weights @ np.concatenate(([0.0], phi[1:] * loss))
@@ -258,7 +265,7 @@ class TestAggregation:
         grid = Grid(n, h)
         dist = np.random.default_rng(3).uniform(0.5, 2.0, n + 1) * (-1.0) ** np.arange(n + 1)
         dist[0] = 0.0
-        gain, loss = GmocWorkspace(unit_coeffs(), grid).aggregation(dist, 1.0)
+        gain, loss = kernel_workspace(grid).aggregation(dist, 1.0)
         expected_gain, expected_loss = direct_aggregation(grid, dist, 1.0)
         assert np.all(np.isfinite(gain))
         assert gain == pytest.approx(expected_gain, rel=1e-12, abs=0.0)
