@@ -9,8 +9,10 @@ Simpson aggregation integrals and classical RK4 in time.
 paper's Generalised Method of Characteristics name, as nothing moves along
 characteristics.  :func:`simulate` is the time loop, and reaches the state
 only through the operator's methods ``initial_state``, ``rhs``,
-``stable_step``, ``sample``, ``lows``, ``guard``, ``describe_nonfinite``,
-``distributions`` and ``settings``.
+``stable_step``, ``sample``, ``guard``, ``describe_nonfinite``,
+``distributions`` and ``settings``.  It keeps one row per step, and reads
+the run's course (the step sizes, the minima and the first negative step)
+from those rows.
 The aggregation gain is evaluated from truncated correlations: the Simpson
 weight of an inner node depends only on its parity, so the two parity
 weights of each product add to 2h in an odd row and depend only on the
@@ -498,11 +500,6 @@ class GmocWorkspace:
         dists, aux = self.distributions(y), y[-5:].tolist()
         return aux + [float(self.moment0_weights @ (self.nodes * d)) for d in dists]
 
-    def lows(self, y: np.ndarray) -> tuple[list[float], list[int]]:
-        """The minimum of m and of w in ``y``, and the node of each."""
-        dists = self.distributions(y)
-        return dists.min(axis=1).tolist(), dists.argmin(axis=1).tolist()
-
     def guard(self, y: np.ndarray, step: int) -> str | None:
         """Why the run stops after step ``step`` at state ``y``, or None: m at
         node N above TRUNCATION_TOLERANCE max(m), support at the upper grid
@@ -546,7 +543,7 @@ class SimulationReport:
     at which m or w falls below -NONNEG_TOL times that distribution's final
     peak (``max_m``, ``max_w``, clamped at 0), or None; ``negative_minima``,
     the verdict behind exit code 4, says whether there is one.  ``min_m``
-    and ``min_w`` are the minima over the run.
+    and ``min_w`` are the minima over the run's steps, or 0 if higher.
     ``settings["rhs_evaluations"]`` counts right-hand side calls, four per
     RK4 step.  ``aborted`` says why the run stopped early, or is None, and
     ``settings["guard_step"]`` is the step at which the operator's guard
@@ -633,13 +630,10 @@ def simulate(op, t_max: float, steps: int | None = None) -> SimulationReport:
     samples = [op.sample(y)]
     t = 0.0
     taken = 0
-    tau_min, tau_max = math.inf, 0.0
-    min_m = min_w = 0.0
-    # The first step below a floor lowers a running minimum, so the steps
-    # that do hold it: six numbers each, step, t, min m, min w, argmin m
-    # and argmin w.
-    dips = array("d")
-    aborted = guard_step = None
+    # One row per step, step k in row k - 1: its end time t, tau, min m,
+    # min w, argmin m and argmin w.
+    course = array("d")
+    aborted = None
     # A state that blows up may overflow before it stops being finite; the
     # finiteness check below reports it, not a warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -668,7 +662,6 @@ def simulate(op, t_max: float, steps: int | None = None) -> SimulationReport:
                     f"non-finite state after step {taken}: {op.describe_nonfinite(y)}",
                     step=taken, state=y,
                 )
-            tau_min, tau_max = min(tau_min, tau), max(tau_max, tau)
             # Samples strictly inside the step come from its continuous
             # extension, one on its end from the stepped state.
             while sample_times[len(samples)] < end:
@@ -677,26 +670,24 @@ def simulate(op, t_max: float, steps: int | None = None) -> SimulationReport:
                 samples.append(op.sample(y))
             del dense  # frees the stages before the next step makes its own
             t = end
-            lows, nodes = op.lows(y)
-            if lows[0] < min_m or lows[1] < min_w:
-                min_m, min_w = min(min_m, lows[0]), min(min_w, lows[1])
-                dips.extend([taken, t, *lows, *nodes])
+            dists = op.distributions(y)
+            course.extend([t, tau, *dists.min(axis=1).tolist(), *dists.argmin(axis=1).tolist()])
             aborted = op.guard(y, taken)
             if aborted is not None:
-                guard_step = taken
                 break
 
     times = sample_times[: len(samples)]
     series = dict(zip(SERIES, np.array(samples).T))
     final_m, final_w = op.distributions(y).copy()
     max_m, max_w = float(max(final_m.max(), 0.0)), float(max(final_w.max(), 0.0))
-    rows = np.reshape(dips, (-1, 6))
+    rows = np.reshape(course, (-1, 6))
+    min_m, min_w = (min(0.0, float(low)) for low in rows[:, 2:4].min(axis=0))
     below = rows[:, 2:4] < [-NONNEG_TOL * max_m, -NONNEG_TOL * max_w]
     first_negative = None
     if below.any():
         k = int(np.argmax(below.any(axis=1)))
         which = int(np.argmax(below[k]))
-        first_negative = {"step": int(rows[k, 0]), "time": float(rows[k, 1]),
+        first_negative = {"step": k + 1, "time": float(rows[k, 0]),
                           "distribution": "mw"[which], "node": int(rows[k, 4 + which])}
     return SimulationReport(
         times=times, **series,
@@ -706,8 +697,8 @@ def simulate(op, t_max: float, steps: int | None = None) -> SimulationReport:
         final_m=final_m, final_w=final_w,
         settings={
             **op.settings(), "t_max": t_max, "steps": taken,
-            "tau_min": float(tau_min), "tau_max": float(tau_max),
-            "rhs_evaluations": evaluations, "guard_step": guard_step,
+            "tau_min": float(rows[:, 1].min()), "tau_max": float(rows[:, 1].max()),
+            "rhs_evaluations": evaluations, "guard_step": None if aborted is None else taken,
             "first_negative": first_negative,
         },
         aborted=aborted,

@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, DomainError
 from .models import LATEX_TEST_SUBSET, build_latex
 from .pbe import Grid, LatexCoefficients
@@ -55,7 +53,8 @@ def _refused(key: str, value: float) -> DomainError:
 
 @dataclass(frozen=True)
 class LatexScenario:
-    """simulate()'s inputs but the step count, tagged with their scaling."""
+    """What ``GmocWorkspace(coeffs, grid)`` and ``simulate(op, t_max, steps)``
+    take, but the step count, tagged with its scaling."""
 
     theta_tag: str
     coeffs: LatexCoefficients
@@ -97,13 +96,13 @@ def latex_scenario(
         solution = solve_subset(problem, LATEX_TEST_SUBSET)
     else:
         raise ConfigError(f"unknown theta selector {theta!r} (want 'eucl' or 'test')")
-    lambdas = dict(zip(problem.labels, solution.lambdas))
-    nu0, t0 = solution.theta[0], solution.theta[1]
-    # A finite option may overflow once scaled: nu0 is about 1e-17, and
-    # sigma_rule may be subnormal.
-    with np.errstate(over="ignore"):
-        scaled = {"sigma_rule": lambdas["c"] / window["sigma_rule"],
-                  "v_window": window["v_window"] / nu0}
+    # Python floats: every value built from them is one, and a finite option
+    # that overflows once scaled (nu0 is about 1e-17, and sigma_rule may be
+    # subnormal) gives inf with no warning.
+    lambdas = dict(zip(problem.labels, solution.lambdas.tolist()))
+    nu0, t0 = solution.theta[:2].tolist()
+    scaled = {"sigma_rule": lambdas["c"] / window["sigma_rule"],
+              "v_window": window["v_window"] / nu0}
     for key, value in scaled.items():
         if value == math.inf:
             raise _refused(key, window[key])

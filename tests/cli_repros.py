@@ -339,6 +339,9 @@ SINGLES = (
           "error: t_max must be > 0 and finite, got --t-horizon -1.0"),
     Repro("pbe-t-horizon-inf", "pbe --theta eucl --desk --t-horizon inf", 64,
           "error: t_max must be > 0 and finite, got --t-horizon inf"),
+    # The adaptive step budget names t_max as a float, not a numpy repr;
+    # only a prefix, as lstsq may round the last digits differently.
+    Repro("pbe-t-horizon-1e308", "pbe --t-horizon 1e308", 64, "(t_max = 4.470152"),
     Repro("pbe-v-window-inf", "pbe --theta eucl --desk --v-window inf", 64,
           "error: grid spacing h must be > 0 and finite, got --v-window inf"),
     Repro("pbe-v-window-1e300-steps-1", "pbe --v-window 1e300 --steps 1", 64,

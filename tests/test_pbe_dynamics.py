@@ -317,12 +317,16 @@ class TestAdaptiveSteps:
 
         def recorded(rhs, t, y, tau):
             out, dense = step(rhs, t, y, tau)
-            history.append((t + tau, ws.distributions(out).copy()))
+            history.append((t + tau, tau, ws.distributions(out).copy()))
             return out, dense
 
         monkeypatch.setattr(pbe, "rk4_dense_step", recorded)
         report = simulate(ws, scenario.t_max)
-        dists = np.array([d for _, d in history])
+        taus = [tau for _, tau, _ in history]
+        assert report.settings["steps"] == len(history)
+        assert report.settings["tau_min"] == min(taus)
+        assert report.settings["tau_max"] == max(taus)
+        dists = np.array([d for _, _, d in history])
         peaks = np.maximum(dists[-1].max(axis=1), 0.0)
         negative = dists.min(axis=2) < -1e-8 * peaks
         k = int(np.argmax(negative.any(axis=1)))

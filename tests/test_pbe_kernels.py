@@ -296,6 +296,15 @@ class TestAggregation:
         total = sum(v.nbytes for v in vars(ws).values() if isinstance(v, np.ndarray))
         assert total < 2**20
 
+    @pytest.mark.parametrize("n", [8, 9, 200, 300, 1000, 1001])
+    def test_reversed_operands_start_on_a_cache_line(self, n):
+        # np.correlate runs fastest on them there: at N = 1000 an aggregation
+        # call took about a fifth longer with both operands 8 bytes off.
+        ws = kernel_workspace(Grid(n, 0.01))
+        ws.aggregation(np.linspace(0.0, 1.0, n + 1), 1.0)
+        assert ws._r.ctypes.data % 64 == 0
+        assert ws._r_odd.ctypes.data % 64 == 0
+
 
 class TestCoefficientBundle:
     def test_default_width_rule(self, tmp_path):

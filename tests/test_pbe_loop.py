@@ -5,7 +5,7 @@ exact solution.
 its state relaxes linearly, y' = -k (y - target), entry by entry: two
 "distributions" of four nodes each, then the five auxiliary scalars, held
 constant (k = 0).  So y(t) = target + (y0 - target) exp(-k t) is the oracle
-for the samples, the observed order, the step-end samples, the running
+for the samples, the observed order, the step-end samples, the run's
 minima, the guard and the step budget, with no fd4 grid involved.
 """
 
@@ -51,10 +51,6 @@ class Decay:
 
     def sample(self, y):
         return y[-5:].tolist() + [float(d.sum()) for d in self.distributions(y)]
-
-    def lows(self, y):
-        dists = self.distributions(y)
-        return dists.min(axis=1).tolist(), dists.argmin(axis=1).tolist()
 
     def guard(self, y, step):
         return f"stopped after step {step}" if step == self.stop_after else None
