@@ -1,20 +1,24 @@
-"""Every CLI refusal and warning repro, in one table.
+"""Every CLI run that the tests pin, in one table.
 
 Each :class:`Repro` is one ``nondim`` run: its arguments, an optional
-config file, the exit code, a fragment of its output, and whether it may
-leave its ``--out`` directory, which only a run that exits 0 or 4 may.
-Tier-1 runs every entry through click's ``CliRunner`` (:func:`invoke`) under
-the suite's ``error::RuntimeWarning``, and each one with a config file under
-PyYAML's pure-Python loader too: each group of cases below in one
-parametrized test of ``tests/test_cli.py``, and the :data:`SINGLES` in
-``tests/test_cli_repros.py``.  Run as a script,
+config file, the exit code and a fragment of its output.  The exit code
+decides whether the run writes: one that exits 0 or 4 must leave its
+``--out`` directory, any other must not.  The runs that write are the
+:data:`RUNS`, and ``tests/golden.json`` pins the payload of each.  Tier-1
+runs every entry once through click's ``CliRunner`` under the suite's
+``error::RuntimeWarning``, and each one with a config file under PyYAML's
+pure-Python loader too: each group of cases below in one parametrized test
+of ``tests/test_cli.py``, the :data:`SINGLES` in ``tests/test_cli_repros.py``
+and the :data:`RUNS` in ``tests/test_golden.py``.  Run as a script,
 
     python tests/cli_repros.py
 
 runs every entry through the ``nondim`` on ``PATH`` under
-``PYTHONWARNINGS=error::RuntimeWarning``.  It fails on a wrong exit code, a
-missing fragment, a ``Traceback`` or a leftover ``--out``, and names each
-entry that did.  A mended CLI input is written here, once.
+``PYTHONWARNINGS=error::RuntimeWarning``, and each of the :data:`RUNS` a
+second time into ``out.2``.  It fails on a wrong exit code, a missing
+fragment, a ``Traceback``, a missing or leftover ``--out``, or a second
+run whose files differ from the first's, and names each entry that did.
+A mended CLI input, or a new pinned run, is written here, once.
 """
 
 from __future__ import annotations
@@ -40,13 +44,11 @@ class Repro:
     code: int
     message: str
     config: str | None = None
-    #: Whether the run may leave its ``--out`` directory.
-    out: bool = False
 
-    def argv(self, tmp: Path) -> list[str]:
-        """The run's arguments, with ``--out`` at ``tmp/out``; writes the
+    def argv(self, tmp: Path, out: str = "out") -> list[str]:
+        """The run's arguments, with ``--out`` at ``tmp / out``; writes the
         config file into ``tmp``."""
-        argv = ["--out", str(tmp / "out")]
+        argv = ["--out", str(tmp / out)]
         if self.config is not None:
             (tmp / "config.yaml").write_text(self.config)
             argv += ["--config", str(tmp / "config.yaml")]
@@ -55,12 +57,25 @@ class Repro:
     def faults(self, tmp: Path, code: int, output: str) -> list[str]:
         """What a run in ``tmp`` that exited ``code`` with ``output`` got wrong."""
         message = self.message.replace("{tmp}", str(tmp))
+        writes = self.code in (0, 4)
         return [fault for fault, wrong in (
             (f"exit {code}, expected {self.code}", code != self.code),
             (f"no {message!r} in the output", message not in output),
             ("a Traceback in the output", "Traceback" in output),
-            ("--out left behind", not self.out and (tmp / "out").exists()),
+            ("no --out written" if writes else "--out left behind",
+             (tmp / "out").exists() != writes),
         ) if wrong]
+
+
+def mismatches(first: Path, second: Path) -> list[str]:
+    """A fault naming each file that directories ``first`` and ``second`` do
+    not both hold with the same bytes."""
+    one, two = ({path.name: path.read_bytes() for path in directory.glob("*")}
+                for directory in (first, second))
+    return [f"{name}: " + (f"missing from {second.name}" if name not in two
+                           else f"missing from {first.name}" if name not in one
+                           else "bytes differ")
+            for name in sorted(one.keys() | two.keys()) if one.get(name) != two.get(name)]
 
 
 def edit(base: str, *swaps: str) -> str:
@@ -325,9 +340,6 @@ SINGLES = (
     Repro("scale-lone-subnormal-exponent", "scale", 5,
           "error: euclid: the factors leave the normal floats, log10 theta = [-inf]",
           problem("[a]", "[1.0e-310]")),
-    # The subset determinants overflow to inf, which is solvable.
-    Repro("enumerate-huge-exponents", "enumerate", 0, "solvable subsets  : 2",
-          problem("[a]", "[1.0e+300]", "[-1.0e+300]"), out=True),
     Repro("problem-unreadable", f"--config {MISSING} scale", 64,
           f"error: cannot read problem file {MISSING}"),
     Repro("pbe-steps-zero", "pbe --steps 0", 64, "error: steps must be >= 1"),
@@ -385,17 +397,53 @@ SINGLES = (
           "error: lattice needs at most 3000000 points, got 2 x 100000000"),
     Repro("projectile-theta-subnormal", "projectile --theta 1 1e-320", 5,
           "error: theta: the factors leave the normal floats, log10 theta = [0.0, -320.0"),
+)
+
+WROTE = "wrote {tmp}/out/"
+
+#: The runs that write, each pinned in ``tests/golden.json`` by its id and
+#: run twice by the script: the shipped PBE runs, the small truncation-guard
+#: run, the benchmark's contrast and full runs, the paper's window that
+#: dips below zero, and the toolkit commands.
+RUNS = (
+    *(Repro(f"pbe-{case}", f"pbe {args}", 0, WROTE + "pbe_summary.json") for case, args in (
+        ("desk", "--theta eucl --desk"),
+        ("test", "--theta test"),
+        ("steps-250", "--steps 250"),
+        ("guard", "--theta eucl --nodes 16 --v-window 0.1e-16 --t-horizon 250"),
+        ("contrast", "--theta test --nodes 300 --v-window 0.7e-16 --t-horizon 23.475 "
+                     "--steps 1200 --sigma-rule 10"),
+        ("full", "--theta eucl --full --t-horizon 8.0 --steps 80 --sigma-rule 25"),
+    )),
+    # The paper's full window under the optimal scaling: m first dips below
+    # zero at step 48, node 115, so the run exits 4 after writing.
+    Repro("pbe-full-sigma-25", "pbe --theta eucl --full --sigma-rule 25", 4,
+          "negative minima beyond tolerance"),
+    Repro("enumerate-latex", "enumerate --preset latex", 0, WROTE + "enumeration.csv"),
+    # A label with a comma, which the CSV quotes.
+    Repro("enumerate-quoted-label", "enumerate", 0, WROTE + "enumeration.csv",
+          problem("[a, b]", "[1, 0]", "[-1, 1]", "[0, 2]", "[1, 1]",
+                  labels=("l,1", "l2", "l3", "l4"))),
+    # The subset determinants overflow to inf, which is solvable.
+    Repro("enumerate-huge-exponents", "enumerate", 0, "solvable subsets  : 2",
+          problem("[a]", "[1.0e+300]", "[-1.0e+300]")),
+    *(Repro(f"scale-{preset}", f"scale --preset {preset}", 0, WROTE + "scale_solution.csv")
+      for preset in ("projectile", "schrodinger", "ldg", "latex")),
+    *(Repro(f"anneal-{preset}", f"--seed 0 scale --preset {preset} --method anneal-max", 0,
+            WROTE + "scale_solution.csv") for preset in ("latex", "projectile")),
+    *(Repro(f"projectile-{case}", f"projectile {args}", 0, WROTE + "projectile_summary.json")
+      for case, args in (("roundtrip", "--roundtrip"), ("dimensional", "--theta 1 1"))),
     # d * d overflows off the lattice column w1 = 0: the rate is -0.0, with
     # no warning.
     Repro("projectile-lattice-overflows", "projectile --theta 1 1e300", 0,
-          "wrote {tmp}/out/projectile_flow.csv", out=True),
+          WROTE + "projectile_flow.csv"),
 )
 
 #: Every entry.
 REPROS = tuple(repro for group in (
     PROBLEM_KEYS, NON_FINITE_VALUES, AMBIGUOUS_LABELS, NO_USABLE_FACTORS, USAGE_ERRORS,
     NEGATIVE_SEEDS, PROJECTILE_INPUTS, SCENARIO_KEYS, BESIDE_SCENARIO, WINDOW_OPTIONS,
-) for repro in group.values()) + SINGLES
+) for repro in group.values()) + SINGLES + RUNS
 
 
 def invoke(repro: Repro) -> list[str]:
@@ -408,14 +456,26 @@ def invoke(repro: Repro) -> list[str]:
 
 
 def main() -> int:
-    """Run every entry through the ``nondim`` on ``PATH``; 1 if any failed."""
+    """Run every entry through the ``nondim`` on ``PATH``, and each of the
+    :data:`RUNS` again into ``out.2``; 1 if any failed."""
     env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"}
+
+    def nondim(argv: list[str]) -> subprocess.CompletedProcess:
+        return subprocess.run(["nondim", *argv], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+
     failed = []
     for repro in REPROS:
         with tempfile.TemporaryDirectory() as tmp:
-            run = subprocess.run(["nondim", *repro.argv(Path(tmp))], env=env, text=True,
-                                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
-            faults = repro.faults(Path(tmp), run.returncode, run.stdout)
+            tmp = Path(tmp)
+            run = nondim(repro.argv(tmp))
+            faults = repro.faults(tmp, run.returncode, run.stdout)
+            if repro in RUNS:
+                again = nondim(repro.argv(tmp, "out.2"))
+                if again.returncode != repro.code:
+                    faults.append(f"second run: exit {again.returncode}, expected {repro.code}")
+                faults += [f"second run: {fault}" for fault in mismatches(tmp / "out",
+                                                                          tmp / "out.2")]
         if faults:
             failed.append(repro.id)
             print(f"FAIL {repro.id}: {'; '.join(faults)}\n{run.stdout}")

@@ -1,9 +1,20 @@
 import pytest
+import yaml
 
 #: PASS/FAIL lines recorded by the acceptance gate, echoed after the run.
 ACCEPTANCE_LINES = []
 #: Which comparison the golden-digest test ran, echoed after the run.
 GOLDEN_LINES = []
+
+
+def under_both_loaders(repros):
+    """Parameters ``repro, loader`` of each CLI table entry under the chosen
+    YAML loader (``None``), and of each with a config file under PyYAML's
+    pure-Python loader too, its id suffixed ``-pure-yaml``."""
+    return [pytest.param(repro, loader, id=repro.id + suffix)
+            for repro in repros
+            for loader, suffix in ((None, ""), (yaml.SafeLoader, "-pure-yaml"))
+            if loader is None or repro.config is not None]
 
 
 def pytest_terminal_summary(terminalreporter):

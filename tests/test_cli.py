@@ -299,27 +299,14 @@ class TestPbe:
         assert steps > 100
         assert summary["manifest"]["config"]["steps"] == steps
 
-    def test_eucl_desk_small_grid_guard_failure_exits_4(self, runner, tmp_path):
-        # An under-resolved grid breaks non-negativity under the optimal
-        # scaling, which is exactly what the guard exists to catch: min m
-        # reaches -2.31e-6 against a final peak of 1.52e-3.
-        result = runner.invoke(
-            main, ["--out", str(tmp_path), "pbe", "--theta", "eucl",
-                   "--nodes", "64", "--t-horizon", "120.0", "--steps", "3000"]
-        )
-        assert result.exit_code == 4, result.output
-        with open(tmp_path / "pbe_summary.json") as fh:
-            summary = json.load(fh)
-        assert summary["negative_minima"] is True
-        assert summary["settings"]["first_negative"] is not None
-
 
 class TestPureYamlLoader:
     """Config loading under PyYAML's pure-Python ``SafeLoader``, which runio
     falls back to where PyYAML lacks libyaml: the same objects as the chosen
     loader, and the same exit code and message for every config file of the
-    CLI repro table.  The table's groups with a config file run here again,
-    and ``test_cli_repros.py`` runs its single entries under both loaders."""
+    CLI repro table.  The table's groups with a config file run here again;
+    ``test_cli_repros.py`` runs its single entries and ``test_golden.py`` its
+    runs that write under both loaders."""
 
     chosen = runio.YAML_LOADER
 

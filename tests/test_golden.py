@@ -1,19 +1,26 @@
-"""Golden digests: every pinned command still writes the same payload bytes.
+"""Golden digests: every run of the CLI table that writes still writes the
+same payload bytes.
 
-Each artifact's payload is the file without its manifest: a CSV below its
-``# manifest:`` line, a JSON summary without its ``"manifest"`` key.  Its
-SHA-256 is stored in ``tests/golden.json`` with the numpy version and
-machine that wrote it.  On a host with that key the test compares digests;
-on any other, where ``np.correlate`` and ``np.dot`` may round differently,
-it compares a few stored scalars per artifact within 1e-12 relative.  The
-error series are the exception: on well-scaled runs each ε is a difference
-of near-equal moments (at most 2.4e-12 on ``pbe-full``), so moments that
-move by rounding move the sums of |ε| far past 1e-12.  There each ε column
-must equal :func:`nondim.pbe.error_series` of its own file's t, V_c and F
-columns instead.  The mode that ran is printed in the terminal summary.
+The runs are the :data:`cli_repros.RUNS`, each with its id, exit code and
+output fragment; each with a config file runs under PyYAML's pure-Python
+loader too, against the same digests.  Each artifact's payload is the file
+without its manifest: a CSV below its ``# manifest:`` line, a JSON summary
+without its ``"manifest"`` key.  Its SHA-256 is stored in
+``tests/golden.json`` with the numpy version and machine that wrote it.  On
+a host with that key the test compares digests; on any other, where
+``np.correlate`` and ``np.dot`` may round differently, it compares a few
+stored scalars per artifact within 1e-12 relative.  The error series are
+the exception: on well-scaled runs each ε is a difference of near-equal
+moments (at most 2.4e-12 on ``pbe-full``), so moments that move by rounding
+move the sums of |ε| far past 1e-12.  There each ε column must equal
+:func:`nondim.pbe.error_series` of its own file's t, V_c and F columns
+instead.  The mode that ran is printed in the terminal summary.  A new
+pinned run is one entry of :data:`cli_repros.RUNS`, which
+``python tests/cli_repros.py`` also runs twice, comparing the bytes.
 
-A change that moves payload bytes on purpose regenerates the file with
-``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+A change that moves payload bytes on purpose, or adds a run, regenerates
+the file with ``PYTHONPATH=src python tests/test_golden.py`` and says so in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -32,32 +39,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from cli_repros import RUNS, Repro
+from nondim import runio
 from nondim.cli import main
 from nondim.pbe import error_series
 
 GOLDEN = Path(__file__).with_name("golden.json")
 REL_TOL = 1e-12
 
-#: The pinned commands: the shipped PBE runs, CI's truncation-guard run, the
-#: benchmark's contrast and full runs, and the toolkit commands.
-COMMANDS = {
-    "pbe-desk": ["pbe", "--theta", "eucl", "--desk"],
-    "pbe-test": ["pbe", "--theta", "test"],
-    "pbe-steps-250": ["pbe", "--steps", "250"],
-    "pbe-guard": ["pbe", "--theta", "eucl", "--nodes", "16", "--v-window", "0.1e-16",
-                  "--t-horizon", "250"],
-    "pbe-contrast": ["pbe", "--theta", "test", "--nodes", "300", "--v-window", "0.7e-16",
-                     "--t-horizon", "23.475", "--steps", "1200", "--sigma-rule", "10"],
-    "pbe-full": ["pbe", "--theta", "eucl", "--full", "--t-horizon", "8.0",
-                 "--steps", "80", "--sigma-rule", "25"],
-    "enumerate-latex": ["enumerate", "--preset", "latex"],
-    **{f"scale-{preset}": ["scale", "--preset", preset]
-       for preset in ("projectile", "schrodinger", "ldg", "latex")},
-    **{f"anneal-{preset}": ["--seed", "0", "scale", "--preset", preset,
-                            "--method", "anneal-max"]
-       for preset in ("latex", "projectile")},
-    "projectile-roundtrip": ["projectile", "--roundtrip"],
-}
+BY_ID = {repro.id: repro for repro in RUNS}
 
 
 def host_key() -> dict:
@@ -105,13 +95,13 @@ def scalars(path: Path, data: bytes) -> dict:
     return out
 
 
-def run(name: str, out: Path) -> dict:
-    """Run one pinned command into ``out``: each artifact's digest, scalars
-    and payload (which golden.json does not store)."""
-    result = CliRunner().invoke(main, ["--out", str(out), *COMMANDS[name]])
-    assert result.exit_code == 0, result.output
+def run(repro: Repro, tmp: Path) -> dict:
+    """Run one entry in ``tmp``: each artifact's digest, scalars and payload
+    (which golden.json does not store)."""
+    result = CliRunner().invoke(main, repro.argv(tmp))
+    assert repro.faults(tmp, result.exit_code, result.output) == [], result.output
     artifacts = {}
-    for path in sorted(out.iterdir()):
+    for path in sorted((tmp / "out").iterdir()):
         data = payload(path)
         artifacts[path.name] = {"sha256": hashlib.sha256(data).hexdigest(),
                                 "scalars": scalars(path, data), "payload": data}
@@ -157,16 +147,18 @@ def compare(name: str, got: dict, expected: dict, exact: bool) -> None:
             check_error_series(name, got[artifact]["payload"])
 
 
-@pytest.mark.parametrize("name", list(COMMANDS))
-def test_artifacts_match_golden(golden, name, tmp_path):
+@pytest.mark.parametrize("repro, loader", conftest.under_both_loaders(RUNS))
+def test_artifacts_match_golden(golden, repro, loader, tmp_path, monkeypatch):
+    if loader is not None:
+        monkeypatch.setattr(runio, "YAML_LOADER", loader)
     commands, exact = golden
-    compare(name, run(name, tmp_path), commands[name], exact)
+    compare(repro.id, run(repro, tmp_path), commands[repro.id], exact)
 
 
 def test_scalar_fallback_catches_a_moved_value(golden, tmp_path):
     # The comparison another host runs, on CI's small truncation-guard run.
     commands, _ = golden
-    got = run("pbe-guard", tmp_path)
+    got = run(BY_ID["pbe-guard"], tmp_path)
     compare("pbe-guard", got, commands["pbe-guard"], exact=False)
     scalars = got["pbe_summary.json"]["scalars"]
     written = scalars["max_eps_m"]
@@ -188,14 +180,16 @@ def test_scalar_fallback_catches_a_moved_value(golden, tmp_path):
 
 def test_every_golden_entry_has_a_command(golden):
     commands, _ = golden
-    assert sorted(commands) == sorted(COMMANDS)
+    assert sorted(commands) == sorted(BY_ID)
 
 
 def write_golden(workdir: Path) -> None:
-    """Run every pinned command under ``workdir`` and rewrite golden.json."""
-    commands = {name: {artifact: {key: entry[key] for key in ("sha256", "scalars")}
-                       for artifact, entry in run(name, workdir / name).items()}
-                for name in COMMANDS}
+    """Run every entry of :data:`RUNS` under ``workdir`` and rewrite golden.json."""
+    commands = {}
+    for repro in RUNS:
+        (workdir / repro.id).mkdir()
+        commands[repro.id] = {artifact: {key: entry[key] for key in ("sha256", "scalars")}
+                              for artifact, entry in run(repro, workdir / repro.id).items()}
     GOLDEN.write_text(json.dumps({"key": host_key(), "commands": commands},
                                  indent=1, sort_keys=True) + "\n")
 
